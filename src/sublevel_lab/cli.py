@@ -36,6 +36,8 @@ from .volume import (BallSpec, check_quantile_bounds,
                      check_superlevel_power_bound)
 
 SUBCOMMANDS = ("theorem", "lemma-a", "lemma-b", "lemma-c", "counterexample", "all")
+# The dense-core kernel holds a resolution x (candidate count) array.
+MAX_RESOLUTION = 1 << 16
 
 
 class ConfigError(ValueError):
@@ -122,7 +124,8 @@ def _run_theorem(inputs: dict, seed: int, threads: int):
 
 def _run_lemma_a(inputs: dict, seed: int, threads: int):
     resolution = int(_get(inputs, "resolution", 512))
-    _require(resolution >= 2, "resolution must be >= 2")
+    _require(2 <= resolution <= MAX_RESOLUTION,
+             f"resolution must lie in [2, {MAX_RESOLUTION}]")
     rows = []
     header = ["check", "lambda", "lhs_inner", "lhs_outer", "rhs", "pass"]
     csv_rows = []
@@ -478,6 +481,7 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        _require(args.threads >= 1, "--threads must be >= 1")
         if args.subcommand == "suite":
             ok = suite(args.seed, args.out, args.threads)
             return 0 if ok else 1

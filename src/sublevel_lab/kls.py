@@ -112,10 +112,9 @@ def _candidate_points(e: IntervalSet, s: tuple[float, float]) -> np.ndarray:
     return np.unique(np.array(pts, dtype=float))
 
 
-def _cross_min_table(cands: np.ndarray, e: IntervalSet) -> np.ndarray:
-    """cross[k] = min ratio over candidate pairs (i <= k < j)."""
+def _cross_min_table(cands: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """cross[k] = min ratio over candidate pairs (i <= k < j); w = W(cands)."""
     m = cands.size
-    w = e.measure_below(cands)
     num = w[None, :] - w[:, None]
     den = cands[None, :] - cands[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -129,45 +128,51 @@ def _cross_min_table(cands: np.ndarray, e: IntervalSet) -> np.ndarray:
     return cross
 
 
+def _ratio_kernel(e: IntervalSet, s: tuple[float, float]):
+    """Check S, build the candidate table of (E, S) once, and return the map
+    xs -> min_interval_ratio_many(xs, e, s) that reuses it on every call."""
+    s0, s1 = float(s[0]), float(s[1])
+    if s1 <= s0:
+        raise ValueError("S must have positive length")
+    cands = _candidate_points(e, (s0, s1))
+    w_c = e.measure_below(cands)
+    cross = _cross_min_table(cands, w_c)
+
+    def ratios(xs) -> np.ndarray:
+        xs = np.asarray(xs, dtype=float)
+        if np.any(xs < s0 - 1e-12) or np.any(xs > s1 + 1e-12):
+            raise ValueError("points must lie in S")
+        xs = np.clip(xs, s0, s1)
+        w_x = e.measure_below(xs)
+        seg = np.clip(np.searchsorted(cands, xs, side="right") - 1, 0,
+                      cands.size - 2)
+        # one row per x, one column per candidate c: the interval [x, c] or
+        # [c, x], with numerator and denominator each taken as a nonnegative
+        # difference, as in a per-point scan (with E empty every ratio is 0)
+        gap = cands - xs[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = np.where(gap > 0, (w_c - w_x[:, None]) / gap,
+                         (w_x[:, None] - w_c) / (xs[:, None] - cands))
+        r[gap == 0] = np.inf
+        best = np.minimum(r.min(axis=1), cross[seg])
+        return np.clip(np.where(np.isfinite(best), best, 1.0), 0.0, 1.0)
+
+    return ratios
+
+
 def min_interval_ratio_many(xs: np.ndarray, e: IntervalSet,
                             s: tuple[float, float]) -> np.ndarray:
     """Exact min over intervals J with x in J inside S of |E∩J| / |J|.
 
     The minimizing interval's endpoints lie among {s0, s1, x} and the
     component endpoints of E (the ratio is piecewise monotone in each
-    endpoint), so enumeration over those candidates is exact.
+    endpoint), so enumeration over those candidates is exact.  The
+    candidate table (candidates, W = |E ∩ (-inf, c]| at each, and the min
+    over candidate pairs straddling each gap) is built once per call; the
+    intervals with one endpoint at x are then one len(xs) x m array
+    expression.
     """
-    s0, s1 = float(s[0]), float(s[1])
-    if s1 <= s0:
-        raise ValueError("S must have positive length")
-    xs = np.asarray(xs, dtype=float)
-    if np.any(xs < s0 - 1e-12) or np.any(xs > s1 + 1e-12):
-        raise ValueError("points must lie in S")
-    xs = np.clip(xs, s0, s1)
-    if e.n_components == 0:
-        return np.zeros(xs.shape)
-    cands = _candidate_points(e, (s0, s1))
-    cross = _cross_min_table(cands, e)
-    w_c = e.measure_below(cands)
-    w_x = e.measure_below(xs)
-    seg = np.clip(np.searchsorted(cands, xs, side="right") - 1, 0, cands.size - 2)
-    out = np.empty(xs.shape)
-    for i, (x, wx, k) in enumerate(zip(xs, w_x, seg)):
-        best = cross[k] if cross.size else np.inf
-        right = cands[k + 1:]
-        den_r = right - x
-        ok_r = den_r > 0
-        if np.any(ok_r):
-            r = (e.measure_below(right[ok_r]) - wx) / den_r[ok_r]
-            best = min(best, float(np.min(r)))
-        left = cands[:k + 1]
-        den_l = x - left
-        ok_l = den_l > 0
-        if np.any(ok_l):
-            r = (wx - w_c[:k + 1][ok_l]) / den_l[ok_l]
-            best = min(best, float(np.min(r)))
-        out[i] = best if np.isfinite(best) else 1.0
-    return np.clip(out, 0.0, 1.0)
+    return _ratio_kernel(e, s)(xs)
 
 
 def min_interval_ratio(x: float, e: IntervalSet, s: tuple[float, float]) -> float:
@@ -198,14 +203,18 @@ def dense_core_1d(e: IntervalSet, s: tuple[float, float], lam: float,
     """Approximate {x in E : min_interval_ratio(x) >= (lam-1)/lam}.
 
     Grid scan per component plus bisection of threshold crossings; returns
-    an inner approximation (certified subset) and an outer bound.
+    an inner approximation (certified subset) and an outer bound.  The
+    candidate table of (E, S) is built once per call and shared by every
+    bisection probe; each component's grid goes through
+    `min_interval_ratio_many`.
     """
     if lam <= 1.0:
         raise ValueError("lambda must exceed 1")
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
     theta = (lam - 1.0) / lam
-    passes = lambda x: min_interval_ratio(x, e, s) >= theta
+    ratio = _ratio_kernel(e, s)
+    passes = lambda x: ratio(np.array([float(x)]))[0] >= theta
     inner_pairs: list[tuple[float, float]] = []
     outer_pairs: list[tuple[float, float]] = []
     for lo, hi in e.pairs():

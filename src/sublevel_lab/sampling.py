@@ -66,49 +66,6 @@ def map_chunks(count: int, worker, threads: int = 1) -> np.ndarray:
     return np.concatenate(parts, axis=0)
 
 
-def ball_points(center, radius: float, dim: int, count: int, seed: int,
-                stream: int = STREAM_BALL, threads: int = 1) -> np.ndarray:
-    """Uniform points in the real ball B(center, radius) in R^dim.
-
-    Isotropic direction times radius with density r**(dim-1); exact for
-    every dimension, including dim = 1.
-    """
-    center = np.asarray(center, dtype=float)
-    if center.shape != (dim,):
-        raise ValueError("center must have length dim")
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-
-    def worker(chunk, size):
-        rng = chunk_rng(seed, stream, chunk)
-        x = rng.standard_normal((size, dim))
-        u = rng.random(size)
-        norms = np.linalg.norm(x, axis=1)
-        norms[norms == 0.0] = 1.0
-        scale = radius * u ** (1.0 / dim) / norms
-        return center + x * scale[:, None]
-
-    return map_chunks(count, worker, threads)
-
-
-def box_points(low, high, count: int, seed: int, stream: int,
-               threads: int = 1) -> np.ndarray:
-    """Uniform points in an axis-aligned box [low, high]."""
-    low = np.asarray(low, dtype=float)
-    high = np.asarray(high, dtype=float)
-    if low.shape != high.shape or low.ndim != 1:
-        raise ValueError("low and high must be 1-d and of equal length")
-    if np.any(high < low):
-        raise ValueError("box must satisfy low <= high")
-
-    def worker(chunk, size):
-        rng = chunk_rng(seed, stream, chunk)
-        u = rng.random((size, low.size))
-        return low + u * (high - low)
-
-    return map_chunks(count, worker, threads)
-
-
 def ks_distance(sample_a: np.ndarray, sample_b: np.ndarray) -> float:
     """Two-sample Kolmogorov-Smirnov statistic sup |F_a - F_b|."""
     a = np.sort(np.asarray(sample_a, dtype=float))

@@ -31,6 +31,8 @@ ETA_MARGIN = 1e-9
 MIN_LAMBDA = 1.1
 BOUNDARY_SAMPLES = 10_000
 RECT_X_MAX = 0.25
+ORACLE_GRID = 1 << 17
+REFINE_ITERS = 40
 
 
 @dataclass(frozen=True)
@@ -67,13 +69,6 @@ def disk_sup_upper_bound(q_coeffs) -> float:
     deriv_l1 = float(np.sum(np.arange(q.size) * np.abs(q)))
     correction = (np.pi / BOUNDARY_SAMPLES) * deriv_l1
     return min(l1, boundary + correction)
-
-
-def boundary_max_lower_bound(q_coeffs, samples: int = BOUNDARY_SAMPLES) -> float:
-    """Sampled lower bound of max |Q| on the unit circle (diagnostic)."""
-    q = np.asarray(q_coeffs, dtype=np.complex128).reshape(-1)
-    theta = 2.0 * np.pi * np.arange(samples) / samples
-    return float(np.max(np.abs(npp.polyval(np.exp(1j * theta), q))))
 
 
 @dataclass(frozen=True)
@@ -192,15 +187,16 @@ def required_exponent(f: ThinRectFunction, delta: float, lam: float,
 # ----------------------------------------------------------------------
 # Quadrature oracle for the limit law (independent of the sampler).
 
-def sublevel_measure(q_coeffs, eta: float, s: float,
-                     grid: int = 1 << 17, refine_iters: int = 40) -> float:
-    """measure{t in [0, 1/4] : |eta Q(t)| <= s}, by bracketing the crossings
-    of |eta Q| - s on a dense grid and bisecting all of them in parallel."""
-    if s < 0:
-        raise ValueError("s must be nonnegative")
-    q = np.asarray(q_coeffs, dtype=np.complex128).reshape(-1)
+def _grid_moduli(q: np.ndarray, eta: float, grid: int):
+    """The oracle grid linspace(0, 1/4, grid + 1) and |eta Q| on it."""
     ts = np.linspace(0.0, RECT_X_MAX, grid + 1)
-    below = np.abs(eta * npp.polyval(ts, q)) <= s
+    return ts, np.abs(eta * npp.polyval(ts, q))
+
+
+def _sublevel_measure(q: np.ndarray, eta: float, s: float, ts: np.ndarray,
+                      moduli: np.ndarray, refine_iters: int) -> float:
+    """sublevel_measure with the grid moduli |eta Q(ts)| already computed."""
+    below = moduli <= s
     flips = np.nonzero(below[:-1] != below[1:])[0]
     if flips.size:
         lo = ts[flips].copy()
@@ -223,17 +219,38 @@ def sublevel_measure(q_coeffs, eta: float, s: float,
     return float(np.sum(lengths[start::2]))
 
 
+def sublevel_measure(q_coeffs, eta: float, s: float,
+                     grid: int = ORACLE_GRID,
+                     refine_iters: int = REFINE_ITERS) -> float:
+    """measure{t in [0, 1/4] : |eta Q(t)| <= s}, by bracketing the crossings
+    of |eta Q| - s on a dense grid and bisecting all of them in parallel.
+
+    Each call evaluates |eta Q| on the whole grid; `oracle_quantile`
+    evaluates it once and reuses it for every level it tries."""
+    if s < 0:
+        raise ValueError("s must be nonnegative")
+    q = np.asarray(q_coeffs, dtype=np.complex128).reshape(-1)
+    ts, moduli = _grid_moduli(q, eta, grid)
+    return _sublevel_measure(q, eta, s, ts, moduli, refine_iters)
+
+
 def oracle_quantile(q_coeffs, eta: float, level: float) -> float:
-    """s with measure{|eta Q| <= s}/(1/4) = level, by bisection in s."""
+    """s with measure{|eta Q| <= s}/(1/4) = level, by bisection in s.
+
+    Each bisection step measures the sublevel set exactly as
+    `sublevel_measure` does at its default grid and refinement, but
+    |eta Q| on the ORACLE_GRID + 1 grid points is computed once per call."""
     if not (0.0 < level < 1.0):
         raise ValueError("level must lie in (0, 1)")
     q = np.asarray(q_coeffs, dtype=np.complex128).reshape(-1)
     ts = np.linspace(0.0, RECT_X_MAX, 1 << 12)
     hi = float(np.max(np.abs(eta * npp.polyval(ts, q)))) * (1.0 + 1e-9) + 1e-300
     lo = 0.0
+    grid_ts, moduli = _grid_moduli(q, eta, ORACLE_GRID)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if sublevel_measure(q_coeffs, eta, mid) / RECT_X_MAX < level:
+        measure = _sublevel_measure(q, eta, mid, grid_ts, moduli, REFINE_ITERS)
+        if measure / RECT_X_MAX < level:
             lo = mid
         else:
             hi = mid

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from sublevel_lab.cli import load_config, main, run
+from sublevel_lab.cli import SUBCOMMANDS, load_config, main, run
 
 THEOREM_CONFIG = {
     "subcommand": "theorem",
@@ -59,6 +59,26 @@ class TestValidation:
                    "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "radius is required" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    @pytest.mark.parametrize("sub", [*SUBCOMMANDS, "suite"])
+    def test_threads_below_one_rejected(self, tmp_path, capsys, sub, threads):
+        out = tmp_path / "out"
+        argv = [sub, "--out", str(out), "--threads", threads]
+        if sub not in ("all", "suite"):
+            cfg = {"subcommand": sub, "seed": 1, "inputs": {}}
+            argv += ["--config", str(write_config(tmp_path, cfg))]
+        assert main(argv) == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_lemma_a_resolution_capped(self, tmp_path, capsys):
+        cfg = {"subcommand": "lemma-a", "seed": 7,
+               "inputs": {"random_instances": 1, "resolution": 10**9}}
+        rc = main(["lemma-a", "--config", str(write_config(tmp_path, cfg)),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "resolution" in capsys.readouterr().err
 
 
 class TestTheoremRun:

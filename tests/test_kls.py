@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sublevel_lab import kls
 from sublevel_lab.intervals import IntervalSet
 from sublevel_lab.kls import (ConvexPolygon, LocalizationInstance,
                               LogQuadDensity2D, PiecewiseLogLinear,
@@ -33,6 +34,43 @@ def brute_min_ratio(x, e: IntervalSet, s, grid=1000):
     ratios[den <= 0] = np.inf
     best = float(np.min(ratios))
     return min(best, 1.0) if np.isfinite(best) else 1.0
+
+
+def per_point_min_ratio(xs, e: IntervalSet, s):
+    """Reference: the per-point loop over the candidate endpoints that
+    `min_interval_ratio_many` replaced with one array expression."""
+    s0, s1 = float(s[0]), float(s[1])
+    xs = np.clip(np.asarray(xs, dtype=float), s0, s1)
+    if e.n_components == 0:
+        return np.zeros(xs.shape)
+    cands = kls._candidate_points(e, (s0, s1))
+    m = cands.size
+    w_c = e.measure_below(cands)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = (w_c[None, :] - w_c[:, None]) / (cands[None, :] - cands[:, None])
+    ratios[cands[None, :] - cands[:, None] <= 0] = np.inf
+    suffix = np.minimum.accumulate(ratios[:, ::-1], axis=1)[:, ::-1]
+    prefix = np.minimum.accumulate(suffix, axis=0)
+    cross = np.array([prefix[k, k + 1] for k in range(m - 1)])
+    w_x = e.measure_below(xs)
+    seg = np.clip(np.searchsorted(cands, xs, side="right") - 1, 0, m - 2)
+    out = np.empty(xs.shape)
+    for i, (x, wx, k) in enumerate(zip(xs, w_x, seg)):
+        best = cross[k]
+        right = cands[k + 1:]
+        den_r = right - x
+        ok_r = den_r > 0
+        if np.any(ok_r):
+            r = (e.measure_below(right[ok_r]) - wx) / den_r[ok_r]
+            best = min(best, float(np.min(r)))
+        left = cands[:k + 1]
+        den_l = x - left
+        ok_l = den_l > 0
+        if np.any(ok_l):
+            r = (wx - w_c[:k + 1][ok_l]) / den_l[ok_l]
+            best = min(best, float(np.min(r)))
+        out[i] = best if np.isfinite(best) else 1.0
+    return np.clip(out, 0.0, 1.0)
 
 
 class TestMinIntervalRatio:
@@ -78,6 +116,26 @@ class TestMinIntervalRatio:
             fast = min_interval_ratio(x, e, (s0, s1))
             brute = brute_min_ratio(x, e, (s0, s1))
             assert abs(fast - brute) <= 1e-8
+
+    def test_matches_per_point_loop_exactly(self):
+        rng = np.random.default_rng(29)
+        for _ in range(100):
+            inst = random_instance(rng)
+            e, (s0, s1) = inst.e_set, inst.s_interval
+            if rng.random() < 0.3:  # add zero-length components
+                pts = rng.uniform(s0, s1, 3)
+                e = e.union(IntervalSet.from_pairs([(p, p) for p in pts]))
+            xs = np.concatenate([rng.uniform(s0, s1, 200), [s0, s1],
+                                 kls._candidate_points(e, (s0, s1)),
+                                 np.linspace(s0, s1, 101)])
+            got = min_interval_ratio_many(xs, e, (s0, s1))
+            assert np.array_equal(got, per_point_min_ratio(xs, e, (s0, s1)))
+
+    def test_zero_length_components_exact(self):
+        e = IntervalSet.from_pairs([(0.1, 0.1), (0.3, 0.5), (0.7, 0.7)])
+        xs = np.concatenate([np.linspace(0.0, 1.0, 257), [0.1, 0.3, 0.5, 0.7]])
+        got = min_interval_ratio_many(xs, e, (0.0, 1.0))
+        assert np.array_equal(got, per_point_min_ratio(xs, e, (0.0, 1.0)))
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(3)

@@ -20,6 +20,25 @@ CONSTANT = np.array([1.0])
 ZERO = np.array([0.0])
 
 
+def bisect_over_sublevel_measure(q, eta, level):
+    """Reference: the bisection in s over the public `sublevel_measure`,
+    which rescans the whole grid at every step."""
+    ts = np.linspace(0.0, 0.25, 1 << 12)
+    q = np.asarray(q, dtype=np.complex128)
+    hi = float(np.max(np.abs(eta * np.polynomial.polynomial.polyval(ts, q))))
+    hi = hi * (1.0 + 1e-9) + 1e-300
+    lo = 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if sublevel_measure(q, eta, mid) / 0.25 < level:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-13 * hi:
+            break
+    return 0.5 * (lo + hi)
+
+
 class TestRectangleSpec:
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -189,6 +208,15 @@ class TestOracle:
         for level in (0.3, 0.5, 1 - 1 / math.e):
             got = oracle_quantile(LINEAR, 0.1, level)
             assert got == pytest.approx(0.025 * level, rel=1e-6)
+
+    def test_oracle_quantile_matches_public_bisection(self):
+        rng = np.random.default_rng(31)
+        cases = [(monomial_on_quarter(4), 0.1),
+                 (disk_normalized(chebyshev_on_quarter(4)), 0.1),
+                 (rng.standard_normal(7) + 1j * rng.standard_normal(7), 0.01)]
+        for q, eta in cases:
+            got = oracle_quantile(q, eta, 1 - 1 / math.e)
+            assert got == bisect_over_sublevel_measure(q, eta, 1 - 1 / math.e)
 
     def test_oracle_matches_monte_carlo(self):
         q = disk_normalized(chebyshev_on_quarter(4))
