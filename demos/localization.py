@@ -20,7 +20,7 @@ e = IntervalSet.from_pairs([(0.0, 0.9)])
 print("interval density at x = 0.5:",
       min_interval_ratio(0.5, e, (0.0, 1.0)), "(the minimizer is [x, 1])")
 
-core = dense_core_1d(e, (0.0, 1.0), lam=2.0, resolution=512)
+core = dense_core_1d(e, (0.0, 1.0), lam=2.0)
 print("dense core of [0, 0.9] at lam=2:", core.inner.pairs(),
       "(closed form: [0, 0.8])")
 

@@ -36,7 +36,8 @@ from .volume import (BallSpec, check_quantile_bounds,
                      check_superlevel_power_bound)
 
 SUBCOMMANDS = ("theorem", "lemma-a", "lemma-b", "lemma-c", "counterexample", "all")
-# The dense-core kernel holds a resolution x (candidate count) array.
+# Only an input bound: the dense core is computed in closed form, so
+# `resolution` no longer changes any number.
 MAX_RESOLUTION = 1 << 16
 
 
@@ -54,6 +55,21 @@ def _get(inputs: dict, field: str, default=None, required=False):
         return inputs[field]
     _require(not required, f"{field} is required")
     return default
+
+
+def _as_int(value, field: str) -> int:
+    """`value` as an int: an int, or a float with an integral value (JSON
+    writers may print 100000 as 1e5).  Anything else, infinities and NaN
+    included, is a ConfigError naming `field`."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    _require(isinstance(value, int) and not isinstance(value, bool),
+             f"{field} must be an integer, got {value!r}")
+    return value
+
+
+def _get_int(inputs: dict, field: str, default=None, required=False) -> int:
+    return _as_int(_get(inputs, field, default, required), field)
 
 
 def load_config(path: str) -> dict:
@@ -86,7 +102,7 @@ def _run_theorem(inputs: dict, seed: int, threads: int):
     spec = BallSpec(center, radius, epsilon)
     lambdas = [float(l) for l in _get(inputs, "lambdas", [1.5, 2.0, 4.0, 8.0])]
     _require(all(l > 1.0 for l in lambdas), "lambdas must all exceed 1")
-    samples = int(_get(inputs, "samples", 100_000))
+    samples = _get_int(inputs, "samples", 100_000)
     _require(samples >= 1000, "samples must be >= 1000")
 
     qb = check_quantile_bounds(poly, spec, lambdas, samples, seed, threads)
@@ -123,7 +139,7 @@ def _run_theorem(inputs: dict, seed: int, threads: int):
 
 
 def _run_lemma_a(inputs: dict, seed: int, threads: int):
-    resolution = int(_get(inputs, "resolution", 512))
+    resolution = _get_int(inputs, "resolution", 512)
     _require(2 <= resolution <= MAX_RESOLUTION,
              f"resolution must lie in [2, {MAX_RESOLUTION}]")
     rows = []
@@ -140,7 +156,7 @@ def _run_lemma_a(inputs: dict, seed: int, threads: int):
         csv_rows.append(["instance", inst.lam, rep.lhs_inner, rep.lhs_outer,
                          rep.rhs, rep.passed])
 
-    n_random = int(_get(inputs, "random_instances", 0))
+    n_random = _get_int(inputs, "random_instances", 0)
     rng = chunk_rng(seed, STREAM_SUITE, 0)
     for k in range(n_random):
         inst = random_instance(rng)
@@ -183,8 +199,8 @@ def _random_subset(rng: np.random.Generator, lo: float, hi: float,
 
 
 def _run_lemma_b(inputs: dict, seed: int, threads: int):
-    n_grid = int(_get(inputs, "grid", 100_000))
-    per_component = int(_get(inputs, "per_component", 1000))
+    n_grid = _get_int(inputs, "grid", 100_000)
+    per_component = _get_int(inputs, "per_component", 1000)
     rows = []
     header = ["check", "a", "statistic", "bound", "pass"]
     csv_rows = []
@@ -218,7 +234,7 @@ def _run_lemma_b(inputs: dict, seed: int, threads: int):
         run_one("given", f, a, (float(interval[0]), float(interval[1])),
                 IntervalSet.from_pairs(pairs))
 
-    n_random = int(_get(inputs, "random_instances", 0))
+    n_random = _get_int(inputs, "random_instances", 0)
     rng = chunk_rng(seed, STREAM_SUITE, 1)
     for k in range(n_random):
         f, a = _random_disk_function(rng)
@@ -227,7 +243,7 @@ def _run_lemma_b(inputs: dict, seed: int, threads: int):
         e = _random_subset(rng, lo, hi)
         run_one(f"random_{k}", f, a, (lo, hi), e)
 
-    n_classical = int(_get(inputs, "classical_instances", 0))
+    n_classical = _get_int(inputs, "classical_instances", 0)
     for k in range(n_classical):
         deg = int(rng.integers(0, 21))
         coeffs = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
@@ -244,11 +260,11 @@ def _run_lemma_b(inputs: dict, seed: int, threads: int):
 def _run_lemma_c(inputs: dict, seed: int, threads: int):
     delta = float(_get(inputs, "delta", required=True))
     _require(0.0 < delta <= 0.125, "delta must lie in (0, 1/8]")
-    n = int(_get(inputs, "n", 2))
+    n = _get_int(inputs, "n", 2)
     _require(n >= 1, "n must be >= 1")
-    trials = int(_get(inputs, "trials", 100_000))
-    r_grid = int(_get(inputs, "r_grid", 10_000))
-    alpha_grid = int(_get(inputs, "alpha_grid", 360))
+    trials = _get_int(inputs, "trials", 100_000)
+    r_grid = _get_int(inputs, "r_grid", 10_000)
+    alpha_grid = _get_int(inputs, "alpha_grid", 360)
     reports = run_all_checks(delta, n, trials, seed, threads, r_grid, alpha_grid)
     header = ["check", "delta", "n", "seed", "statistic", "bound", "pass"]
     rows = [r.to_row() for r in reports]
@@ -276,7 +292,8 @@ def _family_coeffs(name: str, degrees, normalization: str):
 
 def _run_counterexample(inputs: dict, seed: int, threads: int):
     family_name = str(_get(inputs, "family", "chebyshev"))
-    degrees = [int(d) for d in _get(inputs, "degrees", [4, 8, 16, 32])]
+    degrees = [_as_int(d, "degrees")
+               for d in _get(inputs, "degrees", [4, 8, 16, 32])]
     _require(all(d >= 0 for d in degrees), "degrees must be nonnegative")
     eta = float(_get(inputs, "eta", 0.1))
     _require(eta > 0, "eta must be positive")
@@ -284,7 +301,7 @@ def _run_counterexample(inputs: dict, seed: int, threads: int):
     _require(0.0 < delta <= 0.5, "delta must lie in (0, 1/2]")
     lambdas = [float(l) for l in _get(inputs, "lambdas", [2.0])]
     _require(all(l >= 1.1 for l in lambdas), "lambdas must be >= 1.1")
-    samples = int(_get(inputs, "samples", 100_000))
+    samples = _get_int(inputs, "samples", 100_000)
     normalization = str(_get(inputs, "normalization", "disk"))
     family = _family_coeffs(family_name, degrees, normalization)
 
@@ -301,9 +318,8 @@ def _run_counterexample(inputs: dict, seed: int, threads: int):
     ks_delta = _get(inputs, "ks_delta", None)
     if ks_delta is not None:
         ks_delta = float(ks_delta)
-        ks_q = _family_coeffs(family_name,
-                              [int(_get(inputs, "ks_degree", degrees[0]))],
-                              normalization)[0]
+        ks_degree = _get_int(inputs, "ks_degree", degrees[0])
+        ks_q = _family_coeffs(family_name, [ks_degree], normalization)[0]
         f = build_function(ks_q, eta)
         rect = rectangle_moduli(f, ks_delta, samples, seed, threads)
         lim = limit_moduli(f, samples, seed + 1, threads)
@@ -311,8 +327,7 @@ def _run_counterexample(inputs: dict, seed: int, threads: int):
         ks_bound = float(_get(inputs, "ks_bound", 0.01))
         rows.append({"check": "ks_limit", "delta": ks_delta, "ks": ks,
                      "bound": ks_bound, "pass": ks <= ks_bound})
-        csv_rows.append([int(_get(inputs, "ks_degree", degrees[0])),
-                         f.f0_abs, 0.0, 0.0, ks, samples, seed])
+        csv_rows.append([ks_degree, f.f0_abs, 0.0, 0.0, ks, samples, seed])
     return rows, header, csv_rows
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from .intervals import IntervalSet
 
 PASS_TOL = 1e-9
-BISECT_WIDTH = 1e-10
+CORE_PAD = 1e-12
 CONCAVITY_TOL = 1e-12
 
 
@@ -112,67 +112,36 @@ def _candidate_points(e: IntervalSet, s: tuple[float, float]) -> np.ndarray:
     return np.unique(np.array(pts, dtype=float))
 
 
-def _cross_min_table(cands: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """cross[k] = min ratio over candidate pairs (i <= k < j); w = W(cands)."""
-    m = cands.size
-    num = w[None, :] - w[:, None]
-    den = cands[None, :] - cands[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = num / den
-    ratios[den <= 0] = np.inf
-    suffix = np.minimum.accumulate(ratios[:, ::-1], axis=1)[:, ::-1]
-    prefix = np.minimum.accumulate(suffix, axis=0)
-    cross = np.full(max(m - 1, 0), np.inf)
-    for k in range(m - 1):
-        cross[k] = prefix[k, k + 1]
-    return cross
-
-
-def _ratio_kernel(e: IntervalSet, s: tuple[float, float]):
-    """Check S, build the candidate table of (E, S) once, and return the map
-    xs -> min_interval_ratio_many(xs, e, s) that reuses it on every call."""
-    s0, s1 = float(s[0]), float(s[1])
-    if s1 <= s0:
-        raise ValueError("S must have positive length")
-    cands = _candidate_points(e, (s0, s1))
-    w_c = e.measure_below(cands)
-    cross = _cross_min_table(cands, w_c)
-
-    def ratios(xs) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        if np.any(xs < s0 - 1e-12) or np.any(xs > s1 + 1e-12):
-            raise ValueError("points must lie in S")
-        xs = np.clip(xs, s0, s1)
-        w_x = e.measure_below(xs)
-        seg = np.clip(np.searchsorted(cands, xs, side="right") - 1, 0,
-                      cands.size - 2)
-        # one row per x, one column per candidate c: the interval [x, c] or
-        # [c, x], with numerator and denominator each taken as a nonnegative
-        # difference, as in a per-point scan (with E empty every ratio is 0)
-        gap = cands - xs[:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = np.where(gap > 0, (w_c - w_x[:, None]) / gap,
-                         (w_x[:, None] - w_c) / (xs[:, None] - cands))
-        r[gap == 0] = np.inf
-        best = np.minimum(r.min(axis=1), cross[seg])
-        return np.clip(np.where(np.isfinite(best), best, 1.0), 0.0, 1.0)
-
-    return ratios
-
-
 def min_interval_ratio_many(xs: np.ndarray, e: IntervalSet,
                             s: tuple[float, float]) -> np.ndarray:
     """Exact min over intervals J with x in J inside S of |E∩J| / |J|.
 
     The minimizing interval's endpoints lie among {s0, s1, x} and the
     component endpoints of E (the ratio is piecewise monotone in each
-    endpoint), so enumeration over those candidates is exact.  The
-    candidate table (candidates, W = |E ∩ (-inf, c]| at each, and the min
-    over candidate pairs straddling each gap) is built once per call; the
-    intervals with one endpoint at x are then one len(xs) x m array
-    expression.
+    endpoint), and one endpoint can be taken at x: an interval straddling x
+    has the mediant of the ratios of its two halves.  So the minimum runs
+    over the intervals [x, c] and [c, x] for the candidates c, one
+    len(xs) x m array expression.
     """
-    return _ratio_kernel(e, s)(xs)
+    s0, s1 = float(s[0]), float(s[1])
+    if s1 <= s0:
+        raise ValueError("S must have positive length")
+    xs = np.asarray(xs, dtype=float)
+    if np.any(xs < s0 - 1e-12) or np.any(xs > s1 + 1e-12):
+        raise ValueError("points must lie in S")
+    xs = np.clip(xs, s0, s1)
+    cands = _candidate_points(e, (s0, s1))
+    w_c = e.measure_below(cands)
+    w_x = e.measure_below(xs)
+    # one row per x, one column per candidate c: the interval [x, c] or
+    # [c, x], with numerator and denominator each taken as a nonnegative
+    # difference (with E empty every ratio is 0)
+    gap = cands - xs[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.where(gap > 0, (w_c - w_x[:, None]) / gap,
+                     (w_x[:, None] - w_c) / (xs[:, None] - cands))
+    r[gap == 0] = np.inf
+    return np.clip(r.min(axis=1), 0.0, 1.0)
 
 
 def min_interval_ratio(x: float, e: IntervalSet, s: tuple[float, float]) -> float:
@@ -181,75 +150,48 @@ def min_interval_ratio(x: float, e: IntervalSet, s: tuple[float, float]) -> floa
 
 @dataclass(frozen=True)
 class DenseCore:
-    """Inner/outer interval-set approximations of the dense core of E."""
+    """The dense core of E (`inner`, exact up to rounding) and the same core
+    widened by CORE_PAD inside each component of E (`outer`)."""
 
     inner: IntervalSet
     outer: IntervalSet
 
 
-def _bisect_threshold(ratio_fn, x_true: float, x_false: float) -> tuple[float, float]:
-    """Shrink the bracket between a passing and a failing point to width 1e-10."""
-    while abs(x_false - x_true) > BISECT_WIDTH:
-        mid = 0.5 * (x_true + x_false)
-        if ratio_fn(mid):
-            x_true = mid
-        else:
-            x_false = mid
-    return x_true, x_false
+def dense_core_1d(e: IntervalSet, s: tuple[float, float],
+                  lam: float) -> DenseCore:
+    """{x in E : min_interval_ratio(x) >= theta}, theta = (lam-1)/lam, in
+    closed form.
 
-
-def dense_core_1d(e: IntervalSet, s: tuple[float, float], lam: float,
-                  resolution: int = 512) -> DenseCore:
-    """Approximate {x in E : min_interval_ratio(x) >= (lam-1)/lam}.
-
-    Grid scan per component plus bisection of threshold crossings; returns
-    an inner approximation (certified subset) and an outer bound.  The
-    candidate table of (E, S) is built once per call and shared by every
-    bisection probe; each component's grid goes through
-    `min_interval_ratio_many`.
+    On a component [l, u] of E, W(x) = |E ∩ (-inf, x]| rises with slope 1,
+    so for each candidate c outside [l, u] the condition on the interval
+    between x and c is one half-line with the boundary
+    g(c) = (W(c) - W(l) + l - theta c) / (1 - theta): x >= g(c) for c < l
+    and x <= g(c) for c > u.  Candidates inside [l, u] give ratio 1.  The
+    core in [l, u] is therefore the single interval
+    [max(l, max_{c<l} g), min(u, min_{c>u} g)].  Its endpoints are
+    certified against `min_interval_ratio_many`.
     """
     if lam <= 1.0:
         raise ValueError("lambda must exceed 1")
-    if resolution < 2:
-        raise ValueError("resolution must be >= 2")
+    s0, s1 = float(s[0]), float(s[1])
+    if e.n_components and (e.lower[0] < s0 - 1e-12 or e.upper[-1] > s1 + 1e-12):
+        raise ValueError("E must lie in S")
     theta = (lam - 1.0) / lam
-    ratio = _ratio_kernel(e, s)
-    passes = lambda x: ratio(np.array([float(x)]))[0] >= theta
-    inner_pairs: list[tuple[float, float]] = []
-    outer_pairs: list[tuple[float, float]] = []
-    for lo, hi in e.pairs():
-        if hi == lo:
-            if passes(lo):
-                inner_pairs.append((lo, hi))
-                outer_pairs.append((lo, hi))
-            continue
-        xs = np.linspace(lo, hi, resolution)
-        mask = min_interval_ratio_many(xs, e, s) >= theta
-        i = 0
-        while i < xs.size:
-            if not mask[i]:
-                i += 1
-                continue
-            j = i
-            while j + 1 < xs.size and mask[j + 1]:
-                j += 1
-            if i == 0:
-                a_in = a_out = lo
-            else:
-                t, fls = _bisect_threshold(passes, xs[i], xs[i - 1])
-                a_in, a_out = t, fls
-            if j == xs.size - 1:
-                b_in = b_out = hi
-            else:
-                t, fls = _bisect_threshold(passes, xs[j], xs[j + 1])
-                b_in, b_out = t, fls
-            if a_in > b_in:
-                a_in = b_in = 0.5 * (a_in + b_in)
-            inner_pairs.append((a_in, b_in))
-            outer_pairs.append((max(a_out, lo), min(b_out, hi)))
-            i = j + 1
-    return DenseCore(IntervalSet.from_pairs(inner_pairs),
-                     IntervalSet.from_pairs(outer_pairs))
+    l, u = e.lower, e.upper
+    cands = _candidate_points(e, (s0, s1))
+    # one row per component, one column per candidate
+    g = ((e.measure_below(cands) - e.measure_below(l)[:, None] + l[:, None]
+          - theta * cands) / (1.0 - theta))
+    lo = np.maximum(l, np.max(np.where(cands < l[:, None], g, -np.inf), axis=1))
+    hi = np.minimum(u, np.min(np.where(cands > u[:, None], g, np.inf), axis=1))
+    keep = lo <= hi
+    ends = np.concatenate([lo[keep], hi[keep]])
+    if np.any(min_interval_ratio_many(ends, e, (s0, s1)) < theta - PASS_TOL):
+        raise ValueError("closed-form dense core fails its certification")
+    out_lo, out_hi = np.maximum(l, lo - CORE_PAD), np.minimum(u, hi + CORE_PAD)
+    wide = out_lo <= out_hi
+    return DenseCore(IntervalSet.from_pairs(zip(lo[keep], hi[keep])),
+                     IntervalSet.from_pairs(zip(out_lo[wide], out_hi[wide])))
 
 
 @dataclass(frozen=True)
@@ -284,16 +226,19 @@ def localization_check_1d(inst: LocalizationInstance,
                           resolution: int = 512) -> LocalizationReport:
     """Exact-integration check of the localization inequality in 1-D.
 
-    The reported pass uses the outer core approximation, which can only
-    overestimate the left side; numerical slack therefore produces false
-    failures, never false passes.
+    The reported pass uses the padded outer core, which can only
+    overestimate the left side; rounding therefore produces false failures,
+    never false passes.  The dense core is computed in closed form, so
+    `resolution` is only range-checked and changes no number.
     """
+    if resolution < 2:
+        raise ValueError("resolution must be >= 2")
     den = inst.density
     s0, s1 = inst.s_interval
     mass_s = den._integral_unscaled(s0, s1)
     if mass_s <= 0:
         raise ValueError("S carries no mass")
-    core = dense_core_1d(inst.e_set, inst.s_interval, inst.lam, resolution)
+    core = dense_core_1d(inst.e_set, inst.s_interval, inst.lam)
     lhs_inner = den._integral_set_unscaled(core.inner) / mass_s
     lhs_outer = den._integral_set_unscaled(core.outer) / mass_s
     rhs = (den._integral_set_unscaled(inst.e_set) / mass_s) ** inst.lam
@@ -304,7 +249,6 @@ def localization_check_1d(inst: LocalizationInstance,
             "lambda": inst.lam,
             "core_inner_length": core.inner.total_length,
             "core_outer_length": core.outer.total_length,
-            "resolution": resolution,
         })
 
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sampling import (STREAM_LOGCONCAVITY, STREAM_PREIMAGE, chunk_rng,
-                       chunk_sizes, map_chunks)
+from .sampling import (STREAM_LOGCONCAVITY, STREAM_PREIMAGE, ball_points,
+                       chunk_rng, chunk_sizes, map_chunks)
 
 POLE_TOL = 1e-15
 ALGEBRAIC_TOL = 1e-9
@@ -186,16 +186,8 @@ def check_log_concavity(params: MapParams, n: int, trials: int, seed: int,
 
     def worker(chunk, size):
         rng = chunk_rng(seed, STREAM_LOGCONCAVITY, chunk)
-        x = rng.standard_normal((size, n))
-        ux = rng.random(size)
-        y = rng.standard_normal((size, n))
-        uy = rng.random(size)
-        nx = np.linalg.norm(x, axis=1)
-        ny = np.linalg.norm(y, axis=1)
-        nx[nx == 0.0] = 1.0
-        ny[ny == 0.0] = 1.0
-        x *= (r0 * ux ** (1.0 / n) / nx)[:, None]
-        y *= (r0 * uy ** (1.0 / n) / ny)[:, None]
+        x = ball_points(rng, size, n, r0)
+        y = ball_points(rng, size, n, r0)
         mid = 0.5 * (x + y)
         d = (log_jacobian(np.linalg.norm(mid, axis=1), n, params)
              - 0.5 * (log_jacobian(np.linalg.norm(x, axis=1), n, params)
@@ -288,11 +280,7 @@ def check_preimage_convexity(params: MapParams, center_dist: float,
     max_chunks = max(n_chunks * 64, 64)
     while checked_pairs < trials and chunk_index < max_chunks:
         rng = chunk_rng(seed, STREAM_PREIMAGE, chunk_index)
-        pts = rng.standard_normal((2 * 4096, 2))
-        u = rng.random(2 * 4096)
-        norms = np.linalg.norm(pts, axis=1)
-        norms[norms == 0.0] = 1.0
-        pts *= (r0 * np.sqrt(u) / norms)[:, None]
+        pts = ball_points(rng, 2 * 4096, 2, r0)
         inside = pts[member(pts)]
         m = inside.shape[0] - (inside.shape[0] % 2)
         if m >= 2:

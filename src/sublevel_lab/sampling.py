@@ -66,6 +66,21 @@ def map_chunks(count: int, worker, threads: int = 1) -> np.ndarray:
     return np.concatenate(parts, axis=0)
 
 
+def ball_points(rng: np.random.Generator, size: int, dim: int,
+                radius: float) -> np.ndarray:
+    """`size` uniform points of the origin-centred ball of `radius` in R^dim.
+
+    Draws the normals first, then the uniforms: each caller's byte stream
+    depends on that order.  Callers add the centre.
+    """
+    x = rng.standard_normal((size, dim))
+    u = rng.random(size)
+    norms = np.linalg.norm(x, axis=1)
+    norms[norms == 0.0] = 1.0
+    x *= (radius * u ** (1.0 / dim) / norms)[:, None]
+    return x
+
+
 def ks_distance(sample_a: np.ndarray, sample_b: np.ndarray) -> float:
     """Two-sample Kolmogorov-Smirnov statistic sup |F_a - F_b|."""
     a = np.sort(np.asarray(sample_a, dtype=float))
@@ -73,7 +88,7 @@ def ks_distance(sample_a: np.ndarray, sample_b: np.ndarray) -> float:
     if a.size == 0 or b.size == 0:
         raise ValueError("samples must be nonempty")
     grid = np.concatenate([a, b])
-    grid.sort(kind="mergesort")
+    grid.sort()
     fa = np.searchsorted(a, grid, side="right") / a.size
     fb = np.searchsorted(b, grid, side="right") / b.size
     return float(np.max(np.abs(fa - fb)))

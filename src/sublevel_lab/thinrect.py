@@ -25,7 +25,8 @@ from numpy.polynomial import polynomial as npp
 
 from .poly import MultiPoly, certified, from_terms
 from .sampling import (STREAM_LIMIT, STREAM_RECT, chunk_rng, map_chunks)
-from .volume import QUANTILE_LEVEL, quantile_with_se, DistributionSummary
+from .volume import (QUANTILE_LEVEL, DistributionSummary, quantile_with_se,
+                     sigma_exponent)
 
 ETA_MARGIN = 1e-9
 MIN_LAMBDA = 1.1
@@ -126,7 +127,7 @@ def rectangle_moduli(f: ThinRectFunction, delta: float, count: int, seed: int,
         return eval_on_rectangle(f, pts[:, 0], pts[:, 1])
 
     vals = map_chunks(count, worker, threads)
-    vals.sort(kind="mergesort")
+    vals.sort()
     return DistributionSummary(vals, seed)
 
 
@@ -140,7 +141,7 @@ def limit_moduli(f: ThinRectFunction, count: int, seed: int,
         return np.abs(f.eta * npp.polyval(t, f.q_coeffs))
 
     vals = map_chunks(count, worker, threads)
-    vals.sort(kind="mergesort")
+    vals.sort()
     return DistributionSummary(vals, seed)
 
 
@@ -168,7 +169,7 @@ def required_exponent_from_summary(summary: DistributionSummary,
     m, m_se = quantile_with_se(summary, QUANTILE_LEVEL)
     k = max(int(math.floor(n / lam)), 1)
     t_star = float(vals[k - 1])
-    t_lo, t_se = quantile_with_se(summary, 1.0 / lam)
+    _, t_se = quantile_with_se(summary, 1.0 / lam)
     if t_star <= 0.0:
         raise ValueError("low quantile is zero; increase the sample size")
     denom = math.log(8.0 * lam)
@@ -346,9 +347,7 @@ def growth_experiment(family, eta_rule, delta: float, lambdas, count: int,
     for idx, q in enumerate(family):
         eta = float(eta_rule(q)) if callable(eta_rule) else float(eta_rule)
         f = build_function(q, eta)
-        if f.f0_abs == 0.0:
-            raise ValueError("family member has F(0,0) = 0")
-        sigma_theorem = 48.0 * epsilon ** -3 * math.log(1.0 / f.f0_abs)
+        sigma_theorem = sigma_exponent(f.poly, epsilon)
         sigma_theorems.append(sigma_theorem)
         summary = rectangle_moduli(f, delta, count, seed + idx, threads)
         degree = int(np.nonzero(q)[0][-1]) if np.any(q) else 0

@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .poly import MultiPoly, eval_many
-from .sampling import STREAM_BALL, STREAM_LEVEL, chunk_rng, map_chunks
+from .sampling import (STREAM_BALL, STREAM_LEVEL, ball_points, chunk_rng,
+                       map_chunks)
 
 THEOREM_CONSTANT = 8.0
 QUANTILE_LEVEL = 1.0 - 1.0 / math.e
@@ -72,12 +73,7 @@ def sample_ball(spec: BallSpec, count: int, seed: int, threads: int = 1) -> np.n
 
     def worker(chunk, size):
         rng = chunk_rng(seed, STREAM_BALL, chunk)
-        x = rng.standard_normal((size, spec.dim))
-        u = rng.random(size)
-        norms = np.linalg.norm(x, axis=1)
-        norms[norms == 0.0] = 1.0
-        scale = spec.radius * u ** (1.0 / spec.dim) / norms
-        return spec.center + x * scale[:, None]
+        return spec.center + ball_points(rng, size, spec.dim, spec.radius)
 
     return map_chunks(count, worker, threads)
 
@@ -90,16 +86,11 @@ def sample_moduli(poly: MultiPoly, spec: BallSpec, count: int, seed: int,
 
     def worker(chunk, size):
         rng = chunk_rng(seed, STREAM_BALL, chunk)
-        x = rng.standard_normal((size, spec.dim))
-        u = rng.random(size)
-        norms = np.linalg.norm(x, axis=1)
-        norms[norms == 0.0] = 1.0
-        scale = spec.radius * u ** (1.0 / spec.dim) / norms
-        pts = spec.center + x * scale[:, None]
+        pts = spec.center + ball_points(rng, size, spec.dim, spec.radius)
         return np.abs(eval_many(poly, pts))
 
     moduli = map_chunks(count, worker, threads)
-    moduli.sort(kind="mergesort")
+    moduli.sort()
     return DistributionSummary(moduli, seed)
 
 
@@ -161,12 +152,7 @@ def level_fraction(poly: MultiPoly, spec: BallSpec, threshold: float, side: str,
 
     def worker(chunk, size):
         rng = chunk_rng(seed, STREAM_LEVEL, chunk)
-        x = rng.standard_normal((size, spec.dim))
-        u = rng.random(size)
-        norms = np.linalg.norm(x, axis=1)
-        norms[norms == 0.0] = 1.0
-        scale = spec.radius * u ** (1.0 / spec.dim) / norms
-        pts = spec.center + x * scale[:, None]
+        pts = spec.center + ball_points(rng, size, spec.dim, spec.radius)
         vals = np.abs(eval_many(poly, pts))
         hits = vals <= threshold if side == "le" else vals >= threshold
         return np.array([np.count_nonzero(hits)], dtype=np.int64)

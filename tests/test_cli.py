@@ -80,6 +80,17 @@ class TestValidation:
         assert rc == 2
         assert "resolution" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("literal", ["1e400", "NaN"])
+    def test_non_finite_integer_field_names_field(self, tmp_path, capsys,
+                                                  literal):
+        path = tmp_path / "config.json"
+        path.write_text('{"subcommand": "lemma-a", "seed": 1, "inputs": '
+                        '{"random_instances": 1, "resolution": %s}}' % literal)
+        rc = main(["lemma-a", "--config", str(path),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "resolution" in capsys.readouterr().err
+
 
 class TestTheoremRun:
     def test_exit_zero_and_files(self, tmp_path):

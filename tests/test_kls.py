@@ -151,7 +151,7 @@ class TestDenseCore:
     def test_closed_form_left_piece(self):
         # ratio (0.9 - x)/(1 - x) >= 1/2 iff x <= 0.8
         e = IntervalSet.from_pairs([(0.0, 0.9)])
-        core = dense_core_1d(e, (0.0, 1.0), 2.0, 512)
+        core = dense_core_1d(e, (0.0, 1.0), 2.0)
         assert core.inner.n_components == 1
         lo, hi = core.inner.pairs()[0]
         assert lo == pytest.approx(0.0, abs=1e-12)
@@ -163,7 +163,7 @@ class TestDenseCore:
     def test_measure_zero_core(self):
         # (0.5 - x)/(1 - x) >= 1/2 only at x = 0
         e = IntervalSet.from_pairs([(0.0, 0.5)])
-        core = dense_core_1d(e, (0.0, 1.0), 2.0, 512)
+        core = dense_core_1d(e, (0.0, 1.0), 2.0)
         assert core.outer.total_length <= 1e-9
         assert core.inner.total_length <= core.outer.total_length
         assert core.inner.contains_point(0.0)
@@ -171,7 +171,7 @@ class TestDenseCore:
     def test_full_set_fixed(self):
         e = IntervalSet.from_pairs([(0.0, 1.0)])
         for lam in (1.5, 2.0, 10.0):
-            core = dense_core_1d(e, (0.0, 1.0), lam, 128)
+            core = dense_core_1d(e, (0.0, 1.0), lam)
             assert core.inner.pairs() == [(0.0, 1.0)]
 
     def test_monotone_in_lambda(self):
@@ -179,17 +179,54 @@ class TestDenseCore:
         for _ in range(10):
             inst = random_instance(rng)
             lam2 = inst.lam + 1.0
-            core_lo = dense_core_1d(inst.e_set, inst.s_interval, inst.lam, 256)
-            core_hi = dense_core_1d(inst.e_set, inst.s_interval, lam2, 256)
+            core_lo = dense_core_1d(inst.e_set, inst.s_interval, inst.lam)
+            core_hi = dense_core_1d(inst.e_set, inst.s_interval, lam2)
             assert core_hi.inner.total_length <= core_lo.inner.total_length + 1e-10
             # componentwise containment up to refinement width
             for lo, hi in core_hi.inner.pairs():
                 assert core_lo.outer.intersect_length(lo, hi) >= (hi - lo) - 1e-9
 
+    def test_core_narrower_than_a_grid_cell(self):
+        # (x - 0.1)/x >= theta and (0.9 - x)/(1 - x) >= theta hold together
+        # only on [0.1, 0.9 - theta] / (1 - theta): about 1e-4 long, well
+        # inside one cell of a 512-point grid on E, and off its points
+        e = IntervalSet.from_pairs([(0.1, 0.9)])
+        lam = 4.9995
+        theta = (lam - 1.0) / lam
+        (lo, hi), = dense_core_1d(e, (0.0, 1.0), lam).inner.pairs()
+        assert lo == pytest.approx(0.1 / (1.0 - theta), abs=1e-12)
+        assert hi == pytest.approx((0.9 - theta) / (1.0 - theta), abs=1e-12)
+        assert hi - lo == pytest.approx(1e-4, rel=1e-6)
+
+    def test_matches_definition_on_fine_grid(self):
+        def members(xs, core_set):
+            return np.any((xs[:, None] >= core_set.lower)
+                          & (xs[:, None] <= core_set.upper), axis=1)
+
+        rng = np.random.default_rng(31)
+        for _ in range(50):
+            inst = random_instance(rng)
+            e, (s0, s1) = inst.e_set, inst.s_interval
+            if rng.random() < 0.3:  # add zero-length components
+                pts = rng.uniform(s0, s1, 3)
+                e = e.union(IntervalSet.from_pairs([(p, p) for p in pts]))
+            theta = (inst.lam - 1.0) / inst.lam
+            core = dense_core_1d(e, (s0, s1), inst.lam)
+            for lo, hi in e.pairs():
+                xs = np.linspace(lo, hi, 2001)
+                ratio = min_interval_ratio_many(xs, e, (s0, s1))
+                assert np.all(ratio[members(xs, core.inner)] >= theta - 1e-9)
+                assert np.all(ratio[~members(xs, core.outer)] <= theta + 1e-9)
+
     def test_lambda_domain(self):
         e = IntervalSet.from_pairs([(0.0, 1.0)])
         with pytest.raises(ValueError):
-            dense_core_1d(e, (0.0, 1.0), 1.0, 64)
+            dense_core_1d(e, (0.0, 1.0), 1.0)
+
+    def test_e_outside_s_rejected(self):
+        e = IntervalSet.from_pairs([(0.5, 1.5)])
+        with pytest.raises(ValueError, match="E must lie in S"):
+            dense_core_1d(e, (0.0, 1.0), 2.0)
 
 
 class TestDensity:
