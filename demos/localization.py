@@ -3,16 +3,15 @@
 For a weight Phi, a convex compact S and closed E inside S, the dense core
 of E (points whose every containing interval meets E in relative length at
 least (lam-1)/lam) carries at most the lam-th power of E's mass fraction.
-In 1-D both sides are computed exactly; a sampled 2-D check follows.
+The lemma reduces to 1-D needles, where both sides are computed exactly.
 """
 
 import numpy as np
 
 from sublevel_lab.intervals import IntervalSet
-from sublevel_lab.kls import (ConvexPolygon, LocalizationInstance,
-                              LogQuadDensity2D, PiecewiseLogLinear,
+from sublevel_lab.kls import (LocalizationInstance, PiecewiseLogLinear,
                               dense_core_1d, localization_check_1d,
-                              localization_check_2d, min_interval_ratio)
+                              min_interval_ratio)
 
 # the closed-form warm-up: uniform weight, E = [0, 0.9] inside S = [0, 1]
 uniform = PiecewiseLogLinear(np.array([0.0, 1.0]), np.array([0.0, 0.0]))
@@ -37,15 +36,3 @@ rep2 = localization_check_1d(
     LocalizationInstance(tent, (0.0, 1.0), e2, 3.0), 512)
 print(f"\ntent weight, three components, lam=3: "
       f"lhs = {rep2.lhs_outer:.6f} <= rhs = {rep2.rhs:.6f}: {rep2.passed}")
-
-# 2-D sampled sanity check: Gaussian weight on a square, E = left half
-den = LogQuadDensity2D(0.0, np.zeros(2), np.eye(2) * 2.0)
-square = ConvexPolygon(np.array([[-0.5, -0.5], [0.5, -0.5],
-                                 [0.5, 0.5], [-0.5, 0.5]]))
-boxes = [((-0.5, -0.5), (0.0, 0.5))]
-rep3 = localization_check_2d(den, square, boxes, lam=2.0, directions=8,
-                             grid=48)
-print(f"\n2-D Gaussian, E = left half, lam=2: lhs = {rep3.lhs_outer:.4f} "
-      f"<= rhs = {rep3.rhs:.4f} "
-      f"(quadrature error {rep3.extras['quadrature_error']:.4f}): "
-      f"{rep3.passed}")

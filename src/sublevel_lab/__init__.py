@@ -10,8 +10,7 @@ __version__ = "0.1.0"
 
 from .intervals import IntervalSet
 from .kls import (LocalizationInstance, PiecewiseLogLinear, dense_core_1d,
-                  localization_check_1d, localization_check_2d,
-                  min_interval_ratio)
+                  localization_check_1d, min_interval_ratio)
 from .mobius import (MapParams, apply_map, check_curvature,
                      check_log_concavity, check_preimage_convexity,
                      check_radial_profile, jacobian, mobius_factor)
@@ -38,9 +37,9 @@ __all__ = [
     "check_superlevel_power_bound", "classical_remez_check", "dense_core_1d",
     "eval_disk_function", "eval_many", "eval_poly", "factor_bounds",
     "from_terms", "growth_experiment", "jacobian", "level_fraction", "lift",
-    "limit_moduli", "localization_check_1d", "localization_check_2d",
-    "log_abs_f", "min_interval_ratio", "mobius_factor", "modulus_quantile",
-    "normalize", "parse_disk_function", "parse_poly", "rectangle_moduli",
-    "remez_check", "remez_exponent", "required_exponent", "restrict_to_line",
-    "sample_ball", "sigma_exponent", "split_zeros",
+    "limit_moduli", "localization_check_1d", "log_abs_f", "min_interval_ratio",
+    "mobius_factor", "modulus_quantile", "normalize", "parse_disk_function",
+    "parse_poly", "rectangle_moduli", "remez_check", "remez_exponent",
+    "required_exponent", "restrict_to_line", "sample_ball", "sigma_exponent",
+    "split_zeros",
 ]

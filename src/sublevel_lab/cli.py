@@ -97,17 +97,24 @@ def _run_theorem(inputs: dict, seed: int, threads: int):
     _require(0.0 < epsilon, "epsilon must be positive")
     _require(epsilon <= 0.25, "epsilon must be <= 0.25")
     radius = float(_get(inputs, "radius", required=True))
+    _require(math.isfinite(radius) and radius >= 0,
+             "radius must be finite and >= 0")
     center = np.asarray(_get(inputs, "center", [0.0] * poly.dim), dtype=float)
     _require(center.size == poly.dim, "center must match the polynomial dimension")
     spec = BallSpec(center, radius, epsilon)
     lambdas = [float(l) for l in _get(inputs, "lambdas", [1.5, 2.0, 4.0, 8.0])]
+    _require(len(lambdas) > 0, "lambdas must be non-empty")
     _require(all(l > 1.0 for l in lambdas), "lambdas must all exceed 1")
     samples = _get_int(inputs, "samples", 100_000)
     _require(samples >= 1000, "samples must be >= 1000")
 
-    qb = check_quantile_bounds(poly, spec, lambdas, samples, seed, threads)
     c = _get(inputs, "strong_form_c", None)
-    c = float(c) if c is not None else qb.quantile
+    c = None if c is None else float(c)
+    _require(c is None or (math.isfinite(c) and c > 0),
+             "strong_form_c must be finite and > 0")
+
+    qb = check_quantile_bounds(poly, spec, lambdas, samples, seed, threads)
+    c = qb.quantile if c is None else c
     sf = check_superlevel_power_bound(poly, spec, c, lambdas, samples, seed,
                                       threads)
 
@@ -294,6 +301,8 @@ def _run_counterexample(inputs: dict, seed: int, threads: int):
     family_name = str(_get(inputs, "family", "chebyshev"))
     degrees = [_as_int(d, "degrees")
                for d in _get(inputs, "degrees", [4, 8, 16, 32])]
+    _require(len(degrees) >= 2,
+             "degrees must hold at least 2 degrees for a growth claim")
     _require(all(d >= 0 for d in degrees), "degrees must be nonnegative")
     eta = float(_get(inputs, "eta", 0.1))
     _require(eta > 0, "eta must be positive")

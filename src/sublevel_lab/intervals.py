@@ -80,15 +80,6 @@ class IntervalSet:
                 return False
         return True
 
-    def intersect(self, lo: float, hi: float) -> "IntervalSet":
-        """Intersection with a single closed interval [lo, hi]."""
-        if hi < lo:
-            raise ValueError("interval must satisfy lo <= hi")
-        l = np.maximum(self.lower, lo)
-        u = np.minimum(self.upper, hi)
-        keep = l <= u
-        return IntervalSet(l[keep], u[keep])
-
     def intersect_length(self, lo: float, hi: float) -> float:
         """Measure of the intersection with [lo, hi]."""
         l = np.maximum(self.lower, lo)

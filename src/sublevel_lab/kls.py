@@ -1,15 +1,14 @@
-"""Localization inequality for log-concave weights (1-D exact, 2-D sampled).
+"""Localization inequality for log-concave weights, checked exactly in 1-D.
 
 For a weight Phi, a convex compact S, a closed E inside S and lambda > 1,
 the checked inequality compares the Phi-mass of the "dense core" of E (the
 points whose every containing interval inside S meets E in relative length
 at least (lambda-1)/lambda) against the lambda-th power of E's mass ratio.
 
-The 1-D path is the workhorse: piecewise log-linear densities integrate in
-closed form and the inner minimization over intervals is solved exactly by
-candidate-endpoint enumeration.  The 2-D path is a sampled sanity check
-whose approximations are all chosen conservatively (they can only produce
-false alarms, never false passes).
+The localization lemma reduces the inequality to 1-D needles, so the check
+works on the line: piecewise log-linear densities integrate in closed form
+and the inner minimization over intervals is solved exactly by
+candidate-endpoint enumeration.
 """
 
 from __future__ import annotations
@@ -250,181 +249,6 @@ def localization_check_1d(inst: LocalizationInstance,
             "core_inner_length": core.inner.total_length,
             "core_outer_length": core.outer.total_length,
         })
-
-
-# ----------------------------------------------------------------------
-# 2-D sampled check
-
-@dataclass(frozen=True)
-class LogQuadDensity2D:
-    """Density exp(const + lin.x - x.quad.x / 2) with quad PSD (log-concave)."""
-
-    const: float
-    lin: np.ndarray
-    quad: np.ndarray
-
-    def __post_init__(self):
-        lin = np.asarray(self.lin, dtype=float).reshape(2)
-        quad = np.asarray(self.quad, dtype=float).reshape(2, 2)
-        object.__setattr__(self, "lin", lin)
-        object.__setattr__(self, "quad", quad)
-        if not np.allclose(quad, quad.T, atol=1e-12):
-            raise ValueError("quad must be symmetric")
-        if np.min(np.linalg.eigvalsh(quad)) < -1e-12:
-            raise ValueError("quad must be positive semidefinite")
-
-    def log_value(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float).reshape(-1, 2)
-        return (self.const + pts @ self.lin
-                - 0.5 * np.einsum("ni,ij,nj->n", pts, self.quad, pts))
-
-
-@dataclass(frozen=True)
-class ConvexPolygon:
-    """Convex polygon with counterclockwise vertices."""
-
-    vertices: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.vertices, dtype=float).reshape(-1, 2)
-        object.__setattr__(self, "vertices", v)
-        if v.shape[0] < 3:
-            raise ValueError("polygon needs at least 3 vertices")
-        edges = np.roll(v, -1, axis=0) - v
-        nxt = np.roll(edges, -1, axis=0)
-        cross = edges[:, 0] * nxt[:, 1] - edges[:, 1] * nxt[:, 0]
-        if np.any(cross < -1e-12):
-            raise ValueError("vertices must be convex and counterclockwise")
-
-    def contains(self, pts: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float).reshape(-1, 2)
-        v = self.vertices
-        edges = np.roll(v, -1, axis=0) - v
-        rel = pts[:, None, :] - v[None, :, :]
-        cross = edges[None, :, 0] * rel[:, :, 1] - edges[None, :, 1] * rel[:, :, 0]
-        return np.all(cross >= -tol, axis=1)
-
-    def chord(self, point: np.ndarray, direction: np.ndarray) -> tuple[float, float]:
-        """Parameter range of {point + t*direction} inside the polygon."""
-        p = np.asarray(point, dtype=float)
-        u = np.asarray(direction, dtype=float)
-        v = self.vertices
-        edges = np.roll(v, -1, axis=0) - v
-        normals = np.stack([edges[:, 1], -edges[:, 0]], axis=1)  # outward
-        offs = np.einsum("ki,ki->k", normals, v)
-        nu = normals @ u
-        np_ = normals @ p
-        t_lo, t_hi = -np.inf, np.inf
-        for k in range(v.shape[0]):
-            if abs(nu[k]) < 1e-15:
-                if np_[k] > offs[k] + 1e-12:
-                    return 0.0, 0.0
-                continue
-            bound = (offs[k] - np_[k]) / nu[k]
-            if nu[k] > 0:
-                t_hi = min(t_hi, bound)
-            else:
-                t_lo = max(t_lo, bound)
-        if t_hi <= t_lo:
-            return 0.0, 0.0
-        return float(t_lo), float(t_hi)
-
-
-def _boxes_to_line_set(boxes, point, direction) -> IntervalSet:
-    """Intersection of a union of axis boxes with a parametrized line."""
-    p = np.asarray(point, dtype=float)
-    u = np.asarray(direction, dtype=float)
-    pairs = []
-    for lo, hi in boxes:
-        t_lo, t_hi = -np.inf, np.inf
-        empty = False
-        for j in range(2):
-            if abs(u[j]) < 1e-15:
-                if not (lo[j] - 1e-12 <= p[j] <= hi[j] + 1e-12):
-                    empty = True
-                    break
-                continue
-            a = (lo[j] - p[j]) / u[j]
-            b = (hi[j] - p[j]) / u[j]
-            if a > b:
-                a, b = b, a
-            t_lo, t_hi = max(t_lo, a), min(t_hi, b)
-        if not empty and t_hi >= t_lo:
-            pairs.append((t_lo, t_hi))
-    return IntervalSet.from_pairs(pairs)
-
-
-def localization_check_2d(density: LogQuadDensity2D, polygon: ConvexPolygon,
-                          boxes, lam: float, directions: int = 8,
-                          grid: int = 64, seed: int = 0) -> LocalizationReport:
-    """Sampled 2-D check: outer-approximate the dense core by testing the
-    interval condition only along a fixed fan of directions, integrate by
-    midpoint quadrature, and widen the pass margin by a boundary-cell error
-    estimate.  Every approximation errs toward failing."""
-    if lam <= 1.0:
-        raise ValueError("lambda must exceed 1")
-    if directions < 1 or grid < 4:
-        raise ValueError("need directions >= 1 and grid >= 4")
-    theta = (lam - 1.0) / lam
-    boxes = [(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
-             for lo, hi in boxes]
-    v = polygon.vertices
-    x0, y0 = v.min(axis=0)
-    x1, y1 = v.max(axis=0)
-    hx, hy = (x1 - x0) / grid, (y1 - y0) / grid
-    cx = x0 + hx * (np.arange(grid) + 0.5)
-    cy = y0 + hy * (np.arange(grid) + 0.5)
-    centers = np.stack(np.meshgrid(cx, cy, indexing="ij"), axis=-1).reshape(-1, 2)
-
-    in_s = polygon.contains(centers)
-    in_e = np.zeros(centers.shape[0], dtype=bool)
-    for lo, hi in boxes:
-        in_e |= np.all((centers >= lo) & (centers <= hi), axis=1)
-    in_e &= in_s
-
-    angles = (np.arange(directions) + 0.5) * np.pi / directions
-    dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    in_core = in_e.copy()
-    idx_e = np.nonzero(in_e)[0]
-    for i in idx_e:
-        p = centers[i]
-        for u in dirs:
-            t_lo, t_hi = polygon.chord(p, u)
-            if t_hi <= t_lo:
-                continue
-            e_line = _boxes_to_line_set(boxes, p, u).intersect(t_lo, t_hi)
-            if e_line.n_components == 0:
-                in_core[i] = False
-                break
-            if min_interval_ratio(0.0, e_line, (t_lo, t_hi)) < theta:
-                in_core[i] = False
-                break
-
-    logw = density.log_value(centers)
-    w = np.exp(logw - np.max(logw[in_s]))
-    mass_s = float(np.sum(w[in_s]))
-    lhs = float(np.sum(w[in_core])) / mass_s
-    rhs = (float(np.sum(w[in_e])) / mass_s) ** lam
-
-    # boundary cells: corner membership disagrees with the center
-    corners = centers[:, None, :] + 0.5 * np.array(
-        [[-hx, -hy], [-hx, hy], [hx, -hy], [hx, hy]])[None, :, :]
-    flat = corners.reshape(-1, 2)
-    corner_s = polygon.contains(flat).reshape(-1, 4)
-    corner_e = np.zeros(flat.shape[0], dtype=bool)
-    for lo, hi in boxes:
-        corner_e |= np.all((flat >= lo) & (flat <= hi), axis=1)
-    corner_e = corner_e.reshape(-1, 4)
-    disagree_s = corner_s.any(axis=1) != corner_s.all(axis=1)
-    disagree_e = corner_e.any(axis=1) != corner_e.all(axis=1)
-    boundary = disagree_s | disagree_e
-    err = float(np.sum(w[boundary])) / mass_s
-
-    return LocalizationReport(
-        lhs_inner=lhs, lhs_outer=lhs, rhs=rhs,
-        passed=bool(lhs <= rhs + 3.0 * err),
-        extras={"lambda": lam, "quadrature_error": err, "grid": grid,
-                "directions": directions, "seed": seed})
 
 
 # ----------------------------------------------------------------------

@@ -56,9 +56,6 @@ class MultiPoly:
             return 0
         return int(self.exponents.sum(axis=1).max())
 
-    def is_zero(self) -> bool:
-        return self.n_terms == 0
-
     def is_constant(self) -> bool:
         return self.n_terms == 0 or bool(np.all(self.exponents == 0))
 

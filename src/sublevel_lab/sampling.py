@@ -15,9 +15,9 @@ import numpy as np
 CHUNK_SIZE = 1 << 16
 
 # Stream ids, one per randomized operation; keeps sub-seeds disjoint even
-# when several operations share a master seed.
+# when several operations share a master seed.  The values key the Philox
+# streams, so renumbering one changes every draw of that operation.
 STREAM_BALL = 1
-STREAM_QUANTILE = 2
 STREAM_LEVEL = 3
 STREAM_LOGCONCAVITY = 4
 STREAM_PREIMAGE = 5

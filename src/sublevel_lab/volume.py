@@ -40,7 +40,7 @@ class BallSpec:
         object.__setattr__(self, "center", c)
         if not (0.0 < self.epsilon <= 0.25):
             raise ValueError("epsilon must lie in (0, 1/4]")
-        if self.radius < 0:
+        if not (self.radius >= 0):
             raise ValueError("radius must be nonnegative")
         if np.linalg.norm(c) + self.radius > 1.0 - self.epsilon + 1e-12:
             raise ValueError("ball must lie inside B(0, 1 - epsilon)")

@@ -91,6 +91,27 @@ class TestValidation:
         assert rc == 2
         assert "resolution" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sub, field, value", [
+        ("theorem", "lambdas", []),
+        ("theorem", "radius", float("nan")),
+        ("theorem", "strong_form_c", float("nan")),
+        ("counterexample", "degrees", [4]),
+    ], ids=["empty-lambdas", "nan-radius", "nan-strong_form_c", "one-degree"])
+    def test_vacuous_or_nan_input_names_field(self, tmp_path, capsys, sub,
+                                              field, value):
+        if sub == "theorem":
+            cfg = json.loads(json.dumps(THEOREM_CONFIG))
+        else:
+            cfg = {"subcommand": sub, "seed": 1,
+                   "inputs": {"family": "monomial", "samples": 2000}}
+        cfg["inputs"][field] = value
+        out = tmp_path / "out"
+        rc = main([sub, "--config", str(write_config(tmp_path, cfg)),
+                   "--out", str(out)])
+        assert rc == 2
+        assert field in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
 
 class TestTheoremRun:
     def test_exit_zero_and_files(self, tmp_path):

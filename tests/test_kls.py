@@ -5,12 +5,11 @@ import pytest
 
 from sublevel_lab import kls
 from sublevel_lab.intervals import IntervalSet
-from sublevel_lab.kls import (ConvexPolygon, LocalizationInstance,
-                              LogQuadDensity2D, PiecewiseLogLinear,
+from sublevel_lab.kls import (LocalizationInstance, PiecewiseLogLinear,
                               dense_core_1d, format_instance,
-                              localization_check_1d, localization_check_2d,
-                              min_interval_ratio, min_interval_ratio_many,
-                              parse_instance, random_instance)
+                              localization_check_1d, min_interval_ratio,
+                              min_interval_ratio_many, parse_instance,
+                              random_instance)
 
 UNIFORM = PiecewiseLogLinear(np.array([0.0, 1.0]), np.array([0.0, 0.0]))
 
@@ -312,50 +311,6 @@ class TestLocalizationCheck1D:
             LocalizationInstance(
                 PiecewiseLogLinear(np.array([0.0, 2.0]), np.array([0.0, 0.0])),
                 (0.0, 1.0), e, 2.0)
-
-
-class TestLocalizationCheck2D:
-    def test_full_square(self):
-        den = LogQuadDensity2D(0.0, np.zeros(2), np.zeros((2, 2)))
-        square = ConvexPolygon(np.array([[0, 0], [1, 0], [1, 1], [0, 1]],
-                                        dtype=float))
-        boxes = [((0.0, 0.0), (1.0, 1.0))]
-        rep = localization_check_2d(den, square, boxes, 2.0, 4, 24)
-        assert rep.passed
-        assert rep.lhs_outer == pytest.approx(1.0)
-        assert rep.rhs == pytest.approx(1.0)
-
-    def test_product_instance_matches_1d(self):
-        den = LogQuadDensity2D(0.0, np.zeros(2), np.zeros((2, 2)))
-        square = ConvexPolygon(np.array([[0, 0], [1, 0], [1, 1], [0, 1]],
-                                        dtype=float))
-        boxes = [((0.0, 0.0), (0.9, 1.0))]
-        rep2 = localization_check_2d(den, square, boxes, 2.0, 8, 48)
-        e = IntervalSet.from_pairs([(0.0, 0.9)])
-        inst = LocalizationInstance(UNIFORM, (0.0, 1.0), e, 2.0)
-        rep1 = localization_check_1d(inst, 512)
-        err = rep2.extras["quadrature_error"]
-        assert rep2.passed
-        assert abs(rep2.lhs_outer - rep1.lhs_outer) <= 3 * err + 0.05
-        assert abs(rep2.rhs - rep1.rhs) <= 3 * err + 0.05
-
-    def test_gaussian_left_half(self):
-        den = LogQuadDensity2D(0.0, np.zeros(2), np.eye(2) * 2.0)
-        square = ConvexPolygon(np.array([[-0.5, -0.5], [0.5, -0.5],
-                                         [0.5, 0.5], [-0.5, 0.5]]))
-        boxes = [((-0.5, -0.5), (0.0, 0.5))]
-        rep = localization_check_2d(den, square, boxes, 2.0, 8, 40)
-        assert rep.passed
-
-    def test_polygon_chord(self):
-        square = ConvexPolygon(np.array([[0, 0], [1, 0], [1, 1], [0, 1]],
-                                        dtype=float))
-        t0, t1 = square.chord(np.array([0.5, 0.5]), np.array([1.0, 0.0]))
-        assert (t0, t1) == (-0.5, 0.5)
-
-    def test_quad_psd_required(self):
-        with pytest.raises(ValueError):
-            LogQuadDensity2D(0.0, np.zeros(2), -np.eye(2))
 
 
 class TestTextFormat:
