@@ -15,7 +15,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import sys
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,8 +27,8 @@ from .intervals import IntervalSet
 from .kls import localization_check_1d, parse_instance, random_instance
 from .mobius import run_all_checks
 from .poly import normalize, parse_poly
-from .remez import (DiskFunction, classical_remez_check, factor_bounds,
-                    parse_disk_function, remez_check)
+from .remez import (classical_remez_check, factor_bounds, parse_disk_function,
+                    random_disk_function, random_subset, remez_check)
 from .reports import write_csv, write_json
 from .sampling import STREAM_SUITE, chunk_rng, ks_distance
 from .thinrect import (build_function, chebyshev_on_quarter, disk_normalized,
@@ -35,14 +37,84 @@ from .thinrect import (build_function, chebyshev_on_quarter, disk_normalized,
 from .volume import (BallSpec, check_quantile_bounds,
                      check_superlevel_power_bound)
 
-SUBCOMMANDS = ("theorem", "lemma-a", "lemma-b", "lemma-c", "counterexample", "all")
-# Only an input bound: the dense core is computed in closed form, so
-# `resolution` no longer changes any number.
-MAX_RESOLUTION = 1 << 16
+_REQUIRED = object()
 
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the field."""
+
+
+@dataclass(frozen=True)
+class Field:
+    """One config input: `kind` is int, float, bool, str, choice, object,
+    pair ([lo, hi], lo < hi), ints, floats or pairs.  Bounds apply to a number
+    or to each list entry; a list holds min_len to max_len entries.  A None
+    default means "derived when absent", and JSON null reads the same."""
+    kind: str
+    default: object = _REQUIRED
+    gt: float | None = None
+    ge: float | None = None
+    lt: float | None = None
+    le: float | None = None
+    min_len: int = 0
+    max_len: int = 64
+    choices: tuple = ()
+
+
+# The one reference for every subcommand's inputs.  Caps bound run time and
+# memory; `resolution` is accepted only for compatibility, because the dense
+# core is computed in closed form.  Degrees stop at 32, where the power-basis
+# Chebyshev coefficients already err by ~4e7.
+FIELDS = {
+    "theorem": {
+        "poly": Field("str"),
+        "normalize": Field("bool", True),
+        "epsilon": Field("float", gt=0.0, le=0.25),
+        "radius": Field("float", ge=0.0),
+        "center": Field("floats", None, max_len=1024),
+        "lambdas": Field("floats", [1.5, 2.0, 4.0, 8.0], gt=1.0, min_len=1),
+        "samples": Field("int", 100_000, ge=1000, le=10**7),
+        "strong_form_c": Field("float", None, gt=0.0),
+    },
+    "lemma-a": {
+        "instance": Field("str", None),
+        "random_instances": Field("int", 0, ge=0, le=10_000),
+        "resolution": Field("int", 512, ge=2, le=1 << 16),
+    },
+    "lemma-b": {
+        "function": Field("str", None),
+        "a": Field("float", None, gt=0.0, lt=1.0),
+        "interval": Field("pair", None),
+        "set": Field("pairs", None, min_len=1, max_len=1000),
+        "grid": Field("int", 100_000, ge=2, le=10**6),
+        "per_component": Field("int", 1000, ge=2, le=10**5),
+        "random_instances": Field("int", 0, ge=0, le=10_000),
+        "classical_instances": Field("int", 0, ge=0, le=10_000),
+    },
+    "lemma-c": {
+        "delta": Field("float", gt=0.0, le=0.125),
+        "n": Field("int", 2, ge=1, le=64),
+        "trials": Field("int", 100_000, ge=1, le=10**7),
+        "r_grid": Field("int", 10_000, ge=2, le=20_000),
+        "alpha_grid": Field("int", 360, ge=2, le=720),
+    },
+    "counterexample": {
+        "family": Field("choice", "chebyshev",
+                        choices=("chebyshev", "monomial")),
+        "degrees": Field("ints", [4, 8, 16, 32], ge=0, le=32, min_len=2),
+        "eta": Field("float", 0.1, gt=0.0),
+        "delta": Field("float", 1e-3, gt=0.0, le=0.5),
+        "lambdas": Field("floats", [2.0], ge=1.1, min_len=1),
+        "samples": Field("int", 100_000, ge=1000, le=10**7),
+        "normalization": Field("choice", "disk", choices=("disk", "none")),
+        "ks_delta": Field("float", None, gt=0.0, le=0.5),
+        "ks_degree": Field("int", None, ge=0, le=32),
+        "ks_bound": Field("float", 0.01, ge=0.0, le=1.0),
+    },
+}
+# `all` takes one optional inputs object per subcommand.
+FIELDS["all"] = {name: Field("object", {}) for name in FIELDS}
+SUBCOMMANDS = tuple(FIELDS)
 
 
 def _require(cond: bool, message: str):
@@ -50,71 +122,96 @@ def _require(cond: bool, message: str):
         raise ConfigError(message)
 
 
-def _get(inputs: dict, field: str, default=None, required=False):
-    if field in inputs:
-        return inputs[field]
-    _require(not required, f"{field} is required")
-    return default
-
-
-def _as_int(value, field: str) -> int:
-    """`value` as an int: an int, or a float with an integral value (JSON
-    writers may print 100000 as 1e5).  Anything else, infinities and NaN
-    included, is a ConfigError naming `field`."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    _require(isinstance(value, int) and not isinstance(value, bool),
-             f"{field} must be an integer, got {value!r}")
+def _read_value(name: str, f: Field, value):
+    if f.kind in ("ints", "floats", "pairs"):
+        _require(isinstance(value, list), f"{name} must be a list, got {value!r}")
+        _require(f.min_len <= len(value) <= f.max_len,
+                 f"{name} must hold {f.min_len} to {f.max_len} entries, "
+                 f"got {len(value)}")
+        entry = replace(f, kind=f.kind[:-1])
+        return [_read_value(f"{name}[{i}]", entry, x)
+                for i, x in enumerate(value)]
+    if f.kind == "pair":
+        _require(isinstance(value, list) and len(value) == 2,
+                 f"{name} must be a pair [lo, hi], got {value!r}")
+        lo, hi = (_read_value(name, replace(f, kind="float"), x) for x in value)
+        _require(lo < hi, f"{name} must have lo < hi, got {value!r}")
+        return [lo, hi]
+    if f.kind == "bool":
+        _require(isinstance(value, bool),
+                 f"{name} must be true or false, got {value!r}")
+    elif f.kind in ("str", "choice"):
+        _require(isinstance(value, str), f"{name} must be a string, got {value!r}")
+        _require(f.kind == "str" or value in f.choices,
+                 f"{name} must be one of {f.choices}, got {value!r}")
+    elif f.kind == "object":
+        _require(isinstance(value, dict),
+                 f"{name} must be a JSON object, got {value!r}")
+    elif f.kind == "int":
+        # an integral float is an int: JSON writers may print 100000 as 1e5
+        if isinstance(value, float) and value.is_integer():
+            value = int(value)
+        _require(isinstance(value, int) and not isinstance(value, bool),
+                 f"{name} must be an integer, got {value!r}")
+    else:
+        # bools, NaN, infinities and ints beyond the float range are out
+        _require(isinstance(value, (int, float)) and not isinstance(value, bool)
+                 and abs(value) <= sys.float_info.max,
+                 f"{name} must be a finite number, got {value!r}")
+        value = float(value)
+    for op, holds, bound in ((">", operator.gt, f.gt), (">=", operator.ge, f.ge),
+                             ("<", operator.lt, f.lt), ("<=", operator.le, f.le)):
+        _require(bound is None or holds(value, bound),
+                 f"{name} must be {op} {bound}, got {value!r}")
     return value
 
 
-def _get_int(inputs: dict, field: str, default=None, required=False) -> int:
-    return _as_int(_get(inputs, field, default, required), field)
+def _read_inputs(sub: str, inputs) -> dict:
+    """The inputs of `sub` read against FIELDS[sub]: typed, range-checked,
+    defaults filled in.  Any departure is a ConfigError naming the field."""
+    _require(isinstance(inputs, dict), f"{sub} inputs must be a JSON object")
+    unknown = sorted(set(inputs) - set(FIELDS[sub]))
+    _require(not unknown, f"unknown {sub} input field(s): {', '.join(unknown)}")
+    values = {}
+    for name, f in FIELDS[sub].items():
+        raw = inputs.get(name, f.default)
+        _require(raw is not _REQUIRED, f"{name} is required")
+        values[name] = (None if raw is None and f.default is None
+                        else _read_value(name, f, raw))
+    return values
 
 
 def load_config(path: str) -> dict:
     doc = json.loads(Path(path).read_text())
     # accept a previously written manifest as a config
-    if "config" in doc and "subcommand" not in doc:
+    if isinstance(doc, dict) and "config" in doc and "subcommand" not in doc:
         doc = doc["config"]
     _require(isinstance(doc, dict), "config must be a JSON object")
-    sub = doc.get("subcommand")
-    _require(sub in SUBCOMMANDS, f"subcommand must be one of {SUBCOMMANDS}")
-    _require(isinstance(doc.get("seed"), int), "seed must be an integer")
+    _require(doc.get("subcommand") in SUBCOMMANDS,
+             f"subcommand must be one of {SUBCOMMANDS}")
+    _require(isinstance(doc.get("output_dir", ""), str),
+             "output_dir must be a string")
     doc.setdefault("inputs", {})
     return doc
 
 
 # ----------------------------------------------------------------------
-# Subcommand runners.  Each returns (rows, csv_header, csv_rows).
+# Subcommand runners.  Each returns (rows, csv_header, csv_rows); csv_rows
+# None means the header's fields of each row.
 
 def _run_theorem(inputs: dict, seed: int, threads: int):
-    text = _get(inputs, "poly", required=True)
-    poly = parse_poly(text)
-    if bool(_get(inputs, "normalize", True)):
+    v = _read_inputs("theorem", inputs)
+    poly = parse_poly(v["poly"])
+    if v["normalize"]:
         poly = normalize(poly)
-    epsilon = float(_get(inputs, "epsilon", required=True))
-    _require(0.0 < epsilon, "epsilon must be positive")
-    _require(epsilon <= 0.25, "epsilon must be <= 0.25")
-    radius = float(_get(inputs, "radius", required=True))
-    _require(math.isfinite(radius) and radius >= 0,
-             "radius must be finite and >= 0")
-    center = np.asarray(_get(inputs, "center", [0.0] * poly.dim), dtype=float)
-    _require(center.size == poly.dim, "center must match the polynomial dimension")
-    spec = BallSpec(center, radius, epsilon)
-    lambdas = [float(l) for l in _get(inputs, "lambdas", [1.5, 2.0, 4.0, 8.0])]
-    _require(len(lambdas) > 0, "lambdas must be non-empty")
-    _require(all(l > 1.0 for l in lambdas), "lambdas must all exceed 1")
-    samples = _get_int(inputs, "samples", 100_000)
-    _require(samples >= 1000, "samples must be >= 1000")
-
-    c = _get(inputs, "strong_form_c", None)
-    c = None if c is None else float(c)
-    _require(c is None or (math.isfinite(c) and c > 0),
-             "strong_form_c must be finite and > 0")
+    center = v["center"] if v["center"] is not None else [0.0] * poly.dim
+    _require(len(center) == poly.dim,
+             "center must match the polynomial dimension")
+    spec = BallSpec(np.asarray(center), v["radius"], v["epsilon"])
+    lambdas, samples = v["lambdas"], v["samples"]
 
     qb = check_quantile_bounds(poly, spec, lambdas, samples, seed, threads)
-    c = qb.quantile if c is None else c
+    c = qb.quantile if v["strong_form_c"] is None else v["strong_form_c"]
     sf = check_superlevel_power_bound(poly, spec, c, lambdas, samples, seed,
                                       threads)
 
@@ -146,175 +243,98 @@ def _run_theorem(inputs: dict, seed: int, threads: int):
 
 
 def _run_lemma_a(inputs: dict, seed: int, threads: int):
-    resolution = _get_int(inputs, "resolution", 512)
-    _require(2 <= resolution <= MAX_RESOLUTION,
-             f"resolution must lie in [2, {MAX_RESOLUTION}]")
-    rows = []
-    header = ["check", "lambda", "lhs_inner", "lhs_outer", "rhs", "pass"]
-    csv_rows = []
-
-    text = _get(inputs, "instance", None)
-    if text is not None:
-        inst = parse_instance(text)
-        rep = localization_check_1d(inst, resolution)
-        rows.append({"check": "instance", "lambda": inst.lam,
-                     "lhs_inner": rep.lhs_inner, "lhs_outer": rep.lhs_outer,
-                     "rhs": rep.rhs, "pass": rep.passed})
-        csv_rows.append(["instance", inst.lam, rep.lhs_inner, rep.lhs_outer,
-                         rep.rhs, rep.passed])
-
-    n_random = _get_int(inputs, "random_instances", 0)
+    v = _read_inputs("lemma-a", inputs)
+    _require(v["instance"] is not None or v["random_instances"] > 0,
+             "instance or random_instances must be given")
+    named = []
+    if v["instance"] is not None:
+        named.append(("instance", parse_instance(v["instance"])))
     rng = chunk_rng(seed, STREAM_SUITE, 0)
-    for k in range(n_random):
-        inst = random_instance(rng)
-        rep = localization_check_1d(inst, resolution)
-        rows.append({"check": f"random_{k}", "lambda": inst.lam,
+    named += [(f"random_{k}", random_instance(rng))
+              for k in range(v["random_instances"])]
+    rows = []
+    for name, inst in named:
+        rep = localization_check_1d(inst, v["resolution"])
+        rows.append({"check": name, "lambda": inst.lam,
                      "lhs_inner": rep.lhs_inner, "lhs_outer": rep.lhs_outer,
                      "rhs": rep.rhs, "pass": rep.passed})
-        csv_rows.append([f"random_{k}", inst.lam, rep.lhs_inner,
-                         rep.lhs_outer, rep.rhs, rep.passed])
-    _require(rows, "instance or random_instances must be given")
-    return rows, header, csv_rows
-
-
-def _random_disk_function(rng: np.random.Generator, max_zeros: int = 30,
-                          max_atoms: int = 5) -> tuple[DiskFunction, float]:
-    n_zeros = int(rng.integers(0, max_zeros + 1))
-    radii = np.sqrt(rng.random(n_zeros)) * 0.995
-    angles = rng.random(n_zeros) * 2.0 * np.pi
-    zeros = radii * np.exp(1j * angles)
-    n_atoms = int(rng.integers(0, max_atoms + 1))
-    locs = np.exp(1j * rng.random(n_atoms) * 2.0 * np.pi)
-    weights = rng.random(n_atoms) * 0.5 + 1e-3
-    const = np.exp(1j * rng.random() * 2.0 * np.pi)
-    a = float(rng.uniform(0.5, 0.99))
-    return DiskFunction(zeros, locs, weights, const), a
-
-
-def _random_subset(rng: np.random.Generator, lo: float, hi: float,
-                   max_components: int = 10, min_fraction: float = 0.01
-                   ) -> IntervalSet:
-    width = hi - lo
-    for _ in range(100):
-        n = int(rng.integers(1, max_components + 1))
-        cuts = np.sort(rng.uniform(lo, hi, 2 * n))
-        e = IntervalSet.from_pairs(
-            [(cuts[2 * k], cuts[2 * k + 1]) for k in range(n)])
-        if e.total_length >= min_fraction * width:
-            return e
-    return IntervalSet.from_pairs([(lo, lo + min_fraction * width)])
+    return rows, ["check", "lambda", "lhs_inner", "lhs_outer", "rhs",
+                  "pass"], None
 
 
 def _run_lemma_b(inputs: dict, seed: int, threads: int):
-    n_grid = _get_int(inputs, "grid", 100_000)
-    per_component = _get_int(inputs, "per_component", 1000)
+    v = _read_inputs("lemma-b", inputs)
+    _require(v["function"] is not None or v["random_instances"] > 0
+             or v["classical_instances"] > 0,
+             "function, random_instances or classical_instances required")
+    _require(v["function"] is None or v["a"] is not None,
+             "a is required with function")
     rows = []
-    header = ["check", "a", "statistic", "bound", "pass"]
-    csv_rows = []
 
     def record(name, a, stat, bound, ok):
         rows.append({"check": name, "a": a, "statistic": stat,
                      "bound": bound, "pass": bool(ok)})
-        csv_rows.append([name, a, stat, bound, bool(ok)])
 
     def run_one(tag, f, a, interval, e):
         fb = factor_bounds(f, a)
-        record(f"{tag}_outer_min", a, fb.outer_min, fb.outer_min_bound,
-               fb.extras["outer_pass"])
-        record(f"{tag}_b1_min", a, fb.b1_min, fb.b1_min_bound,
-               fb.extras["b1_pass"])
-        record(f"{tag}_count", a, fb.n_b2, fb.n_b2_bound,
-               fb.extras["count_pass"])
-        record(f"{tag}_denominator_ratio", a, fb.r_ratio, fb.r_ratio_bound,
-               fb.extras["r_pass"])
-        rz = remez_check(f, a, interval, e, n_grid, per_component)
+        for part, stat, bound, ok in (
+                ("outer_min", fb.outer_min, fb.outer_min_bound, "outer_pass"),
+                ("b1_min", fb.b1_min, fb.b1_min_bound, "b1_pass"),
+                ("count", fb.n_b2, fb.n_b2_bound, "count_pass"),
+                ("denominator_ratio", fb.r_ratio, fb.r_ratio_bound, "r_pass")):
+            record(f"{tag}_{part}", a, stat, bound, fb.extras[ok])
+        rz = remez_check(f, a, interval, e, v["grid"], v["per_component"])
         record(f"{tag}_remez", a, rz.log_max_i, rz.log_bound, rz.passed)
 
-    text = _get(inputs, "function", None)
-    if text is not None:
-        f = parse_disk_function(text)
-        a = float(_get(inputs, "a", required=True))
-        _require(0.0 < a < 1.0, "a must lie in (0, 1)")
-        interval = _get(inputs, "interval", [-a, a])
-        pairs = _get(inputs, "set", [[interval[0],
-                                      interval[0] + (interval[1] - interval[0]) / 5.0]])
-        run_one("given", f, a, (float(interval[0]), float(interval[1])),
+    if v["function"] is not None:
+        a = v["a"]
+        lo, hi = v["interval"] if v["interval"] is not None else (-a, a)
+        pairs = v["set"] if v["set"] is not None else [[lo, lo + (hi - lo) / 5.0]]
+        run_one("given", parse_disk_function(v["function"]), a, (lo, hi),
                 IntervalSet.from_pairs(pairs))
 
-    n_random = _get_int(inputs, "random_instances", 0)
     rng = chunk_rng(seed, STREAM_SUITE, 1)
-    for k in range(n_random):
-        f, a = _random_disk_function(rng)
+    for k in range(v["random_instances"]):
+        f = random_disk_function(rng)
+        a = float(rng.uniform(0.5, 0.99))
         lo = float(rng.uniform(-a, 0.0))
         hi = float(rng.uniform(lo + 0.05 * a, a))
-        e = _random_subset(rng, lo, hi)
+        e = random_subset(rng, lo, hi)
         run_one(f"random_{k}", f, a, (lo, hi), e)
 
-    n_classical = _get_int(inputs, "classical_instances", 0)
-    for k in range(n_classical):
+    for k in range(v["classical_instances"]):
         deg = int(rng.integers(0, 21))
         coeffs = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
         lo, hi = -0.9, 0.9
-        e = _random_subset(rng, lo, hi, max_components=5, min_fraction=0.05)
+        e = random_subset(rng, lo, hi, max_components=5, min_fraction=0.05)
         rep = classical_remez_check(coeffs, (lo, hi), e, 20_001, 501)
         record(f"classical_{k}", 0.9, rep.extras["log_lhs"],
                rep.extras["log_rhs"], rep.passed)
-
-    _require(rows, "function, random_instances or classical_instances required")
-    return rows, header, csv_rows
+    return rows, ["check", "a", "statistic", "bound", "pass"], None
 
 
 def _run_lemma_c(inputs: dict, seed: int, threads: int):
-    delta = float(_get(inputs, "delta", required=True))
-    _require(0.0 < delta <= 0.125, "delta must lie in (0, 1/8]")
-    n = _get_int(inputs, "n", 2)
-    _require(n >= 1, "n must be >= 1")
-    trials = _get_int(inputs, "trials", 100_000)
-    r_grid = _get_int(inputs, "r_grid", 10_000)
-    alpha_grid = _get_int(inputs, "alpha_grid", 360)
-    reports = run_all_checks(delta, n, trials, seed, threads, r_grid, alpha_grid)
-    header = ["check", "delta", "n", "seed", "statistic", "bound", "pass"]
-    rows = [r.to_row() for r in reports]
-    csv_rows = [[r.check, r.delta, r.n, r.seed, r.statistic, r.bound,
-                 bool(r.passed)] for r in reports]
-    return rows, header, csv_rows
+    v = _read_inputs("lemma-c", inputs)
+    reports = run_all_checks(v["delta"], v["n"], v["trials"], seed, threads,
+                             v["r_grid"], v["alpha_grid"])
+    return ([r.to_row() for r in reports],
+            ["check", "delta", "n", "seed", "statistic", "bound", "pass"], None)
 
 
-def _family_coeffs(name: str, degrees, normalization: str):
-    coeffs = []
-    for d in degrees:
-        if name == "chebyshev":
-            q = chebyshev_on_quarter(int(d))
-        elif name == "monomial":
-            q = monomial_on_quarter(int(d))
-        else:
-            raise ConfigError("family must be 'chebyshev' or 'monomial'")
-        if normalization == "disk":
-            q = disk_normalized(q)
-        elif normalization != "none":
-            raise ConfigError("normalization must be 'disk' or 'none'")
-        coeffs.append(q)
+def _family_coeffs(v: dict, degrees):
+    make = {"chebyshev": chebyshev_on_quarter,
+            "monomial": monomial_on_quarter}[v["family"]]
+    coeffs = [make(d) for d in degrees]
+    if v["normalization"] == "disk":
+        coeffs = [disk_normalized(q) for q in coeffs]
     return coeffs
 
 
 def _run_counterexample(inputs: dict, seed: int, threads: int):
-    family_name = str(_get(inputs, "family", "chebyshev"))
-    degrees = [_as_int(d, "degrees")
-               for d in _get(inputs, "degrees", [4, 8, 16, 32])]
-    _require(len(degrees) >= 2,
-             "degrees must hold at least 2 degrees for a growth claim")
-    _require(all(d >= 0 for d in degrees), "degrees must be nonnegative")
-    eta = float(_get(inputs, "eta", 0.1))
-    _require(eta > 0, "eta must be positive")
-    delta = float(_get(inputs, "delta", 1e-3))
-    _require(0.0 < delta <= 0.5, "delta must lie in (0, 1/2]")
-    lambdas = [float(l) for l in _get(inputs, "lambdas", [2.0])]
-    _require(all(l >= 1.1 for l in lambdas), "lambdas must be >= 1.1")
-    samples = _get_int(inputs, "samples", 100_000)
-    normalization = str(_get(inputs, "normalization", "disk"))
-    family = _family_coeffs(family_name, degrees, normalization)
-
-    report = growth_experiment(family, eta, delta, lambdas, samples, seed,
+    v = _read_inputs("counterexample", inputs)
+    eta, samples = v["eta"], v["samples"]
+    report = growth_experiment(_family_coeffs(v, v["degrees"]), eta,
+                               v["delta"], v["lambdas"], samples, seed,
                                threads)
     header = ["degQ", "F0", "sigma_theorem", "lambda", "sigma_eff", "N", "seed"]
     csv_rows = [[r.degree, r.f0_abs, r.sigma_theorem, r.lam, r.sigma_eff,
@@ -324,18 +344,15 @@ def _run_counterexample(inputs: dict, seed: int, threads: int):
              "sigma_eff": r.sigma_eff, "sigma_eff_oracle": r.sigma_eff_oracle,
              "pass": report.passed} for r in report.rows]
 
-    ks_delta = _get(inputs, "ks_delta", None)
-    if ks_delta is not None:
-        ks_delta = float(ks_delta)
-        ks_degree = _get_int(inputs, "ks_degree", degrees[0])
-        ks_q = _family_coeffs(family_name, [ks_degree], normalization)[0]
-        f = build_function(ks_q, eta)
-        rect = rectangle_moduli(f, ks_delta, samples, seed, threads)
+    if v["ks_delta"] is not None:
+        ks_degree = (v["ks_degree"] if v["ks_degree"] is not None
+                     else v["degrees"][0])
+        f = build_function(_family_coeffs(v, [ks_degree])[0], eta)
+        rect = rectangle_moduli(f, v["ks_delta"], samples, seed, threads)
         lim = limit_moduli(f, samples, seed + 1, threads)
         ks = ks_distance(rect.sorted_moduli, lim.sorted_moduli)
-        ks_bound = float(_get(inputs, "ks_bound", 0.01))
-        rows.append({"check": "ks_limit", "delta": ks_delta, "ks": ks,
-                     "bound": ks_bound, "pass": ks <= ks_bound})
+        rows.append({"check": "ks_limit", "delta": v["ks_delta"], "ks": ks,
+                     "bound": v["ks_bound"], "pass": ks <= v["ks_bound"]})
         csv_rows.append([ks_degree, f.f0_abs, 0.0, 0.0, ks, samples, seed])
     return rows, header, csv_rows
 
@@ -349,7 +366,7 @@ _RUNNERS = {
 }
 
 
-def _default_config(sub: str, seed: int) -> dict:
+def _default_config(sub: str, seed: int, inputs: dict) -> dict:
     defaults = {
         "theorem": {"poly": "0.5 0 0 0\n0.5 0 1 0", "epsilon": 0.25,
                     "radius": 0.7, "center": [0.0, 0.0],
@@ -364,47 +381,52 @@ def _default_config(sub: str, seed: int) -> dict:
                            "samples": 50_000, "ks_delta": 1e-4,
                            "ks_degree": 1},
     }
-    return {"subcommand": sub, "seed": seed, "inputs": defaults[sub]}
+    return {"subcommand": sub, "seed": seed,
+            "inputs": {**defaults[sub], **inputs}}
 
 
 def run(config: dict, out_dir: str, threads: int = 1) -> bool:
-    """Execute one experiment config; returns True when all rows pass."""
+    """Execute one experiment config; returns True when all rows pass.  Bad
+    input raises ConfigError, naming the field, before the run writes its
+    report."""
+    unknown = sorted(set(config) - {"subcommand", "seed", "inputs", "output_dir"})
+    _require(not unknown, f"unknown config key(s): {', '.join(unknown)}")
     sub = config["subcommand"]
-    seed = int(config["seed"])
+    seed = config.get("seed")
+    _require(isinstance(seed, int) and not isinstance(seed, bool)
+             and 0 <= seed < 1 << 64,
+             f"seed must be an integer in [0, 2^64), got {seed!r}")
+    inputs = config.get("inputs", {})
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     if sub == "all":
-        all_ok = True
-        summary_rows = []
-        for name in ("theorem", "lemma-a", "lemma-b", "lemma-c",
-                     "counterexample"):
-            sub_cfg = _default_config(name, seed)
-            sub_cfg["inputs"].update(config.get("inputs", {}).get(name, {}))
-            ok = run(sub_cfg, out / name, threads)
-            summary_rows.append([name, ok])
-            all_ok &= ok
-        write_json(out / "manifest.json",
-                   {"config": config, "tool_version": __version__})
-        write_csv(out / "report.csv", ["check", "pass"], summary_rows)
-        write_json(out / "report.json",
-                   {"rows": [{"check": n, "pass": bool(p)}
-                             for n, p in summary_rows],
-                    "summary": {"all_pass": bool(all_ok)}})
-        return all_ok
+        parts = _read_inputs("all", inputs)
+        configs = [_default_config(name, seed, parts[name]) for name in _RUNNERS]
+        for cfg in configs:
+            # reject every bad input before the first run writes anything
+            _read_inputs(cfg["subcommand"], cfg["inputs"])
+        rows = [{"check": cfg["subcommand"],
+                 "pass": run(cfg, out / cfg["subcommand"], threads)}
+                for cfg in configs]
+        header, csv_rows, summary = ["check", "pass"], None, {}
+    else:
+        rows, header, csv_rows = _RUNNERS[sub](inputs, seed, threads)
+        summary = {"n_rows": len(rows),
+                   "n_pass": sum(1 for r in rows if r.get("pass"))}
+    summary["all_pass"] = all(r.get("pass") for r in rows)
+    _write_report(out, config, header, csv_rows, rows, summary)
+    return summary["all_pass"]
 
-    rows, header, csv_rows = _RUNNERS[sub](config.get("inputs", {}), seed,
-                                           threads)
-    n_pass = sum(1 for r in rows if r.get("pass"))
-    all_ok = n_pass == len(rows)
+
+def _write_report(out: Path, config: dict, header: list[str], csv_rows,
+                  rows: list[dict], summary: dict) -> None:
+    out.mkdir(parents=True, exist_ok=True)
     write_json(out / "manifest.json",
                {"config": config, "tool_version": __version__})
+    if csv_rows is None:
+        csv_rows = [[r[k] for k in header] for r in rows]
     write_csv(out / "report.csv", header, csv_rows)
-    write_json(out / "report.json",
-               {"rows": rows,
-                "summary": {"n_rows": len(rows), "n_pass": n_pass,
-                            "all_pass": bool(all_ok)}})
-    return all_ok
+    write_json(out / "report.json", {"rows": rows, "summary": summary})
 
 
 # ----------------------------------------------------------------------
@@ -429,59 +451,38 @@ def suite(seed: int, out_dir: str, threads: int = 1) -> bool:
     fails here for the same structural reason it fails at full scale (see
     README)."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     d = SUITE_DEFAULTS
-    verdicts = []
-
-    cfg = _default_config("lemma-c", seed)
-    cfg["inputs"].update({"trials": d["logconcavity_trials"],
-                          "r_grid": d["r_grid"], "alpha_grid": d["alpha_grid"]})
     ok = True
     for delta in (1 / 32, 1 / 16, 1 / 8):
         for n in (2, 8, 32):
-            c = dict(cfg)
-            c["inputs"] = dict(cfg["inputs"], delta=delta, n=n)
-            ok &= run(c, out / f"lemma-c-{delta:.6f}-{n}", threads)
-    verdicts.append(("criterion-1 map properties", ok))
-
-    cfg = _default_config("lemma-a", seed)
-    cfg["inputs"].update({"random_instances":
-                          d["random_localization_instances"],
-                          "resolution": d["resolution"]})
-    ok = run(cfg, out / "lemma-a", threads)
-    verdicts.append(("criterion-2 localization", ok))
-
-    cfg = _default_config("lemma-b", seed)
-    cfg["inputs"].update({"random_instances": d["random_disk_functions"],
-                          "classical_instances": d["classical_instances"]})
-    ok = run(cfg, out / "lemma-b", threads)
-    verdicts.append(("criterion-3 disk remez", ok))
-
-    cfg = _default_config("theorem", seed)
-    cfg["inputs"].update({"samples": d["mc_samples"]})
-    ok = run(cfg, out / "theorem", threads)
-    verdicts.append(("criterion-4 ball bounds", ok))
-
-    cfg = {"subcommand": "counterexample", "seed": seed,
-           "inputs": {"family": "chebyshev", "degrees": [4, 8, 16, 32],
-                      "eta": 0.1, "delta": 1e-3, "lambdas": [2.0],
-                      "samples": d["mc_samples"], "normalization": "disk",
-                      "ks_delta": 1e-4, "ks_degree": 4}}
-    ok = run(cfg, out / "counterexample", threads)
-    verdicts.append(("criterion-5 thin rectangles", ok))
+            cfg = _default_config("lemma-c", seed, {
+                "trials": d["logconcavity_trials"], "r_grid": d["r_grid"],
+                "alpha_grid": d["alpha_grid"], "delta": delta, "n": n})
+            ok &= run(cfg, out / f"lemma-c-{delta:.6f}-{n}", threads)
+    verdicts = [("criterion-1 map properties", ok)]
+    for name, sub, inputs in (
+            ("criterion-2 localization", "lemma-a",
+             {"random_instances": d["random_localization_instances"],
+              "resolution": d["resolution"]}),
+            ("criterion-3 disk remez", "lemma-b",
+             {"random_instances": d["random_disk_functions"],
+              "classical_instances": d["classical_instances"]}),
+            ("criterion-4 ball bounds", "theorem",
+             {"samples": d["mc_samples"]}),
+            ("criterion-5 thin rectangles", "counterexample",
+             {"family": "chebyshev", "degrees": [4, 8, 16, 32], "eta": 0.1,
+              "delta": 1e-3, "lambdas": [2.0], "samples": d["mc_samples"],
+              "normalization": "disk", "ks_delta": 1e-4, "ks_degree": 4})):
+        cfg = _default_config(sub, seed, inputs)
+        verdicts.append((name, run(cfg, out / sub, threads)))
 
     all_ok = all(ok for _, ok in verdicts)
     for name, ok in verdicts:
         print(f"{name}: {'PASS' if ok else 'FAIL'}")
-    write_csv(out / "report.csv", ["check", "pass"],
-              [[n, o] for n, o in verdicts])
-    write_json(out / "report.json",
-               {"rows": [{"check": n, "pass": bool(o)} for n, o in verdicts],
-                "summary": {"all_pass": bool(all_ok)}})
-    write_json(out / "manifest.json",
-               {"config": {"subcommand": "suite", "seed": seed,
-                           "defaults": d},
-                "tool_version": __version__})
+    _write_report(out, {"subcommand": "suite", "seed": seed, "defaults": d},
+                  ["check", "pass"], None,
+                  [{"check": n, "pass": bool(o)} for n, o in verdicts],
+                  {"all_pass": bool(all_ok)})
     return all_ok
 
 
@@ -507,8 +508,7 @@ def main(argv=None) -> int:
     try:
         _require(args.threads >= 1, "--threads must be >= 1")
         if args.subcommand == "suite":
-            ok = suite(args.seed, args.out, args.threads)
-            return 0 if ok else 1
+            return 0 if suite(args.seed, args.out, args.threads) else 1
         if args.subcommand == "all" and args.config is None:
             config = {"subcommand": "all",
                       "seed": args.seed if args.seed is not None else 42,
@@ -521,8 +521,7 @@ def main(argv=None) -> int:
             if args.seed is not None:
                 config["seed"] = args.seed
         out = args.out or config.get("output_dir") or f"out-{args.subcommand}"
-        ok = run(config, out, args.threads)
-        return 0 if ok else 1
+        return 0 if run(config, out, args.threads) else 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

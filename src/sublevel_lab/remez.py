@@ -397,3 +397,33 @@ def format_disk_function(f: DiskFunction) -> str:
     for loc, w in zip(f.atom_locs, f.atom_weights):
         lines.append(f"atom {float(np.angle(loc))!r} {float(w)!r}")
     return "\n".join(lines) + "\n"
+
+
+def random_disk_function(rng: np.random.Generator, max_zeros: int = 30,
+                         max_atoms: int = 5) -> DiskFunction:
+    """Random disk function: up to `max_zeros` zeros of modulus < 0.995 and
+    up to `max_atoms` outer atoms of weight in [1e-3, 0.501)."""
+    n_zeros = int(rng.integers(0, max_zeros + 1))
+    radii = np.sqrt(rng.random(n_zeros)) * 0.995
+    zeros = radii * np.exp(1j * rng.random(n_zeros) * 2.0 * np.pi)
+    n_atoms = int(rng.integers(0, max_atoms + 1))
+    locs = np.exp(1j * rng.random(n_atoms) * 2.0 * np.pi)
+    weights = rng.random(n_atoms) * 0.5 + 1e-3
+    const = np.exp(1j * rng.random() * 2.0 * np.pi)
+    return DiskFunction(zeros, locs, weights, const)
+
+
+def random_subset(rng: np.random.Generator, lo: float, hi: float,
+                  max_components: int = 10, min_fraction: float = 0.01
+                  ) -> IntervalSet:
+    """Random union of at most `max_components` subintervals of [lo, hi]
+    holding at least `min_fraction` of its length."""
+    width = hi - lo
+    for _ in range(100):
+        n = int(rng.integers(1, max_components + 1))
+        cuts = np.sort(rng.uniform(lo, hi, 2 * n))
+        e = IntervalSet.from_pairs(
+            [(cuts[2 * k], cuts[2 * k + 1]) for k in range(n)])
+        if e.total_length >= min_fraction * width:
+            return e
+    return IntervalSet.from_pairs([(lo, lo + min_fraction * width)])

@@ -38,8 +38,10 @@ def pyify(obj):
 
 
 def dumps_json(obj) -> str:
+    """Strict JSON: a NaN or infinity raises ValueError, so `write_json`
+    leaves no file behind."""
     return json.dumps(pyify(obj), sort_keys=True, separators=(",", ":"),
-                      allow_nan=True) + "\n"
+                      allow_nan=False) + "\n"
 
 
 def write_json(path, obj) -> None:

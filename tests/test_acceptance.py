@@ -19,7 +19,7 @@ from sublevel_lab.mobius import (MapParams, check_curvature,
                                  check_log_concavity, check_radial_profile)
 from sublevel_lab.poly import from_terms, lift, normalize
 from sublevel_lab.remez import (classical_remez_check, factor_bounds,
-                                remez_check)
+                                random_disk_function, remez_check)
 from sublevel_lab.sampling import ks_distance
 from sublevel_lab.thinrect import (build_function, chebyshev_on_quarter,
                                    disk_normalized, limit_moduli,
@@ -29,7 +29,6 @@ from sublevel_lab.thinrect import (build_function, chebyshev_on_quarter,
 from sublevel_lab.volume import (BallSpec, check_quantile_bounds,
                                  check_superlevel_power_bound, level_fraction,
                                  sigma_exponent)
-from tests.test_remez import random_disk_function
 
 DELTAS = (1 / 32, 1 / 16, 1 / 8)
 DIMS = (2, 8, 32)

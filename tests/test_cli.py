@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from sublevel_lab.cli import SUBCOMMANDS, load_config, main, run
+from sublevel_lab.cli import FIELDS, SUBCOMMANDS, load_config, main, run
 
 THEOREM_CONFIG = {
     "subcommand": "theorem",
@@ -16,6 +21,21 @@ THEOREM_CONFIG = {
         "lambdas": [2.0, 4.0, 8.0],
         "samples": 20_000,
     },
+}
+
+
+# Inputs on which one replaced field decides the outcome: each is rejected
+# before any work, or runs in well under a second.
+BASE_INPUTS = {
+    "theorem": THEOREM_CONFIG["inputs"],
+    "lemma-a": {"random_instances": 1, "resolution": 16},
+    "lemma-b": {"function": "zero 0 0\n", "a": 0.9, "grid": 101,
+                "per_component": 11},
+    "lemma-c": {"delta": 0.125, "n": 2, "trials": 200, "r_grid": 11,
+                "alpha_grid": 5},
+    "counterexample": {"family": "chebyshev", "degrees": [4, 8],
+                       "samples": 2000},
+    "all": {},
 }
 
 
@@ -96,21 +116,78 @@ class TestValidation:
         ("theorem", "radius", float("nan")),
         ("theorem", "strong_form_c", float("nan")),
         ("counterexample", "degrees", [4]),
-    ], ids=["empty-lambdas", "nan-radius", "nan-strong_form_c", "one-degree"])
+        ("theorem", "lambdas", [float("inf")]),
+        ("theorem", "lambdas", ["a"]),
+        ("theorem", "normalize", "no"),
+        ("theorem", "sample", 5),
+        ("theorem", "center", [float("nan"), 0.0]),
+        ("theorem", "seed", True),
+        ("theorem", "seed", -1),
+        ("theorem", "input", {"samples": 1000}),
+        ("theorem", "output_dir", 5),
+        ("lemma-a", "instance", 5),
+        ("lemma-b", "interval", 5),
+        ("lemma-c", "trials", 0),
+        ("counterexample", "samples", 0),
+        ("counterexample", "degrees", [4, 400]),
+        ("counterexample", "lambdas", []),
+        ("counterexample", "ks_bound", float("nan")),
+        ("counterexample", "ks_delta", float("nan")),
+        ("all", "theorem", 5),
+    ], ids=["empty-lambdas", "nan-radius", "nan-strong_form_c", "one-degree",
+            "inf-lambda", "string-lambda", "string-normalize", "unknown-key",
+            "nan-center", "bool-seed", "negative-seed", "misspelled-inputs",
+            "int-output_dir", "int-instance", "int-interval", "zero-trials",
+            "zero-samples", "degree-400", "counterexample-empty-lambdas",
+            "nan-ks_bound", "nan-ks_delta", "all-int-inputs"])
     def test_vacuous_or_nan_input_names_field(self, tmp_path, capsys, sub,
                                               field, value):
-        if sub == "theorem":
-            cfg = json.loads(json.dumps(THEOREM_CONFIG))
+        cfg = {"subcommand": sub, "seed": 1,
+               "inputs": json.loads(json.dumps(BASE_INPUTS[sub]))}
+        if field in ("seed", "input", "output_dir"):
+            cfg[field] = value
         else:
-            cfg = {"subcommand": sub, "seed": 1,
-                   "inputs": {"family": "monomial", "samples": 2000}}
-        cfg["inputs"][field] = value
+            cfg["inputs"][field] = value
         out = tmp_path / "out"
         rc = main([sub, "--config", str(write_config(tmp_path, cfg)),
                    "--out", str(out)])
         assert rc == 2
         assert field in capsys.readouterr().err
         assert not (out / "report.json").exists()
+
+
+def strict_json(path: Path):
+    def reject(token):
+        raise ValueError(f"non-finite number {token} in {path}")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+MALFORMED = ["text", True, {"k": 1}, None, float("nan"), float("inf"),
+             float("-inf"), -1, -0.5, [], 10**12, 1e300, [float("nan")],
+             [float("inf")], [-1], ["text"], [10**12], [[0.2, 0.1]]]
+
+
+@given(data=st.data())
+def test_fuzzed_inputs_exit_cleanly(data):
+    """One field of a small valid config replaced by a malformed value (or an
+    unknown key added): the CLI exits 0, 1 or 2 without a traceback, and any
+    report.json it writes is strict JSON."""
+    sub = data.draw(st.sampled_from(sorted(BASE_INPUTS.keys() - {"all"})))
+    field = data.draw(st.sampled_from([*FIELDS[sub], "unknown_key"]))
+    value = data.draw(st.sampled_from(MALFORMED))
+    inputs = dict(BASE_INPUTS[sub], **{field: value})
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps({"subcommand": sub, "seed": 3,
+                                    "inputs": inputs}))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main([sub, "--config", str(path), "--out", f"{tmp}/out",
+                       "--threads", "1"])
+        assert rc in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        for report in Path(tmp).rglob("report.json"):
+            strict_json(report)
 
 
 class TestTheoremRun:

@@ -7,7 +7,8 @@ from sublevel_lab.intervals import IntervalSet
 from sublevel_lab.remez import (DiskFunction, blaschke_log_abs,
                                 classical_remez_check, eval_disk_function,
                                 factor_bounds, format_disk_function,
-                                log_abs_f, parse_disk_function, remez_check,
+                                log_abs_f, parse_disk_function,
+                                random_disk_function, remez_check,
                                 remez_exponent, split_criterion, split_zeros,
                                 symmetric_exponent, sup_log_abs_on_set)
 
@@ -22,17 +23,6 @@ def make_f(zeros=(), atoms=(), const=1.0):
 
 ATOM_F = make_f(atoms=[(0.0, 0.1)])          # single atom at zeta=1, w=0.1
 SINGLE_ZERO = make_f(zeros=[0.0])            # f(z) = z up to the constant
-
-
-def random_disk_function(rng, max_zeros=30, max_atoms=5):
-    n_zeros = int(rng.integers(0, max_zeros + 1))
-    radii = np.sqrt(rng.random(n_zeros)) * 0.995
-    zeros = radii * np.exp(1j * rng.random(n_zeros) * 2 * np.pi)
-    n_atoms = int(rng.integers(0, max_atoms + 1))
-    locs = np.exp(1j * rng.random(n_atoms) * 2 * np.pi)
-    ws = rng.random(n_atoms) * 0.5 + 1e-3
-    const = np.exp(1j * rng.random() * 2 * np.pi)
-    return DiskFunction(zeros, locs, ws, const)
 
 
 class TestEval:
