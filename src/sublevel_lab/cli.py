@@ -49,7 +49,8 @@ class Field:
     """One config input: `kind` is int, float, bool, str, choice, object,
     pair ([lo, hi], lo < hi), ints, floats or pairs.  Bounds apply to a number
     or to each list entry; a list holds min_len to max_len entries.  A None
-    default means "derived when absent", and JSON null reads the same."""
+    default means "derived when absent", and JSON null reads the same.  A str
+    with a `parse` function is a text literal, read into what it returns."""
     kind: str
     default: object = _REQUIRED
     gt: float | None = None
@@ -59,6 +60,7 @@ class Field:
     min_len: int = 0
     max_len: int = 64
     choices: tuple = ()
+    parse: object = None
 
 
 # The one reference for every subcommand's inputs.  Caps bound run time and
@@ -67,7 +69,7 @@ class Field:
 # Chebyshev coefficients already err by ~4e7.
 FIELDS = {
     "theorem": {
-        "poly": Field("str"),
+        "poly": Field("str", parse=parse_poly),
         "normalize": Field("bool", True),
         "epsilon": Field("float", gt=0.0, le=0.25),
         "radius": Field("float", ge=0.0),
@@ -77,17 +79,15 @@ FIELDS = {
         "strong_form_c": Field("float", None, gt=0.0),
     },
     "lemma-a": {
-        "instance": Field("str", None),
+        "instance": Field("str", None, parse=parse_instance),
         "random_instances": Field("int", 0, ge=0, le=10_000),
         "resolution": Field("int", 512, ge=2, le=1 << 16),
     },
     "lemma-b": {
-        "function": Field("str", None),
+        "function": Field("str", None, parse=parse_disk_function),
         "a": Field("float", None, gt=0.0, lt=1.0),
         "interval": Field("pair", None),
         "set": Field("pairs", None, min_len=1, max_len=1000),
-        "grid": Field("int", 100_000, ge=2, le=10**6),
-        "per_component": Field("int", 1000, ge=2, le=10**5),
         "random_instances": Field("int", 0, ge=0, le=10_000),
         "classical_instances": Field("int", 0, ge=0, le=10_000),
     },
@@ -144,6 +144,11 @@ def _read_value(name: str, f: Field, value):
         _require(isinstance(value, str), f"{name} must be a string, got {value!r}")
         _require(f.kind == "str" or value in f.choices,
                  f"{name} must be one of {f.choices}, got {value!r}")
+        if f.parse is not None:
+            try:
+                return f.parse(value)
+            except ValueError as exc:
+                raise ConfigError(f"{name}: {exc}") from None
     elif f.kind == "object":
         _require(isinstance(value, dict),
                  f"{name} must be a JSON object, got {value!r}")
@@ -201,7 +206,7 @@ def load_config(path: str) -> dict:
 
 def _run_theorem(inputs: dict, seed: int, threads: int):
     v = _read_inputs("theorem", inputs)
-    poly = parse_poly(v["poly"])
+    poly = v["poly"]
     if v["normalize"]:
         poly = normalize(poly)
     center = v["center"] if v["center"] is not None else [0.0] * poly.dim
@@ -248,7 +253,7 @@ def _run_lemma_a(inputs: dict, seed: int, threads: int):
              "instance or random_instances must be given")
     named = []
     if v["instance"] is not None:
-        named.append(("instance", parse_instance(v["instance"])))
+        named.append(("instance", v["instance"]))
     rng = chunk_rng(seed, STREAM_SUITE, 0)
     named += [(f"random_{k}", random_instance(rng))
               for k in range(v["random_instances"])]
@@ -283,14 +288,14 @@ def _run_lemma_b(inputs: dict, seed: int, threads: int):
                 ("count", fb.n_b2, fb.n_b2_bound, "count_pass"),
                 ("denominator_ratio", fb.r_ratio, fb.r_ratio_bound, "r_pass")):
             record(f"{tag}_{part}", a, stat, bound, fb.extras[ok])
-        rz = remez_check(f, a, interval, e, v["grid"], v["per_component"])
+        rz = remez_check(f, a, interval, e)
         record(f"{tag}_remez", a, rz.log_max_i, rz.log_bound, rz.passed)
 
     if v["function"] is not None:
         a = v["a"]
         lo, hi = v["interval"] if v["interval"] is not None else (-a, a)
         pairs = v["set"] if v["set"] is not None else [[lo, lo + (hi - lo) / 5.0]]
-        run_one("given", parse_disk_function(v["function"]), a, (lo, hi),
+        run_one("given", v["function"], a, (lo, hi),
                 IntervalSet.from_pairs(pairs))
 
     rng = chunk_rng(seed, STREAM_SUITE, 1)
@@ -307,7 +312,7 @@ def _run_lemma_b(inputs: dict, seed: int, threads: int):
         coeffs = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
         lo, hi = -0.9, 0.9
         e = random_subset(rng, lo, hi, max_components=5, min_fraction=0.05)
-        rep = classical_remez_check(coeffs, (lo, hi), e, 20_001, 501)
+        rep = classical_remez_check(coeffs, (lo, hi), e)
         record(f"classical_{k}", 0.9, rep.extras["log_lhs"],
                rep.extras["log_rhs"], rep.passed)
     return rows, ["check", "a", "statistic", "bound", "pass"], None
@@ -372,8 +377,7 @@ def _default_config(sub: str, seed: int, inputs: dict) -> dict:
                     "radius": 0.7, "center": [0.0, 0.0],
                     "lambdas": [1.5, 2.0, 4.0, 8.0], "samples": 50_000},
         "lemma-a": {"random_instances": 25, "resolution": 256},
-        "lemma-b": {"random_instances": 10, "classical_instances": 5,
-                    "grid": 20_001, "per_component": 501},
+        "lemma-b": {"random_instances": 10, "classical_instances": 5},
         "lemma-c": {"delta": 0.125, "n": 2, "trials": 20_000,
                     "r_grid": 2_001, "alpha_grid": 181},
         "counterexample": {"family": "monomial", "degrees": [1, 2, 4],

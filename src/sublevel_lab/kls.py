@@ -264,19 +264,21 @@ def parse_instance(text: str) -> LocalizationInstance:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        fields = line.split()
-        kind = fields[0]
-        if kind == "phi" and len(fields) == 3:
-            bps.append(float(fields[1]))
-            vals.append(float(fields[2]))
-        elif kind == "S" and len(fields) == 3:
-            s_interval = (float(fields[1]), float(fields[2]))
-        elif kind == "E" and len(fields) == 3:
-            e_pairs.append((float(fields[1]), float(fields[2])))
-        elif kind == "lambda" and len(fields) == 2:
-            lam = float(fields[1])
-        else:
+        kind, *fields = line.split()
+        if len(fields) != {"phi": 2, "S": 2, "E": 2, "lambda": 1}.get(kind):
             raise ValueError(f"line {lineno}: unrecognized instance record")
+        nums = [float(x) for x in fields]
+        if not np.all(np.isfinite(nums)):
+            raise ValueError(f"line {lineno}: numbers must be finite")
+        if kind == "phi":
+            bps.append(nums[0])
+            vals.append(nums[1])
+        elif kind == "S":
+            s_interval = (nums[0], nums[1])
+        elif kind == "E":
+            e_pairs.append((nums[0], nums[1]))
+        else:
+            lam = nums[0]
     if s_interval is None or lam is None or len(bps) < 2:
         raise ValueError("instance needs phi lines, an S line and a lambda line")
     density = PiecewiseLogLinear(np.array(bps), np.array(vals))

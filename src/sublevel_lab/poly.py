@@ -243,6 +243,8 @@ def parse_poly(text: str) -> MultiPoly:
         if len(fields) < 3:
             raise ValueError(f"line {lineno}: expected 're im a_1 ... a_n'")
         re_c, im_c = float(fields[0]), float(fields[1])
+        if not (np.isfinite(re_c) and np.isfinite(im_c)):
+            raise ValueError(f"line {lineno}: coefficients must be finite")
         alpha = tuple(int(f) for f in fields[2:])
         if dim is None:
             dim = len(alpha)

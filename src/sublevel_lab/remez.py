@@ -3,7 +3,14 @@
 A disk function is a unimodular constant times a finite Blaschke product
 times an atomic outer factor, so |f| <= 1 holds by construction and every
 quantity below (values at points, minima over [-a, a], the Remez exponent)
-is computable in closed form or by dense-grid search with local refinement.
+is computable in closed form or certified by branch and bound.
+
+Extrema over segments of the real axis come from one level-synchronous
+branch and bound over exact per-segment enclosures (R. E. Moore, Interval
+Analysis, 1966; the centered form as in A. Neumaier, Interval Methods for
+Systems of Equations, 1990).  It returns a certified upper bound and a value
+attained at a point, and every check takes the side that can only make it
+fail.
 
 All inequality checks compare log-moduli: the Remez bound (C|I|/|E|)^sigma
 overflows the linear scale long before the mathematics becomes interesting.
@@ -11,11 +18,12 @@ overflows the linear scale long before the mathematics becomes interesting.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import polynomial as npp
-from scipy.optimize import minimize_scalar
+# Unused here; kept because the benchmark tracer wraps remez.minimize_scalar.
+from scipy.optimize import minimize_scalar  # noqa: F401
 
 from .intervals import IntervalSet
 
@@ -139,6 +147,186 @@ def _log_leq(lhs_log: float, rhs_log: float, tol: float = REL_TOL) -> bool:
     return lhs_log <= rhs_log + tol * max(1.0, abs(lhs_log), abs(rhs_log))
 
 
+# ----------------------------------------------------------------------
+# Certified extrema: branch and bound over exact per-segment enclosures.
+
+BNB_PIECES = 64             # initial segments per component
+BNB_SPLIT = 8               # children of each open segment per level
+BNB_CHUNK = 4096            # segments bounded per enclosure call (memory)
+BNB_MAX_SEGMENTS = 1 << 20  # open segments at which the search gives up
+BNB_GAP = 2e-13             # relative gap at which a segment is settled
+ENCLOSURE_PAD = 1e-13       # relative pad added to every upper bound
+
+
+@dataclass(frozen=True)
+class Extremum:
+    """Maximum of a function over a union of segments: `upper` is a
+    certified upper bound, `attained` the function's value at a point, and
+    `segments` the number of segments bounded to close the gap between
+    them."""
+
+    upper: float
+    attained: float
+    segments: int
+
+    @property
+    def gap(self) -> float:
+        return self.upper - self.attained
+
+
+def _certified_max(enclose, pairs) -> Extremum:
+    """Level-synchronous branch and bound.  `enclose(x0, x1)` returns, per
+    segment, an upper bound of the function on [x0, x1] (padded), its value
+    at a point of the segment and the pad.  Every open segment is split
+    BNB_SPLIT ways per level; a segment is settled once its bound is within
+    BNB_GAP * max(1, |best|) + 4 * pad of the best value attained, which
+    also prunes every segment whose bound lies below that value."""
+    edges = [np.linspace(lo, hi, BNB_PIECES + 1) for lo, hi in pairs]
+    x0 = np.concatenate([e[:-1] for e in edges])
+    x1 = np.concatenate([e[1:] for e in edges])
+    t = np.arange(1, BNB_SPLIT) / BNB_SPLIT
+    best = settled = -np.inf
+    segments = 0
+    while x0.size:
+        if x0.size > BNB_MAX_SEGMENTS:
+            raise RuntimeError("branch and bound did not converge: "
+                               f"{x0.size} open segments")
+        parts = [enclose(x0[k:k + BNB_CHUNK], x1[k:k + BNB_CHUNK])
+                 for k in range(0, x0.size, BNB_CHUNK)]
+        upper, value, pad = (np.concatenate(z) for z in zip(*parts))
+        segments += x0.size
+        best = max(best, float(np.max(value)))
+        # written so that a NaN bound keeps its segment open
+        open_ = ~(upper - best <= BNB_GAP * max(1.0, abs(best)) + 4.0 * pad)
+        settled = max(settled, float(np.max(upper[~open_], initial=-np.inf)))
+        x0, x1 = x0[open_], x1[open_]
+        inner = x0[:, None] + (x1 - x0)[:, None] * t
+        x0 = np.concatenate([x0[:, None], inner], axis=1).ravel()
+        x1 = np.concatenate([inner, x1[:, None]], axis=1).ravel()
+    return Extremum(max(settled, best), best, segments)
+
+
+def _ratio_range(n0, n1, dlo, dhi):
+    """Range of n / d for n between n0 and n1 and d in [dlo, dhi], dlo > 0."""
+    nlo, nhi = np.minimum(n0, n1), np.maximum(n0, n1)
+    return np.minimum(nlo / dlo, nlo / dhi), np.maximum(nhi / dlo, nhi / dhi)
+
+
+@dataclass(frozen=True)
+class _LogForm:
+    """g(x) = sum half log(alpha (x - p)^2 + mu) + sum v (1 - x^2) / D(x)
+    with D(x) = (x - c)^2 + s2, on the real axis: every log-modulus the
+    checks need has this form."""
+
+    alpha: np.ndarray
+    p: np.ndarray
+    mu: np.ndarray
+    half: np.ndarray
+    c: np.ndarray
+    s2: np.ndarray
+    v: np.ndarray
+
+    @property
+    def empty(self) -> bool:
+        return self.half.size + self.v.size == 0
+
+
+_EMPTY = np.empty(0, dtype=np.complex128)
+
+
+def _log_form(sign: float, zeros=_EMPTY, den_zeros=_EMPTY, locs=_EMPTY,
+              weights=np.empty(0)) -> _LogForm:
+    """sign * (sum log|x - z| - sum log|1 - x conj(d)| + log|outer factor|).
+
+    |x - z|^2 = (x - Re z)^2 + (Im z)^2 and |1 - x conj(d)|^2 =
+    |d|^2 (x - Re d/|d|^2)^2 + (Im d)^2/|d|^2; the vertex form keeps a zero
+    near the real axis free of cancellation.  The outer factor's Poisson
+    kernel is (1 - x^2) / |zeta - x|^2 with |zeta - x|^2 = (x - Re zeta)^2 +
+    (Im zeta)^2."""
+    zeros = np.asarray(zeros, dtype=np.complex128)
+    den_zeros = np.asarray(den_zeros, dtype=np.complex128)
+    locs = np.asarray(locs, dtype=np.complex128)
+    dd = np.abs(den_zeros) ** 2
+    safe = np.where(dd > 0.0, dd, 1.0)
+    return _LogForm(
+        alpha=np.concatenate([np.ones(zeros.size), dd]),
+        p=np.concatenate([zeros.real, np.where(dd > 0.0, den_zeros.real / safe, 0.0)]),
+        mu=np.concatenate([zeros.imag ** 2,
+                           np.where(dd > 0.0, den_zeros.imag ** 2 / safe, 1.0)]),
+        half=0.5 * sign * np.concatenate([np.ones(zeros.size),
+                                          -np.ones(den_zeros.size)]),
+        c=locs.real, s2=locs.imag ** 2,
+        v=-sign * np.asarray(weights, dtype=float))
+
+
+def _log_form_enclosure(g: _LogForm):
+    """Per segment [x0, x1] with midpoint m and radius r, an upper bound of g:
+    its value at an end when an enclosure D of g' has one sign (the segment
+    is monotone), else the smaller of the natural bound (each term bounded
+    by its exact range) and the centered bound g(m) + r max|D|.  The value
+    attained is the largest of g(x0), g(m) and g(x1)."""
+    rising = g.half > 0.0
+    log_slope = 2.0 * g.alpha * g.half   # (half log q)' = log_slope (x - p) / q
+    atom_slope = 2.0 * g.v               # (v K)' = atom_slope (c (1 + x^2) - 2x) / D^2
+
+    def enclose(x0, x1):
+        r = 0.5 * (x1 - x0)
+        x = np.stack([x0, 0.5 * (x0 + x1), x1], axis=1)[:, :, None]
+        ends = x[:, ::2]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # half log q with q = alpha (x - p)^2 + mu: convex q peaks at an
+            # end and bottoms out at the vertex p clamped to the segment
+            u = x - g.p
+            q = g.alpha * u * u + g.mu
+            logs = g.half * np.log(q)
+            near = np.maximum(np.maximum(u[:, 0], -u[:, 2]), 0.0)
+            q_lo = g.alpha * near * near + g.mu
+            q_hi = np.maximum(q[:, 0], q[:, 2])
+            natural = np.sum(g.half * np.log(np.where(rising, q_hi, q_lo)), axis=1)
+            d_lo, d_hi = _ratio_range(log_slope * u[:, 0], log_slope * u[:, 2],
+                                      q_lo, q_hi)
+            # v K with K = (1 - x^2) / D, D = (x - c)^2 + s2; the numerator of
+            # K' is monotone on (-1, 1), since its vertex 1/c lies outside
+            w = x - g.c
+            den = w * w + g.s2
+            num = 1.0 - x * x
+            kern = g.v * num / den
+            near = np.maximum(np.maximum(w[:, 0], -w[:, 2]), 0.0)
+            den_lo = near * near + g.s2
+            den_hi = np.maximum(den[:, 0], den[:, 2])
+            num_lo = np.minimum(num[:, 0], num[:, 2])
+            num_hi = 1.0 - np.maximum(np.maximum(x0, -x1), 0.0)[:, None] ** 2
+            natural += np.sum(np.where(g.v > 0.0, g.v * num_hi / den_lo,
+                                       g.v * num_lo / den_hi), axis=1)
+            e = atom_slope * (g.c * (1.0 + ends * ends) - 2.0 * ends)
+            a_lo, a_hi = _ratio_range(e[:, 0], e[:, 1], den_lo * den_lo,
+                                      den_hi * den_hi)
+            slope_lo = np.sum(d_lo, axis=1) + np.sum(a_lo, axis=1)
+            slope_hi = np.sum(d_hi, axis=1) + np.sum(a_hi, axis=1)
+            values = np.sum(logs, axis=2) + np.sum(kern, axis=2)
+            centered = values[:, 1] + r * np.maximum(np.abs(slope_lo), np.abs(slope_hi))
+            upper = np.where(slope_lo >= 0.0, values[:, 2],
+                             np.where(slope_hi <= 0.0, values[:, 0],
+                                      np.fmin(natural, centered)))
+            at_m = logs[:, 1]
+            scale = (np.sum(np.abs(at_m), axis=1, where=np.isfinite(at_m))
+                     + np.sum(np.abs(kern[:, 1]), axis=1))
+        pad = ENCLOSURE_PAD * np.maximum(1.0, scale)
+        return upper + pad, np.max(values, axis=1), pad
+
+    return enclose
+
+
+def _max_log_form(g: _LogForm, pairs) -> Extremum:
+    """Certified max of g over segments of (-1, 1); an empty g is exactly 0."""
+    pairs = list(pairs)
+    if any(not (-1.0 < lo <= hi < 1.0) for lo, hi in pairs):
+        raise ValueError("segments [lo, hi] must satisfy -1 < lo <= hi < 1")
+    if g.empty:
+        return Extremum(0.0, 0.0, 0)
+    return _certified_max(_log_form_enclosure(g), pairs)
+
+
 @dataclass(frozen=True)
 class FactorBoundsReport:
     a: float
@@ -154,30 +342,38 @@ class FactorBoundsReport:
     extras: dict = field(default_factory=dict)
 
 
-def factor_bounds(f: DiskFunction, a: float, grid: int = 10_000) -> FactorBoundsReport:
-    """Verify the four factor estimates on a uniform grid of [-a, a]:
+def factor_bounds(f: DiskFunction, a: float,
+                  grid: int | None = None) -> FactorBoundsReport:
+    """Verify the four factor estimates on [-a, a]:
 
     outer factor:  min |U| >= |U(a)U(-a)|^(1/(1-a^2))
     tame factor:   min |B1| >= |B1(a)B1(-a)|^(2/(1-a^2))
     count:         #B2 <= 3/(1-a^2) * log 1/|B2(a)B2(-a)|
     denominators:  max |reciprocal factor| <= (2/(1-a))^N * min of it
+
+    Both minima are certified lower bounds and the spread of the reciprocal
+    factor a certified upper bound, so each check can err only toward
+    failing.  extras["segments"] counts the segments bounded and
+    extras["gap"] is the largest certified-minus-attained gap.  `grid` is
+    accepted for compatibility and ignored.
     """
     if not (0.0 < a < 1.0):
         raise ValueError("a must lie in (0, 1)")
-    xs = np.linspace(-a, a, grid)
+    span = [(-a, a)]
     fac = split_zeros(f.zeros, a)
 
-    log_u = outer_log_abs(f.atom_locs, f.atom_weights, xs)
+    neg_u = _max_log_form(
+        _log_form(-1.0, locs=f.atom_locs, weights=f.atom_weights), span)
     log_u_a = float(outer_log_abs(f.atom_locs, f.atom_weights, np.array([a]))[0])
     log_u_ma = float(outer_log_abs(f.atom_locs, f.atom_weights, np.array([-a]))[0])
-    min_log_u = float(np.min(log_u))
+    min_log_u = -neg_u.upper
     bound_log_u = (log_u_a + log_u_ma) / (1.0 - a * a)
     ok_u = _log_leq(bound_log_u, min_log_u)
 
-    log_b1 = blaschke_log_abs(fac.b1_zeros, xs)
+    neg_b1 = _max_log_form(_log_form(-1.0, fac.b1_zeros, fac.b1_zeros), span)
     log_b1_a = float(blaschke_log_abs(fac.b1_zeros, np.array([a]))[0])
     log_b1_ma = float(blaschke_log_abs(fac.b1_zeros, np.array([-a]))[0])
-    min_log_b1 = float(np.min(log_b1))
+    min_log_b1 = -neg_b1.upper
     bound_log_b1 = 2.0 * (log_b1_a + log_b1_ma) / (1.0 - a * a)
     ok_b1 = _log_leq(bound_log_b1, min_log_b1)
 
@@ -187,11 +383,10 @@ def factor_bounds(f: DiskFunction, a: float, grid: int = 10_000) -> FactorBounds
     n_bound = 3.0 / (1.0 - a * a) * (-(log_b2_a + log_b2_ma))
     ok_n = n <= n_bound + REL_TOL * max(1.0, abs(n_bound))
 
-    if n:
-        log_r = -np.sum(np.log(np.abs(1.0 - xs[:, None] * np.conj(fac.b2_zeros))), axis=1)
-        r_spread = float(np.max(log_r) - np.min(log_r))
-    else:
-        r_spread = 0.0
+    # log of the reciprocal factor 1/prod|1 - x conj(z)|: spread = max + max of -
+    r_max = _max_log_form(_log_form(1.0, den_zeros=fac.b2_zeros), span)
+    r_neg_max = _max_log_form(_log_form(-1.0, den_zeros=fac.b2_zeros), span)
+    r_spread = r_max.upper + r_neg_max.upper
     r_bound = n * np.log(2.0 / (1.0 - a))
     ok_r = _log_leq(r_spread, r_bound)
 
@@ -208,51 +403,32 @@ def factor_bounds(f: DiskFunction, a: float, grid: int = 10_000) -> FactorBounds
         all_pass=bool(ok_u and ok_b1 and ok_n and ok_r),
         extras={
             "outer_pass": ok_u, "b1_pass": ok_b1, "count_pass": ok_n,
-            "r_pass": ok_r, "grid": grid,
+            "r_pass": ok_r,
+            "segments": neg_u.segments + neg_b1.segments + r_max.segments
+            + r_neg_max.segments,
+            "gap": max(neg_u.gap, neg_b1.gap, r_max.gap + r_neg_max.gap),
             "log_r_spread": r_spread, "log_r_bound": float(r_bound),
         })
 
 
-def _refine_max(fun, lo: float, hi: float, n_grid: int) -> float:
-    """Max of a scalar vectorized function on [lo, hi]: dense grid plus a
-    bounded local search around the best grid point."""
-    if hi < lo:
-        raise ValueError("empty interval")
-    if hi == lo:
-        return float(fun(np.array([lo]))[0])
-    xs = np.linspace(lo, hi, n_grid)
-    vals = fun(xs)
-    i = int(np.argmax(vals))
-    best = float(vals[i])
-    left = xs[max(i - 1, 0)]
-    right = xs[min(i + 1, n_grid - 1)]
-    if right > left:
-        res = minimize_scalar(lambda t: -float(fun(np.array([t]))[0]),
-                              bounds=(left, right), method="bounded",
-                              options={"xatol": 1e-13})
-        best = max(best, float(-res.fun))
-    return best
-
-
 def max_log_abs_on_interval(f: DiskFunction, lo: float, hi: float,
-                            n_grid: int = 100_000) -> float:
-    return _refine_max(lambda x: log_abs_f(f, x), lo, hi, n_grid)
+                            n_grid: int | None = None) -> Extremum:
+    """Certified max of log|f| on [lo, hi]; `n_grid` is ignored."""
+    return _max_log_form(_log_form(1.0, f.zeros, f.zeros, f.atom_locs, f.atom_weights),
+                         [(lo, hi)])
 
 
 def sup_log_abs_on_set(f: DiskFunction, e: IntervalSet,
-                       per_component: int = 1000) -> float:
-    """sup log|f| over an interval union, component by component.
+                       per_component: int | None = None) -> Extremum:
+    """sup log|f| over an interval union; `per_component` is ignored.
 
-    Under-estimation is conservative here: the Remez inequality puts this on
-    the large side, so a too-small value can only make the check harder.
+    The Remez inequality puts this on the large side, so a caller takes the
+    attained value: an under-estimate can only make the check harder.
     """
     if e.n_components == 0 or e.total_length == 0.0:
         raise ValueError("set E must have positive length")
-    best = -np.inf
-    for lo, hi in e.pairs():
-        best = max(best, _refine_max(lambda x: log_abs_f(f, x), lo, hi,
-                                     per_component))
-    return best
+    return _max_log_form(_log_form(1.0, f.zeros, f.zeros, f.atom_locs, f.atom_weights),
+                         e.pairs())
 
 
 def remez_exponent(f: DiskFunction, a: float) -> float:
@@ -289,9 +465,15 @@ class RemezReport:
 
 
 def remez_check(f: DiskFunction, a: float, interval: tuple[float, float],
-                e: IntervalSet, n_grid: int = 100_000,
-                per_component: int = 1000) -> RemezReport:
-    """Verify max_I |f| <= (8 |I|/|E|)^sigma * sup_E |f| in log space."""
+                e: IntervalSet, n_grid: int | None = None,
+                per_component: int | None = None) -> RemezReport:
+    """Verify max_I |f| <= (8 |I|/|E|)^sigma * sup_E |f| in log space.
+
+    max_I is a certified upper bound and sup_E a value attained in E, so the
+    check can err only toward failing.  extras["segments"] counts the
+    segments bounded and extras["gap"] is the larger certified-minus-attained
+    gap of the two.  `n_grid` and `per_component` are accepted for
+    compatibility and ignored."""
     lo, hi = float(interval[0]), float(interval[1])
     if hi <= lo:
         raise ValueError("interval I must have positive length")
@@ -302,8 +484,9 @@ def remez_check(f: DiskFunction, a: float, interval: tuple[float, float],
     if not e.is_subset_of(IntervalSet.from_pairs([(lo, hi)]), tol=1e-12):
         raise ValueError("E must be a subset of I")
     sigma = remez_exponent(f, a)
-    log_max_i = max_log_abs_on_interval(f, lo, hi, n_grid)
-    log_sup_e = sup_log_abs_on_set(f, e, per_component)
+    max_i = max_log_abs_on_interval(f, lo, hi)
+    sup_e = sup_log_abs_on_set(f, e)
+    log_max_i, log_sup_e = max_i.upper, sup_e.attained
     ratio = REMEZ_CONSTANT * (hi - lo) / e.total_length
     log_bound = sigma * np.log(ratio) + log_sup_e
     passed = _log_leq(log_max_i, log_bound)
@@ -316,7 +499,9 @@ def remez_check(f: DiskFunction, a: float, interval: tuple[float, float],
         log_bound=float(log_bound),
         passed=passed,
         extras={"a": a, "interval": (lo, hi), "set_length": e.total_length,
-                "log_sup_e": float(log_sup_e)})
+                "log_sup_e": float(log_sup_e),
+                "segments": max_i.segments + sup_e.segments,
+                "gap": max(max_i.gap, sup_e.gap)})
 
 
 @dataclass(frozen=True)
@@ -328,13 +513,47 @@ class ClassicalRemezReport:
     extras: dict = field(default_factory=dict)
 
 
+def _poly_enclosure(coeffs: np.ndarray):
+    """Per segment, an upper bound of log|P| from the Taylor expansion at the
+    midpoint m, P(m + t) = sum_j p_j t^j with |t| <= r:
+    |P| <= max|p0 +- p1 r| + sum_{j>=2} |p_j| r^j.  The p_j at every
+    midpoint come from one product V(m) @ W, W[i, j] = C(i + j, j) a_{i+j}."""
+    n = coeffs.size - 1
+    i, j = np.indices((n + 1, n + 1))
+    binom = np.array([[math.comb(p + q, q) for q in range(n + 1)]
+                      for p in range(n + 1)], dtype=float)
+    shift = np.where(i + j <= n, binom * coeffs[np.minimum(i + j, n)], 0.0)
+
+    def enclose(x0, x1):
+        m = 0.5 * (x0 + x1)
+        r = 0.5 * (x1 - x0)
+        taylor = np.vander(m, n + 1, increasing=True) @ shift
+        p0 = taylor[:, 0]
+        p1r = taylor[:, 1] * r if n else 0.0
+        r_pow = np.vander(r, n + 1, increasing=True)
+        tail = np.sum(np.abs(taylor[:, 2:]) * r_pow[:, 2:], axis=1)
+        with np.errstate(divide="ignore"):
+            upper = np.log(np.maximum(np.abs(p0 + p1r), np.abs(p0 - p1r)) + tail)
+            value = np.log(np.abs(p0))
+        pad = ENCLOSURE_PAD * np.maximum(1.0, np.abs(upper))
+        return upper + pad, value, pad
+
+    return enclose
+
+
 def classical_remez_check(coeffs, interval: tuple[float, float], e: IntervalSet,
-                          n_grid: int = 100_000,
-                          per_component: int = 1000) -> ClassicalRemezReport:
-    """Classical polynomial Remez bound max_I |P| <= (4|I|/|E|)^deg * sup_E |P|."""
+                          n_grid: int | None = None,
+                          per_component: int | None = None) -> ClassicalRemezReport:
+    """Classical polynomial Remez bound max_I |P| <= (4|I|/|E|)^deg * sup_E |P|.
+
+    max_I is a certified upper bound and sup_E a value attained in E;
+    extras["segments"] and extras["gap"] are as in remez_check.  `n_grid`
+    and `per_component` are accepted for compatibility and ignored."""
     coeffs = np.asarray(coeffs, dtype=np.complex128).reshape(-1)
     nz = np.nonzero(coeffs)[0]
-    degree = int(nz[-1]) if nz.size else 0
+    if not nz.size:
+        raise ValueError("P must not vanish identically")
+    degree = int(nz[-1])
     lo, hi = float(interval[0]), float(interval[1])
     if hi <= lo:
         raise ValueError("interval I must have positive length")
@@ -343,14 +562,10 @@ def classical_remez_check(coeffs, interval: tuple[float, float], e: IntervalSet,
     if not e.is_subset_of(IntervalSet.from_pairs([(lo, hi)]), tol=1e-12):
         raise ValueError("E must be a subset of I")
 
-    def log_abs_p(x):
-        with np.errstate(divide="ignore"):
-            return np.log(np.abs(npp.polyval(x, coeffs)))
-
-    log_max_i = _refine_max(log_abs_p, lo, hi, n_grid)
-    log_sup_e = -np.inf
-    for clo, chi in e.pairs():
-        log_sup_e = max(log_sup_e, _refine_max(log_abs_p, clo, chi, per_component))
+    enclose = _poly_enclosure(coeffs[:degree + 1])
+    max_i = _certified_max(enclose, [(lo, hi)])
+    sup_e = _certified_max(enclose, e.pairs())
+    log_max_i, log_sup_e = max_i.upper, sup_e.attained
     ratio = CLASSICAL_REMEZ_CONSTANT * (hi - lo) / e.total_length
     log_rhs = degree * np.log(ratio) + log_sup_e
     passed = _log_leq(log_max_i, log_rhs)
@@ -359,7 +574,9 @@ def classical_remez_check(coeffs, interval: tuple[float, float], e: IntervalSet,
         rhs=float(np.exp(min(log_rhs, 700.0))),
         degree=degree,
         passed=passed,
-        extras={"log_lhs": float(log_max_i), "log_rhs": float(log_rhs)})
+        extras={"log_lhs": float(log_max_i), "log_rhs": float(log_rhs),
+                "segments": max_i.segments + sup_e.segments,
+                "gap": max(max_i.gap, sup_e.gap)})
 
 
 # Text format: lines "zero re im" / "atom theta weight" / "const theta".
@@ -373,18 +590,19 @@ def parse_disk_function(text: str) -> DiskFunction:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        fields = line.split()
-        kind = fields[0]
-        if kind == "zero" and len(fields) == 3:
-            zeros.append(complex(float(fields[1]), float(fields[2])))
-        elif kind == "atom" and len(fields) == 3:
-            theta, w = float(fields[1]), float(fields[2])
-            locs.append(np.exp(1j * theta))
-            weights.append(w)
-        elif kind == "const" and len(fields) == 2:
-            const = np.exp(1j * float(fields[1]))
-        else:
+        kind, *fields = line.split()
+        if len(fields) != {"zero": 2, "atom": 2, "const": 1}.get(kind):
             raise ValueError(f"line {lineno}: unrecognized disk-function record")
+        nums = [float(x) for x in fields]
+        if not np.all(np.isfinite(nums)):
+            raise ValueError(f"line {lineno}: numbers must be finite")
+        if kind == "zero":
+            zeros.append(complex(nums[0], nums[1]))
+        elif kind == "atom":
+            locs.append(np.exp(1j * nums[0]))
+            weights.append(nums[1])
+        else:
+            const = np.exp(1j * nums[0])
     return DiskFunction(np.array(zeros, dtype=np.complex128),
                         np.array(locs, dtype=np.complex128),
                         np.array(weights, dtype=float), const)

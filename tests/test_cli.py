@@ -29,8 +29,7 @@ THEOREM_CONFIG = {
 BASE_INPUTS = {
     "theorem": THEOREM_CONFIG["inputs"],
     "lemma-a": {"random_instances": 1, "resolution": 16},
-    "lemma-b": {"function": "zero 0 0\n", "a": 0.9, "grid": 101,
-                "per_component": 11},
+    "lemma-b": {"function": "zero 0 0\n", "a": 0.9},
     "lemma-c": {"delta": 0.125, "n": 2, "trials": 200, "r_grid": 11,
                 "alpha_grid": 5},
     "counterexample": {"family": "chebyshev", "degrees": [4, 8],
@@ -134,12 +133,17 @@ class TestValidation:
         ("counterexample", "ks_bound", float("nan")),
         ("counterexample", "ks_delta", float("nan")),
         ("all", "theorem", 5),
+        ("theorem", "poly", "nan 0 0 0\n0.5 0 1 0"),
+        ("lemma-a", "instance", "phi 0 0\nphi 1 inf\nS 0 1\nE 0 0.5\nlambda 2"),
+        ("lemma-b", "function", "zero nan 0\n"),
+        ("lemma-b", "grid", 101),
     ], ids=["empty-lambdas", "nan-radius", "nan-strong_form_c", "one-degree",
             "inf-lambda", "string-lambda", "string-normalize", "unknown-key",
             "nan-center", "bool-seed", "negative-seed", "misspelled-inputs",
             "int-output_dir", "int-instance", "int-interval", "zero-trials",
             "zero-samples", "degree-400", "counterexample-empty-lambdas",
-            "nan-ks_bound", "nan-ks_delta", "all-int-inputs"])
+            "nan-ks_bound", "nan-ks_delta", "all-int-inputs", "nan-poly",
+            "inf-instance", "nan-function", "dropped-grid"])
     def test_vacuous_or_nan_input_names_field(self, tmp_path, capsys, sub,
                                               field, value):
         cfg = {"subcommand": sub, "seed": 1,
@@ -262,8 +266,7 @@ class TestOtherSubcommands:
     def test_lemma_b_given_function(self, tmp_path):
         cfg = {"subcommand": "lemma-b", "seed": 7,
                "inputs": {"function": "zero 0 0\n", "a": 0.9,
-                          "interval": [0.0, 0.9], "set": [[0.0, 0.09]],
-                          "grid": 10_001, "per_component": 301}}
+                          "interval": [0.0, 0.9], "set": [[0.0, 0.09]]}}
         out = tmp_path / "out"
         rc = main(["lemma-b", "--config", str(write_config(tmp_path, cfg)),
                    "--out", str(out)])

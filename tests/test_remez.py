@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npp
 
 from sublevel_lab.intervals import IntervalSet
 from sublevel_lab.remez import (DiskFunction, blaschke_log_abs,
@@ -10,7 +11,9 @@ from sublevel_lab.remez import (DiskFunction, blaschke_log_abs,
                                 log_abs_f, parse_disk_function,
                                 random_disk_function, remez_check,
                                 remez_exponent, split_criterion, split_zeros,
-                                symmetric_exponent, sup_log_abs_on_set)
+                                symmetric_exponent, sup_log_abs_on_set,
+                                _certified_max, _log_form, _log_form_enclosure,
+                                _max_log_form, _poly_enclosure)
 
 EMPTY = np.array([], dtype=complex)
 
@@ -240,8 +243,8 @@ class TestRemezCheck:
         ratio_small = sigma * math.log(8 * 0.9 / e_small.total_length)
         ratio_large = sigma * math.log(8 * 0.9 / e_large.total_length)
         assert ratio_large < ratio_small
-        sup_small = sup_log_abs_on_set(f, e_small, 301)
-        sup_large = sup_log_abs_on_set(f, e_large, 301)
+        sup_small = sup_log_abs_on_set(f, e_small).attained
+        sup_large = sup_log_abs_on_set(f, e_large).attained
         assert sup_large >= sup_small
 
 
@@ -283,6 +286,61 @@ class TestClassicalRemez:
             if e.total_length < 0.05:
                 continue
             assert classical_remez_check(coeffs, (lo, hi), e, 20_001, 501).passed
+
+
+class TestEnclosures:
+    """Every per-segment bound and every certified extremum is checked
+    against point values from the independent evaluators (log_abs_f, polyval)."""
+
+    @staticmethod
+    def _segments(rng, n):
+        ends = np.sort(rng.uniform(-0.99, 0.99, (n, 2)), axis=1)
+        # half the segments short, where the centered bound decides
+        short = ends[::2, 0] + rng.uniform(1e-6, 1e-2, ends[::2].shape[0])
+        ends[::2, 1] = np.minimum(short, 0.99)
+        return ends[:, 0], ends[:, 1]
+
+    @staticmethod
+    def _points(rng, x0, x1, n=2000):
+        return x0[:, None] + (x1 - x0)[:, None] * rng.random((x0.size, n))
+
+    def test_disk_forms(self):
+        rng = np.random.default_rng(4242)
+        for _ in range(200):
+            f = random_disk_function(rng)
+            x0, x1 = self._segments(rng, 2)
+            pts = self._points(rng, x0, x1)
+            exact = log_abs_f(f, pts)
+            lo, hi = x0[1], x1[1]
+            grid = log_abs_f(f, np.linspace(lo, hi, 20_001))
+            for sign in (1.0, -1.0):
+                g = _log_form(sign, f.zeros, f.zeros, f.atom_locs, f.atom_weights)
+                if g.empty:
+                    continue
+                upper, value, _ = _log_form_enclosure(g)(x0, x1)
+                assert np.all(upper[:, None] >= sign * exact)
+                assert np.all(value <= upper)
+                # at sign -1 this says the certified min of log|f| is <= the grid min
+                best = _max_log_form(g, [(lo, hi)])
+                assert best.upper >= np.max(sign * grid)
+                assert best.attained <= best.upper
+
+    def test_polynomials(self):
+        rng = np.random.default_rng(4243)
+        for _ in range(100):
+            deg = int(rng.integers(0, 21))
+            coeffs = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
+            x0, x1 = self._segments(rng, 2)
+            upper, value, _ = _poly_enclosure(coeffs)(x0, x1)
+            pts = self._points(rng, x0, x1)
+            with np.errstate(divide="ignore"):
+                exact = np.log(np.abs(npp.polyval(pts, coeffs)))
+            assert np.all(upper[:, None] >= exact)
+            assert np.all(value <= upper)
+            lo, hi = x0[1], x1[1]
+            grid = np.log(np.abs(npp.polyval(np.linspace(lo, hi, 20_001), coeffs)))
+            best = _certified_max(_poly_enclosure(coeffs), [(lo, hi)])
+            assert best.upper >= np.max(grid)
 
 
 class TestTextFormat:
