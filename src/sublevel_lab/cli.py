@@ -3,11 +3,12 @@
 Usage:  sublevel-lab <subcommand> --config <path> [--out <dir>] [--threads <k>]
         sublevel-lab suite [--seed <s>] [--out <dir>] [--threads <k>]
 
-Every run writes manifest.json (the exact config echoed back, plus the tool
-version), report.csv and report.json to the output directory, and exits 0
-exactly when every reported row passes.  All randomness flows from the
-single seed in the config; environment variables are never consulted, and
-the worker count cannot change any reported number.
+Every run writes manifest.json (the exact config echoed back, plus the tool,
+Python and numpy versions the bytes depend on), report.csv and report.json
+to the output directory, and exits 0 exactly when every reported row
+passes.  All randomness flows from the single seed in the config;
+environment variables are never consulted, and the worker count cannot
+change any reported number.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import argparse
 import json
 import math
 import operator
+import platform
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -183,7 +185,22 @@ def _read_inputs(sub: str, inputs) -> dict:
         _require(raw is not _REQUIRED, f"{name} is required")
         values[name] = (None if raw is None and f.default is None
                         else _read_value(name, f, raw))
+    if sub == "theorem":
+        _check_theorem(values)
     return values
+
+
+def _check_theorem(v: dict) -> None:
+    """The theorem checks that span fields."""
+    _require(v["center"] is None or len(v["center"]) == v["poly"].dim,
+             "center must match the polynomial dimension")
+    samples = v["samples"]
+    for i, lam in enumerate(v["lambdas"]):
+        # a tail bound exp(-lambda) under one sample's worth of mass passes
+        # on an empty tail whatever the function does
+        _require(samples * math.exp(-lam) >= 1.0,
+                 f"lambdas[{i}] must have samples * exp(-lambda) >= 1, "
+                 f"got {lam!r} at {samples} samples")
 
 
 def load_config(path: str) -> dict:
@@ -210,8 +227,6 @@ def _run_theorem(inputs: dict, seed: int, threads: int):
     if v["normalize"]:
         poly = normalize(poly)
     center = v["center"] if v["center"] is not None else [0.0] * poly.dim
-    _require(len(center) == poly.dim,
-             "center must match the polynomial dimension")
     spec = BallSpec(np.asarray(center), v["radius"], v["epsilon"])
     lambdas, samples = v["lambdas"], v["samples"]
 
@@ -426,7 +441,8 @@ def _write_report(out: Path, config: dict, header: list[str], csv_rows,
                   rows: list[dict], summary: dict) -> None:
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / "manifest.json",
-               {"config": config, "tool_version": __version__})
+               {"config": config, "tool_version": __version__,
+                "python": platform.python_version(), "numpy": np.__version__})
     if csv_rows is None:
         csv_rows = [[r[k] for k in header] for r in rows]
     write_csv(out / "report.csv", header, csv_rows)

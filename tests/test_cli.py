@@ -1,9 +1,11 @@
 import contextlib
 import io
 import json
+import platform
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -137,13 +139,15 @@ class TestValidation:
         ("lemma-a", "instance", "phi 0 0\nphi 1 inf\nS 0 1\nE 0 0.5\nlambda 2"),
         ("lemma-b", "function", "zero nan 0\n"),
         ("lemma-b", "grid", 101),
+        ("theorem", "lambdas", [1e12]),
     ], ids=["empty-lambdas", "nan-radius", "nan-strong_form_c", "one-degree",
             "inf-lambda", "string-lambda", "string-normalize", "unknown-key",
             "nan-center", "bool-seed", "negative-seed", "misspelled-inputs",
             "int-output_dir", "int-instance", "int-interval", "zero-trials",
             "zero-samples", "degree-400", "counterexample-empty-lambdas",
             "nan-ks_bound", "nan-ks_delta", "all-int-inputs", "nan-poly",
-            "inf-instance", "nan-function", "dropped-grid"])
+            "inf-instance", "nan-function", "dropped-grid",
+            "lambda-beyond-sample"])
     def test_vacuous_or_nan_input_names_field(self, tmp_path, capsys, sub,
                                               field, value):
         cfg = {"subcommand": sub, "seed": 1,
@@ -158,6 +162,16 @@ class TestValidation:
         assert rc == 2
         assert field in capsys.readouterr().err
         assert not (out / "report.json").exists()
+
+    def test_all_rejects_before_first_write(self, tmp_path, capsys):
+        cfg = {"subcommand": "all", "seed": 1,
+               "inputs": {"theorem": {"lambdas": [1e12]}}}
+        out = tmp_path / "out"
+        rc = main(["all", "--config", str(write_config(tmp_path, cfg)),
+                   "--out", str(out)])
+        assert rc == 2
+        assert "lambdas" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def strict_json(path: Path):
@@ -219,10 +233,10 @@ class TestTheoremRun:
         rc = main(["theorem", "--config", str(out1 / "manifest.json"),
                    "--out", str(out2)])
         assert rc == 0
-        assert (out1 / "report.csv").read_bytes() == \
-            (out2 / "report.csv").read_bytes()
-        assert (out1 / "report.json").read_bytes() == \
-            (out2 / "report.json").read_bytes()
+        manifest = json.loads((out1 / "manifest.json").read_text())
+        assert manifest["python"] == platform.python_version()
+        assert manifest["numpy"] == np.__version__
+        assert read_all(out1) == read_all(out2)
 
     def test_threads_do_not_change_bytes(self, tmp_path):
         out1 = tmp_path / "t1"

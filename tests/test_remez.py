@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npp
 
+from sublevel_lab import remez
 from sublevel_lab.intervals import IntervalSet
 from sublevel_lab.remez import (DiskFunction, blaschke_log_abs,
                                 classical_remez_check, eval_disk_function,
@@ -356,3 +361,21 @@ class TestTextFormat:
     def test_bad_record(self):
         with pytest.raises(ValueError, match="line 1"):
             parse_disk_function("pole 0.5 0.5\n")
+
+
+class TestImportPath:
+    def test_cli_import_leaves_scipy_out(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = ("import sys, sublevel_lab.cli; print(sorted(m for m in "
+                "sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
+    def test_lazy_names(self):
+        with pytest.raises(AttributeError):
+            getattr(remez, "no_such_name")
+        pytest.importorskip("scipy")
+        assert callable(remez.minimize_scalar)
