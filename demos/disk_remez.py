@@ -41,7 +41,7 @@ print(f"exponent (symmetric form)  = {symmetric_exponent(f, a):.3f}")
 
 interval = (-0.6, 0.8)
 e = IntervalSet.from_pairs([(-0.5, -0.2), (0.1, 0.15), (0.4, 0.45)])
-rep = remez_check(f, a, interval, e, n_grid=50_000, per_component=500)
+rep = remez_check(f, a, interval, e)
 print(f"\nmax over I     = {rep.max_i:.4e}")
 print(f"sup over E     = {rep.sup_e:.4e}  (|E| = {e.total_length:.3f})")
 print(f"log max_I      = {rep.log_max_i:.3f} <= log bound = {rep.log_bound:.3f}")

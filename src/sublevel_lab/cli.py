@@ -30,7 +30,8 @@ from .kls import localization_check_1d, parse_instance, random_instance
 from .mobius import run_all_checks
 from .poly import normalize, parse_poly
 from .remez import (classical_remez_check, factor_bounds, parse_disk_function,
-                    random_disk_function, random_subset, remez_check)
+                    random_disk_function, random_subset, remez_check,
+                    remez_exponent)
 from .reports import write_csv, write_json
 from .sampling import STREAM_SUITE, chunk_rng, ks_distance
 from .thinrect import (build_function, chebyshev_on_quarter, disk_normalized,
@@ -66,9 +67,8 @@ class Field:
 
 
 # The one reference for every subcommand's inputs.  Caps bound run time and
-# memory; `resolution` is accepted only for compatibility, because the dense
-# core is computed in closed form.  Degrees stop at 32, where the power-basis
-# Chebyshev coefficients already err by ~4e7.
+# memory.  Degrees stop at 32, where the power-basis Chebyshev coefficients
+# already err by ~4e7.
 FIELDS = {
     "theorem": {
         "poly": Field("str", parse=parse_poly),
@@ -83,7 +83,6 @@ FIELDS = {
     "lemma-a": {
         "instance": Field("str", None, parse=parse_instance),
         "random_instances": Field("int", 0, ge=0, le=10_000),
-        "resolution": Field("int", 512, ge=2, le=1 << 16),
     },
     "lemma-b": {
         "function": Field("str", None, parse=parse_disk_function),
@@ -117,6 +116,13 @@ FIELDS = {
 # `all` takes one optional inputs object per subcommand.
 FIELDS["all"] = {name: Field("object", {}) for name in FIELDS}
 SUBCOMMANDS = tuple(FIELDS)
+
+# Fields that only qualify another field: given without their partner they
+# would be read and then ignored.
+PARTNERS = {
+    "lemma-b": {"a": "function", "interval": "function", "set": "function"},
+    "counterexample": {"ks_degree": "ks_delta", "ks_bound": "ks_delta"},
+}
 
 
 def _require(cond: bool, message: str):
@@ -175,7 +181,9 @@ def _read_value(name: str, f: Field, value):
 
 def _read_inputs(sub: str, inputs) -> dict:
     """The inputs of `sub` read against FIELDS[sub]: typed, range-checked,
-    defaults filled in.  Any departure is a ConfigError naming the field."""
+    defaults filled in (derived ones too), and checked across fields so that
+    a run fails before it writes.  Any departure is a ConfigError naming the
+    field."""
     _require(isinstance(inputs, dict), f"{sub} inputs must be a JSON object")
     unknown = sorted(set(inputs) - set(FIELDS[sub]))
     _require(not unknown, f"unknown {sub} input field(s): {', '.join(unknown)}")
@@ -185,15 +193,29 @@ def _read_inputs(sub: str, inputs) -> dict:
         _require(raw is not _REQUIRED, f"{name} is required")
         values[name] = (None if raw is None and f.default is None
                         else _read_value(name, f, raw))
-    if sub == "theorem":
-        _check_theorem(values)
+    for name, partner in PARTNERS.get(sub, {}).items():
+        _require(inputs.get(name) is None or values[partner] is not None,
+                 f"{name} requires {partner}")
+    if sub in _CHECKS:
+        _CHECKS[sub](values)
     return values
+
+
+def _check(field: str, check, *args):
+    """Run a package check on read inputs; its ValueError names `field`."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{field}: {exc}") from None
 
 
 def _check_theorem(v: dict) -> None:
     """The theorem checks that span fields."""
     _require(v["center"] is None or len(v["center"]) == v["poly"].dim,
              "center must match the polynomial dimension")
+    center = v["center"] if v["center"] is not None else [0.0] * v["poly"].dim
+    v["spec"] = _check("radius", BallSpec, np.asarray(center), v["radius"],
+                       v["epsilon"])
     samples = v["samples"]
     for i, lam in enumerate(v["lambdas"]):
         # a tail bound exp(-lambda) under one sample's worth of mass passes
@@ -201,6 +223,48 @@ def _check_theorem(v: dict) -> None:
         _require(samples * math.exp(-lam) >= 1.0,
                  f"lambdas[{i}] must have samples * exp(-lambda) >= 1, "
                  f"got {lam!r} at {samples} samples")
+
+
+def _check_lemma_a(v: dict) -> None:
+    _require(v["instance"] is not None or v["random_instances"] > 0,
+             "instance or random_instances must be given")
+
+
+def _check_lemma_b(v: dict) -> None:
+    """The given function's interval lies in [-a, a] and its set in the
+    interval, and f does not vanish at +-a."""
+    _require(v["function"] is not None or v["random_instances"] > 0
+             or v["classical_instances"] > 0,
+             "function, random_instances or classical_instances required")
+    if v["function"] is None:
+        return
+    _require(v["a"] is not None, "a is required with function")
+    a = v["a"]
+    if v["interval"] is None:
+        v["interval"] = [-a, a]
+    lo, hi = v["interval"]
+    if v["set"] is None:
+        v["set"] = [[lo, lo + (hi - lo) / 5.0]]
+    interval = IntervalSet.from_pairs([v["interval"]])
+    _require(interval.is_subset_of(IntervalSet.from_pairs([(-a, a)])),
+             f"interval must lie in [-a, a], got {v['interval']!r}")
+    _require(IntervalSet.from_pairs(v["set"]).is_subset_of(interval),
+             f"set must lie in interval, got {v['set']!r}")
+    _check("a", remez_exponent, v["function"], a)
+
+
+def _check_counterexample(v: dict) -> None:
+    """eta is admissible for every family member and the KS member."""
+    if v["ks_delta"] is not None and v["ks_degree"] is None:
+        v["ks_degree"] = v["degrees"][0]
+    degrees = v["degrees"] + ([v["ks_degree"]] if v["ks_delta"] is not None
+                              else [])
+    for q in _family_coeffs(v, degrees):
+        _check("eta", build_function, q, v["eta"])
+
+
+_CHECKS = {"theorem": _check_theorem, "lemma-a": _check_lemma_a,
+           "lemma-b": _check_lemma_b, "counterexample": _check_counterexample}
 
 
 def load_config(path: str) -> dict:
@@ -226,9 +290,7 @@ def _run_theorem(inputs: dict, seed: int, threads: int):
     poly = v["poly"]
     if v["normalize"]:
         poly = normalize(poly)
-    center = v["center"] if v["center"] is not None else [0.0] * poly.dim
-    spec = BallSpec(np.asarray(center), v["radius"], v["epsilon"])
-    lambdas, samples = v["lambdas"], v["samples"]
+    spec, lambdas, samples = v["spec"], v["lambdas"], v["samples"]
 
     qb = check_quantile_bounds(poly, spec, lambdas, samples, seed, threads)
     c = qb.quantile if v["strong_form_c"] is None else v["strong_form_c"]
@@ -264,8 +326,6 @@ def _run_theorem(inputs: dict, seed: int, threads: int):
 
 def _run_lemma_a(inputs: dict, seed: int, threads: int):
     v = _read_inputs("lemma-a", inputs)
-    _require(v["instance"] is not None or v["random_instances"] > 0,
-             "instance or random_instances must be given")
     named = []
     if v["instance"] is not None:
         named.append(("instance", v["instance"]))
@@ -274,7 +334,7 @@ def _run_lemma_a(inputs: dict, seed: int, threads: int):
               for k in range(v["random_instances"])]
     rows = []
     for name, inst in named:
-        rep = localization_check_1d(inst, v["resolution"])
+        rep = localization_check_1d(inst)
         rows.append({"check": name, "lambda": inst.lam,
                      "lhs_inner": rep.lhs_inner, "lhs_outer": rep.lhs_outer,
                      "rhs": rep.rhs, "pass": rep.passed})
@@ -284,11 +344,6 @@ def _run_lemma_a(inputs: dict, seed: int, threads: int):
 
 def _run_lemma_b(inputs: dict, seed: int, threads: int):
     v = _read_inputs("lemma-b", inputs)
-    _require(v["function"] is not None or v["random_instances"] > 0
-             or v["classical_instances"] > 0,
-             "function, random_instances or classical_instances required")
-    _require(v["function"] is None or v["a"] is not None,
-             "a is required with function")
     rows = []
 
     def record(name, a, stat, bound, ok):
@@ -307,11 +362,8 @@ def _run_lemma_b(inputs: dict, seed: int, threads: int):
         record(f"{tag}_remez", a, rz.log_max_i, rz.log_bound, rz.passed)
 
     if v["function"] is not None:
-        a = v["a"]
-        lo, hi = v["interval"] if v["interval"] is not None else (-a, a)
-        pairs = v["set"] if v["set"] is not None else [[lo, lo + (hi - lo) / 5.0]]
-        run_one("given", v["function"], a, (lo, hi),
-                IntervalSet.from_pairs(pairs))
+        run_one("given", v["function"], v["a"], tuple(v["interval"]),
+                IntervalSet.from_pairs(v["set"]))
 
     rng = chunk_rng(seed, STREAM_SUITE, 1)
     for k in range(v["random_instances"]):
@@ -365,15 +417,14 @@ def _run_counterexample(inputs: dict, seed: int, threads: int):
              "pass": report.passed} for r in report.rows]
 
     if v["ks_delta"] is not None:
-        ks_degree = (v["ks_degree"] if v["ks_degree"] is not None
-                     else v["degrees"][0])
-        f = build_function(_family_coeffs(v, [ks_degree])[0], eta)
+        f = build_function(_family_coeffs(v, [v["ks_degree"]])[0], eta)
         rect = rectangle_moduli(f, v["ks_delta"], samples, seed, threads)
         lim = limit_moduli(f, samples, seed + 1, threads)
         ks = ks_distance(rect.sorted_moduli, lim.sorted_moduli)
         rows.append({"check": "ks_limit", "delta": v["ks_delta"], "ks": ks,
                      "bound": v["ks_bound"], "pass": ks <= v["ks_bound"]})
-        csv_rows.append([ks_degree, f.f0_abs, 0.0, 0.0, ks, samples, seed])
+        csv_rows.append([v["ks_degree"], f.f0_abs, 0.0, 0.0, ks, samples,
+                         seed])
     return rows, header, csv_rows
 
 
@@ -391,7 +442,7 @@ def _default_config(sub: str, seed: int, inputs: dict) -> dict:
         "theorem": {"poly": "0.5 0 0 0\n0.5 0 1 0", "epsilon": 0.25,
                     "radius": 0.7, "center": [0.0, 0.0],
                     "lambdas": [1.5, 2.0, 4.0, 8.0], "samples": 50_000},
-        "lemma-a": {"random_instances": 25, "resolution": 256},
+        "lemma-a": {"random_instances": 25},
         "lemma-b": {"random_instances": 10, "classical_instances": 5},
         "lemma-c": {"delta": 0.125, "n": 2, "trials": 20_000,
                     "r_grid": 2_001, "alpha_grid": 181},
@@ -460,7 +511,6 @@ SUITE_DEFAULTS = {
     "logconcavity_trials": 20_000,
     "r_grid": 2_001,
     "alpha_grid": 181,
-    "resolution": 256,
 }
 
 
@@ -482,8 +532,7 @@ def suite(seed: int, out_dir: str, threads: int = 1) -> bool:
     verdicts = [("criterion-1 map properties", ok)]
     for name, sub, inputs in (
             ("criterion-2 localization", "lemma-a",
-             {"random_instances": d["random_localization_instances"],
-              "resolution": d["resolution"]}),
+             {"random_instances": d["random_localization_instances"]}),
             ("criterion-3 disk remez", "lemma-b",
              {"random_instances": d["random_disk_functions"],
               "classical_instances": d["classical_instances"]}),

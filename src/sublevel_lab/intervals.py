@@ -69,8 +69,8 @@ class IntervalSet:
     def pairs(self) -> list[tuple[float, float]]:
         return [(float(l), float(u)) for l, u in zip(self.lower, self.upper)]
 
-    def contains_point(self, x: float, tol: float = 0.0) -> bool:
-        return bool(np.any((self.lower - tol <= x) & (x <= self.upper + tol)))
+    def contains_point(self, x: float) -> bool:
+        return bool(np.any((self.lower <= x) & (x <= self.upper)))
 
     def is_subset_of(self, other: "IntervalSet", tol: float = 0.0) -> bool:
         """Every component lies inside some component of `other`."""

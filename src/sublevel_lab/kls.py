@@ -228,7 +228,8 @@ def localization_check_1d(inst: LocalizationInstance,
     The reported pass uses the padded outer core, which can only
     overestimate the left side; rounding therefore produces false failures,
     never false passes.  The dense core is computed in closed form, so
-    `resolution` is only range-checked and changes no number.
+    `resolution` is only range-checked and changes no number; it stays
+    because the benchmark (bench/workloads.py) passes it positionally.
     """
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
@@ -295,12 +296,11 @@ def format_instance(inst: LocalizationInstance) -> str:
     return "\n".join(lines) + "\n"
 
 
-def random_instance(rng: np.random.Generator, max_pieces: int = 8,
-                    max_components: int = 10,
-                    lam_range: tuple[float, float] = (1.1, 5.0)) -> LocalizationInstance:
-    """Randomized 1-D instance: concave piecewise-linear log density whose
-    support contains S, and E a union of subintervals of S."""
-    n_pieces = int(rng.integers(1, max_pieces + 1))
+def random_instance(rng: np.random.Generator) -> LocalizationInstance:
+    """Randomized 1-D instance: concave piecewise-linear log density of 1 to
+    8 pieces whose support contains S, E a union of 1 to 10 subintervals of
+    S, and lambda uniform in [1.1, 5)."""
+    n_pieces = int(rng.integers(1, 9))
     bps = np.sort(rng.uniform(-2.0, 2.0, n_pieces + 1))
     while np.min(np.diff(bps)) < 1e-3:
         bps = np.sort(rng.uniform(-2.0, 2.0, n_pieces + 1))
@@ -314,7 +314,7 @@ def random_instance(rng: np.random.Generator, max_pieces: int = 8,
     s1 = hi - rng.uniform(0.0, 0.2) * width
     if s1 - s0 < 0.3 * width:
         s0, s1 = lo, hi
-    n_comp = int(rng.integers(1, max_components + 1))
+    n_comp = int(rng.integers(1, 11))
     cuts = np.sort(rng.uniform(s0, s1, 2 * n_comp))
     pairs = [(cuts[2 * k], cuts[2 * k + 1]) for k in range(n_comp)]
     e = IntervalSet.from_pairs(pairs)
@@ -322,5 +322,5 @@ def random_instance(rng: np.random.Generator, max_pieces: int = 8,
         shrink = 0.9 * (s1 - s0) / e.total_length
         pairs = [(l, l + (u - l) * shrink) for l, u in e.pairs()]
         e = IntervalSet.from_pairs(pairs)
-    lam = float(rng.uniform(*lam_range))
+    lam = float(rng.uniform(1.1, 5.0))
     return LocalizationInstance(density, (float(s0), float(s1)), e, lam)

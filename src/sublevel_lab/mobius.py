@@ -26,6 +26,7 @@ MEMBERSHIP_TOL = 1e-12
 CONTAINMENT_MARGIN = 1e-9
 CURVATURE_BOUND = 25.0 / 27.0
 LOGDERIV_RATIO_BOUND = 1.0 / 30.0
+RADIAL_GRID = 10_000
 
 
 @dataclass(frozen=True)
@@ -176,10 +177,10 @@ def check_radial_profile(params: MapParams, grid_points: int = 10_000) -> CheckR
 
 
 def check_log_concavity(params: MapParams, n: int, trials: int, seed: int,
-                        threads: int = 1, radial_grid: int = 10_000) -> CheckReport:
+                        threads: int = 1) -> CheckReport:
     """Midpoint log-concavity of the Jacobian over random segment pairs, plus
     concavity (nonpositive second differences) of both closed-form radial
-    factors on a uniform grid."""
+    factors on a uniform grid of RADIAL_GRID points."""
     if n < 1:
         raise ValueError("n must be >= 1")
     r0 = params.injectivity_radius
@@ -198,7 +199,7 @@ def check_log_concavity(params: MapParams, n: int, trials: int, seed: int,
     worst = float(np.min(defects)) if defects.size else 0.0
 
     # concavity of both radial factors along the radius
-    rs = np.linspace(0.0, r0, radial_grid)
+    rs = np.linspace(0.0, r0, RADIAL_GRID)
     R = rs * rs
     m = mobius_factor(R, params)
     radial = m + 2.0 * R * mobius_factor_d1(R, params)
@@ -214,7 +215,7 @@ def check_log_concavity(params: MapParams, n: int, trials: int, seed: int,
             "trials": trials,
             "max_second_diff_factor": sd_m,
             "max_second_diff_radial": sd_radial,
-            "radial_grid": radial_grid,
+            "radial_grid": RADIAL_GRID,
         })
 
 

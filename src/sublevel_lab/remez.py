@@ -27,9 +27,10 @@ from .intervals import IntervalSet
 
 
 def __getattr__(name: str):
-    # The benchmark tracer still wraps remez.minimize_scalar, which the
-    # package no longer calls; resolving it lazily keeps scipy off the
-    # import path.  Goes away with that wrap in the next benchmark change.
+    # The benchmark tracer (bench/tracing.py) still wraps
+    # remez.minimize_scalar, which the package no longer calls; resolving it
+    # lazily keeps scipy off the import path.  Goes away with that wrap in
+    # the next benchmark change.
     if name == "minimize_scalar":
         from scipy.optimize import minimize_scalar
         return minimize_scalar
@@ -351,8 +352,7 @@ class FactorBoundsReport:
     extras: dict = field(default_factory=dict)
 
 
-def factor_bounds(f: DiskFunction, a: float,
-                  grid: int | None = None) -> FactorBoundsReport:
+def factor_bounds(f: DiskFunction, a: float) -> FactorBoundsReport:
     """Verify the four factor estimates on [-a, a]:
 
     outer factor:  min |U| >= |U(a)U(-a)|^(1/(1-a^2))
@@ -363,8 +363,7 @@ def factor_bounds(f: DiskFunction, a: float,
     Both minima are certified lower bounds and the spread of the reciprocal
     factor a certified upper bound, so each check can err only toward
     failing.  extras["segments"] counts the segments bounded and
-    extras["gap"] is the largest certified-minus-attained gap.  `grid` is
-    accepted for compatibility and ignored.
+    extras["gap"] is the largest certified-minus-attained gap.
     """
     if not (0.0 < a < 1.0):
         raise ValueError("a must lie in (0, 1)")
@@ -420,16 +419,14 @@ def factor_bounds(f: DiskFunction, a: float,
         })
 
 
-def max_log_abs_on_interval(f: DiskFunction, lo: float, hi: float,
-                            n_grid: int | None = None) -> Extremum:
-    """Certified max of log|f| on [lo, hi]; `n_grid` is ignored."""
+def max_log_abs_on_interval(f: DiskFunction, lo: float, hi: float) -> Extremum:
+    """Certified max of log|f| on [lo, hi]."""
     return _max_log_form(_log_form(1.0, f.zeros, f.zeros, f.atom_locs, f.atom_weights),
                          [(lo, hi)])
 
 
-def sup_log_abs_on_set(f: DiskFunction, e: IntervalSet,
-                       per_component: int | None = None) -> Extremum:
-    """sup log|f| over an interval union; `per_component` is ignored.
+def sup_log_abs_on_set(f: DiskFunction, e: IntervalSet) -> Extremum:
+    """sup log|f| over an interval union.
 
     The Remez inequality puts this on the large side, so a caller takes the
     attained value: an under-estimate can only make the check harder.
@@ -481,8 +478,8 @@ def remez_check(f: DiskFunction, a: float, interval: tuple[float, float],
     max_I is a certified upper bound and sup_E a value attained in E, so the
     check can err only toward failing.  extras["segments"] counts the
     segments bounded and extras["gap"] is the larger certified-minus-attained
-    gap of the two.  `n_grid` and `per_component` are accepted for
-    compatibility and ignored."""
+    gap of the two.  `n_grid` and `per_component` are ignored; they stay
+    because the benchmark (bench/workloads.py) passes them positionally."""
     lo, hi = float(interval[0]), float(interval[1])
     if hi <= lo:
         raise ValueError("interval I must have positive length")
@@ -557,7 +554,8 @@ def classical_remez_check(coeffs, interval: tuple[float, float], e: IntervalSet,
 
     max_I is a certified upper bound and sup_E a value attained in E;
     extras["segments"] and extras["gap"] are as in remez_check.  `n_grid`
-    and `per_component` are accepted for compatibility and ignored."""
+    and `per_component` are ignored; they stay because the benchmark
+    (bench/workloads.py) passes them positionally."""
     coeffs = np.asarray(coeffs, dtype=np.complex128).reshape(-1)
     nz = np.nonzero(coeffs)[0]
     if not nz.size:
@@ -626,14 +624,13 @@ def format_disk_function(f: DiskFunction) -> str:
     return "\n".join(lines) + "\n"
 
 
-def random_disk_function(rng: np.random.Generator, max_zeros: int = 30,
-                         max_atoms: int = 5) -> DiskFunction:
-    """Random disk function: up to `max_zeros` zeros of modulus < 0.995 and
-    up to `max_atoms` outer atoms of weight in [1e-3, 0.501)."""
-    n_zeros = int(rng.integers(0, max_zeros + 1))
+def random_disk_function(rng: np.random.Generator) -> DiskFunction:
+    """Random disk function: 0 to 30 zeros of modulus < 0.995 and 0 to 5
+    outer atoms of weight in [1e-3, 0.501)."""
+    n_zeros = int(rng.integers(0, 31))
     radii = np.sqrt(rng.random(n_zeros)) * 0.995
     zeros = radii * np.exp(1j * rng.random(n_zeros) * 2.0 * np.pi)
-    n_atoms = int(rng.integers(0, max_atoms + 1))
+    n_atoms = int(rng.integers(0, 6))
     locs = np.exp(1j * rng.random(n_atoms) * 2.0 * np.pi)
     weights = rng.random(n_atoms) * 0.5 + 1e-3
     const = np.exp(1j * rng.random() * 2.0 * np.pi)

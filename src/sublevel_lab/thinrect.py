@@ -34,6 +34,8 @@ BOUNDARY_SAMPLES = 10_000
 RECT_X_MAX = 0.25
 ORACLE_GRID = 1 << 17
 REFINE_ITERS = 40
+# the ball theorem's epsilon at which growth_experiment reports its exponent
+THEOREM_EPSILON = 0.25
 
 
 @dataclass(frozen=True)
@@ -188,21 +190,21 @@ def required_exponent(f: ThinRectFunction, delta: float, lam: float,
 # ----------------------------------------------------------------------
 # Quadrature oracle for the limit law (independent of the sampler).
 
-def _grid_moduli(q: np.ndarray, eta: float, grid: int):
-    """The oracle grid linspace(0, 1/4, grid + 1) and |eta Q| on it."""
-    ts = np.linspace(0.0, RECT_X_MAX, grid + 1)
+def _grid_moduli(q: np.ndarray, eta: float):
+    """The oracle grid linspace(0, 1/4, ORACLE_GRID + 1) and |eta Q| on it."""
+    ts = np.linspace(0.0, RECT_X_MAX, ORACLE_GRID + 1)
     return ts, np.abs(eta * npp.polyval(ts, q))
 
 
 def _sublevel_measure(q: np.ndarray, eta: float, s: float, ts: np.ndarray,
-                      moduli: np.ndarray, refine_iters: int) -> float:
+                      moduli: np.ndarray) -> float:
     """sublevel_measure with the grid moduli |eta Q(ts)| already computed."""
     below = moduli <= s
     flips = np.nonzero(below[:-1] != below[1:])[0]
     if flips.size:
         lo = ts[flips].copy()
         hi = ts[flips + 1].copy()
-        for _ in range(refine_iters):
+        for _ in range(REFINE_ITERS):
             mid = 0.5 * (lo + hi)
             mid_below = np.abs(eta * npp.polyval(mid, q)) <= s
             # move the endpoint whose state matches the midpoint
@@ -220,37 +222,36 @@ def _sublevel_measure(q: np.ndarray, eta: float, s: float, ts: np.ndarray,
     return float(np.sum(lengths[start::2]))
 
 
-def sublevel_measure(q_coeffs, eta: float, s: float,
-                     grid: int = ORACLE_GRID,
-                     refine_iters: int = REFINE_ITERS) -> float:
+def sublevel_measure(q_coeffs, eta: float, s: float) -> float:
     """measure{t in [0, 1/4] : |eta Q(t)| <= s}, by bracketing the crossings
-    of |eta Q| - s on a dense grid and bisecting all of them in parallel.
+    of |eta Q| - s on the ORACLE_GRID + 1-point grid and bisecting all of
+    them in parallel, REFINE_ITERS steps each.
 
     Each call evaluates |eta Q| on the whole grid; `oracle_quantile`
     evaluates it once and reuses it for every level it tries."""
     if s < 0:
         raise ValueError("s must be nonnegative")
     q = np.asarray(q_coeffs, dtype=np.complex128).reshape(-1)
-    ts, moduli = _grid_moduli(q, eta, grid)
-    return _sublevel_measure(q, eta, s, ts, moduli, refine_iters)
+    ts, moduli = _grid_moduli(q, eta)
+    return _sublevel_measure(q, eta, s, ts, moduli)
 
 
 def oracle_quantile(q_coeffs, eta: float, level: float) -> float:
     """s with measure{|eta Q| <= s}/(1/4) = level, by bisection in s.
 
     Each bisection step measures the sublevel set exactly as
-    `sublevel_measure` does at its default grid and refinement, but
-    |eta Q| on the ORACLE_GRID + 1 grid points is computed once per call."""
+    `sublevel_measure` does, but |eta Q| on the ORACLE_GRID + 1 grid points
+    is computed once per call."""
     if not (0.0 < level < 1.0):
         raise ValueError("level must lie in (0, 1)")
     q = np.asarray(q_coeffs, dtype=np.complex128).reshape(-1)
     ts = np.linspace(0.0, RECT_X_MAX, 1 << 12)
     hi = float(np.max(np.abs(eta * npp.polyval(ts, q)))) * (1.0 + 1e-9) + 1e-300
     lo = 0.0
-    grid_ts, moduli = _grid_moduli(q, eta, ORACLE_GRID)
+    grid_ts, moduli = _grid_moduli(q, eta)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        measure = _sublevel_measure(q, eta, mid, grid_ts, moduli, REFINE_ITERS)
+        measure = _sublevel_measure(q, eta, mid, grid_ts, moduli)
         if measure / RECT_X_MAX < level:
             lo = mid
         else:
@@ -328,14 +329,14 @@ class GrowthReport:
 
 
 def growth_experiment(family, eta_rule, delta: float, lambdas, count: int,
-                      seed: int, threads: int = 1,
-                      epsilon: float = 0.25) -> GrowthReport:
+                      seed: int, threads: int = 1) -> GrowthReport:
     """Required-exponent growth across a polynomial family.
 
     family: iterable of coefficient arrays.  eta_rule: float, or callable
     mapping coefficients to eta.  Passing requires sigma_eff strictly
     increasing in degree at every lambda while the ball-theorem exponent
-    varies by less than 2x across the family.
+    varies by less than 2x across the family.  The ball-theorem exponent is
+    taken at epsilon = THEOREM_EPSILON.
     """
     family = [np.asarray(q, dtype=np.complex128).reshape(-1) for q in family]
     if not family:
@@ -347,7 +348,7 @@ def growth_experiment(family, eta_rule, delta: float, lambdas, count: int,
     for idx, q in enumerate(family):
         eta = float(eta_rule(q)) if callable(eta_rule) else float(eta_rule)
         f = build_function(q, eta)
-        sigma_theorem = sigma_exponent(f.poly, epsilon)
+        sigma_theorem = sigma_exponent(f.poly, THEOREM_EPSILON)
         sigma_theorems.append(sigma_theorem)
         summary = rectangle_moduli(f, delta, count, seed + idx, threads)
         degree = int(np.nonzero(q)[0][-1]) if np.any(q) else 0
@@ -365,4 +366,4 @@ def growth_experiment(family, eta_rule, delta: float, lambdas, count: int,
         rows=rows, delta=delta, count=count, seed=seed,
         strictly_increasing=increasing, theorem_sigma_ratio=float(ratio),
         passed=bool(increasing and ratio < 2.0),
-        extras={"lambdas": lambdas, "epsilon": epsilon})
+        extras={"lambdas": lambdas, "epsilon": THEOREM_EPSILON})

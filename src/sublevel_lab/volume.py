@@ -131,13 +131,12 @@ class QuantileEstimate:
 
 
 def modulus_quantile(poly: MultiPoly, spec: BallSpec, count: int, seed: int,
-                     threads: int = 1,
-                     level: float = QUANTILE_LEVEL) -> QuantileEstimate:
-    """The reference quantile M: frac{|F| >= M} = 1 - level (1/e by default)."""
+                     threads: int = 1) -> QuantileEstimate:
+    """The reference quantile M: frac{|F| >= M} = 1/e (QUANTILE_LEVEL)."""
     _require_usable(poly)
     summary = sample_moduli(poly, spec, count, seed, threads)
-    q, se = quantile_with_se(summary, level)
-    return QuantileEstimate(q, se, level, count, seed)
+    q, se = quantile_with_se(summary, QUANTILE_LEVEL)
+    return QuantileEstimate(q, se, QUANTILE_LEVEL, count, seed)
 
 
 def level_fraction(poly: MultiPoly, spec: BallSpec, threshold: float, side: str,

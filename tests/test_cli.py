@@ -30,8 +30,8 @@ THEOREM_CONFIG = {
 # before any work, or runs in well under a second.
 BASE_INPUTS = {
     "theorem": THEOREM_CONFIG["inputs"],
-    "lemma-a": {"random_instances": 1, "resolution": 16},
-    "lemma-b": {"function": "zero 0 0\n", "a": 0.9},
+    "lemma-a": {"random_instances": 1},
+    "lemma-b": {"random_instances": 1},
     "lemma-c": {"delta": 0.125, "n": 2, "trials": 200, "r_grid": 11,
                 "alpha_grid": 5},
     "counterexample": {"family": "chebyshev", "degrees": [4, 8],
@@ -93,24 +93,28 @@ class TestValidation:
         assert "--threads" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_lemma_a_resolution_capped(self, tmp_path, capsys):
+    def test_lemma_a_resolution_rejected(self, tmp_path, capsys):
+        # the dense core is exact, so a resolution would change no number
         cfg = {"subcommand": "lemma-a", "seed": 7,
-               "inputs": {"random_instances": 1, "resolution": 10**9}}
+               "inputs": {"random_instances": 1, "resolution": 256}}
+        out = tmp_path / "out"
         rc = main(["lemma-a", "--config", str(write_config(tmp_path, cfg)),
-                   "--out", str(tmp_path / "out")])
+                   "--out", str(out)])
         assert rc == 2
-        assert "resolution" in capsys.readouterr().err
+        assert "unknown lemma-a input field(s): resolution" in \
+            capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("literal", ["1e400", "NaN"])
     def test_non_finite_integer_field_names_field(self, tmp_path, capsys,
                                                   literal):
         path = tmp_path / "config.json"
         path.write_text('{"subcommand": "lemma-a", "seed": 1, "inputs": '
-                        '{"random_instances": 1, "resolution": %s}}' % literal)
+                        '{"random_instances": %s}}' % literal)
         rc = main(["lemma-a", "--config", str(path),
                    "--out", str(tmp_path / "out")])
         assert rc == 2
-        assert "resolution" in capsys.readouterr().err
+        assert "random_instances" in capsys.readouterr().err
 
     @pytest.mark.parametrize("sub, field, value", [
         ("theorem", "lambdas", []),
@@ -140,6 +144,11 @@ class TestValidation:
         ("lemma-b", "function", "zero nan 0\n"),
         ("lemma-b", "grid", 101),
         ("theorem", "lambdas", [1e12]),
+        ("lemma-b", "a", 0.5),
+        ("lemma-b", "interval", [-0.1, 0.1]),
+        ("lemma-b", "set", [[0.0, 0.1]]),
+        ("counterexample", "ks_bound", 0.0),
+        ("counterexample", "ks_degree", 2),
     ], ids=["empty-lambdas", "nan-radius", "nan-strong_form_c", "one-degree",
             "inf-lambda", "string-lambda", "string-normalize", "unknown-key",
             "nan-center", "bool-seed", "negative-seed", "misspelled-inputs",
@@ -147,7 +156,9 @@ class TestValidation:
             "zero-samples", "degree-400", "counterexample-empty-lambdas",
             "nan-ks_bound", "nan-ks_delta", "all-int-inputs", "nan-poly",
             "inf-instance", "nan-function", "dropped-grid",
-            "lambda-beyond-sample"])
+            "lambda-beyond-sample", "a-without-function",
+            "interval-without-function", "set-without-function",
+            "ks_bound-without-ks_delta", "ks_degree-without-ks_delta"])
     def test_vacuous_or_nan_input_names_field(self, tmp_path, capsys, sub,
                                               field, value):
         cfg = {"subcommand": sub, "seed": 1,
@@ -163,14 +174,23 @@ class TestValidation:
         assert field in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
-    def test_all_rejects_before_first_write(self, tmp_path, capsys):
-        cfg = {"subcommand": "all", "seed": 1,
-               "inputs": {"theorem": {"lambdas": [1e12]}}}
+    @pytest.mark.parametrize("inputs, field", [
+        ({"theorem": {"lambdas": [1e12]}}, "lambdas"),
+        ({"theorem": {"radius": 0.9}}, "radius"),
+        ({"counterexample": {"eta": 1.0}}, "eta"),
+        ({"lemma-b": {"function": "zero 0.5 0\n", "a": 0.5,
+                      "interval": [-0.9, 0.9]}}, "interval"),
+    ], ids=["lambda-beyond-sample", "ball-outside", "eta-too-large",
+            "interval-outside"])
+    def test_all_rejects_before_first_write(self, tmp_path, capsys, inputs,
+                                            field):
+        # the last three fail only inside a run, after earlier runs wrote
+        cfg = {"subcommand": "all", "seed": 1, "inputs": inputs}
         out = tmp_path / "out"
         rc = main(["all", "--config", str(write_config(tmp_path, cfg)),
                    "--out", str(out)])
         assert rc == 2
-        assert "lambdas" in capsys.readouterr().err
+        assert field in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -272,7 +292,7 @@ class TestOtherSubcommands:
 
     def test_lemma_a_random(self, tmp_path):
         cfg = {"subcommand": "lemma-a", "seed": 7,
-               "inputs": {"random_instances": 5, "resolution": 128}}
+               "inputs": {"random_instances": 5}}
         rc = main(["lemma-a", "--config", str(write_config(tmp_path, cfg)),
                    "--out", str(tmp_path / "out")])
         assert rc == 0

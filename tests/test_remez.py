@@ -129,7 +129,7 @@ class TestFactorBounds:
         for _ in range(40):
             f = random_disk_function(rng)
             a = float(rng.uniform(0.5, 0.99))
-            assert factor_bounds(f, a, grid=2001).all_pass
+            assert factor_bounds(f, a).all_pass
 
 
 class TestKernelDomination:
