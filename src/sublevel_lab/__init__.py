@@ -14,8 +14,8 @@ from .kls import (LocalizationInstance, PiecewiseLogLinear, dense_core_1d,
 from .mobius import (MapParams, apply_map, check_curvature,
                      check_log_concavity, check_preimage_convexity,
                      check_radial_profile, jacobian, mobius_factor)
-from .poly import (LineSlice, MultiPoly, certify_sup, eval_many, eval_poly,
-                   from_terms, lift, normalize, parse_poly, restrict_to_line)
+from .poly import (LineSlice, MultiPoly, certify_sup, eval_many, from_terms,
+                   lift, normalize, parse_poly, restrict_to_line)
 from .remez import (DiskFunction, Factorization, classical_remez_check,
                     eval_disk_function, factor_bounds, log_abs_f,
                     parse_disk_function, remez_check, remez_exponent,
@@ -35,7 +35,7 @@ __all__ = [
     "check_curvature", "check_log_concavity", "check_preimage_convexity",
     "check_quantile_bounds", "check_radial_profile",
     "check_superlevel_power_bound", "classical_remez_check", "dense_core_1d",
-    "eval_disk_function", "eval_many", "eval_poly", "factor_bounds",
+    "eval_disk_function", "eval_many", "factor_bounds",
     "from_terms", "growth_experiment", "jacobian", "level_fraction", "lift",
     "limit_moduli", "localization_check_1d", "log_abs_f", "min_interval_ratio",
     "mobius_factor", "modulus_quantile", "normalize", "parse_disk_function",

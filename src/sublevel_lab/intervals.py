@@ -69,9 +69,6 @@ class IntervalSet:
     def pairs(self) -> list[tuple[float, float]]:
         return [(float(l), float(u)) for l, u in zip(self.lower, self.upper)]
 
-    def contains_point(self, x: float) -> bool:
-        return bool(np.any((self.lower <= x) & (x <= self.upper)))
-
     def is_subset_of(self, other: "IntervalSet", tol: float = 0.0) -> bool:
         """Every component lies inside some component of `other`."""
         for l, u in self.pairs():
@@ -79,12 +76,6 @@ class IntervalSet:
             if not ok:
                 return False
         return True
-
-    def intersect_length(self, lo: float, hi: float) -> float:
-        """Measure of the intersection with [lo, hi]."""
-        l = np.maximum(self.lower, lo)
-        u = np.minimum(self.upper, hi)
-        return float(np.sum(np.maximum(u - l, 0.0)))
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
         return IntervalSet.from_pairs(self.pairs() + other.pairs())

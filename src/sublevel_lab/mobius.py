@@ -27,6 +27,7 @@ CONTAINMENT_MARGIN = 1e-9
 CURVATURE_BOUND = 25.0 / 27.0
 LOGDERIV_RATIO_BOUND = 1.0 / 30.0
 RADIAL_GRID = 10_000
+CURVATURE_BLOCK = 256  # r-grid rows per block in check_curvature
 
 
 @dataclass(frozen=True)
@@ -225,26 +226,31 @@ def check_curvature(params: MapParams, r_grid: int = 10_000,
 
     The tangent line through r*x with direction v at angle alpha maps to a
     curve whose first two derivatives at the touch point have closed forms;
-    curvature = |s' x s''| / |s'|^3.
+    curvature = |s' x s''| / |s'|^3.  The r grid is walked in blocks of
+    CURVATURE_BLOCK rows, so memory is bounded by CURVATURE_BLOCK *
+    alpha_grid, not by r_grid * alpha_grid; a NaN in any block fails the check.
     """
     if r_grid < 2 or alpha_grid < 2:
         raise ValueError("grids must be >= 2")
-    rs = np.linspace(0.0, params.injectivity_radius, r_grid)[:, None]
+    r_all = np.linspace(0.0, params.injectivity_radius, r_grid)[:, None]
     alphas = np.linspace(0.0, np.pi, alpha_grid)[None, :]
-    R = rs * rs
-    m = mobius_factor(R, params)
-    m1 = mobius_factor_d1(R, params)
-    m2 = mobius_factor_d2(R, params)
     ca, sa = np.cos(alphas), np.sin(alphas)
-    # x = (1, 0), v = (cos a, sin a)
-    sp_x = m * ca + 2.0 * R * m1 * ca
-    sp_y = m * sa
-    spp_x = 4.0 * rs * m1 * ca * ca + 2.0 * rs * m1 + 4.0 * rs * R * m2 * ca * ca
-    spp_y = 4.0 * rs * m1 * ca * sa
-    cross = np.abs(sp_x * spp_y - sp_y * spp_x)
-    speed_sq = sp_x * sp_x + sp_y * sp_y
-    curvature = cross / speed_sq ** 1.5
-    max_curv = float(np.max(curvature))
+    block_max = []
+    for start in range(0, r_grid, CURVATURE_BLOCK):
+        rs = r_all[start:start + CURVATURE_BLOCK]
+        R = rs * rs
+        m = mobius_factor(R, params)
+        m1 = mobius_factor_d1(R, params)
+        m2 = mobius_factor_d2(R, params)
+        # x = (1, 0), v = (cos a, sin a)
+        sp_x = m * ca + 2.0 * R * m1 * ca
+        sp_y = m * sa
+        spp_x = 4.0 * rs * m1 * ca * ca + 2.0 * rs * m1 + 4.0 * rs * R * m2 * ca * ca
+        spp_y = 4.0 * rs * m1 * ca * sa
+        cross = np.abs(sp_x * spp_y - sp_y * spp_x)
+        speed_sq = sp_x * sp_x + sp_y * sp_y
+        block_max.append(np.max(cross / speed_sq ** 1.5))
+    max_curv = float(np.max(block_max))
     bound = CURVATURE_BOUND + GRID_TOL
     return CheckReport(
         check="curvature", delta=params.delta,

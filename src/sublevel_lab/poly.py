@@ -15,8 +15,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.polynomial import polynomial as npp
 
-from .sampling import STREAM_SUP_DIAG, chunk_rng
-
 SLICE_MARGIN = 1e-12
 UNIT_TOL = 1e-12
 
@@ -97,17 +95,6 @@ def lift(p: MultiPoly, dim: int) -> MultiPoly:
                      sup_cert=p.sup_cert)
 
 
-def eval_poly(p: MultiPoly, z) -> complex:
-    """Evaluate p at a single point of C^n (term sum in fixed sorted order)."""
-    z = np.asarray(z, dtype=np.complex128).reshape(-1)
-    if z.size != p.dim:
-        raise ValueError(f"point has dimension {z.size}, expected {p.dim}")
-    if p.n_terms == 0:
-        return 0.0 + 0.0j
-    monomials = np.prod(z[None, :] ** p.exponents, axis=1)
-    return complex(np.sum(p.coeffs * monomials))
-
-
 def eval_many(p: MultiPoly, points: np.ndarray) -> np.ndarray:
     """Evaluate p at points of shape (N, dim); returns (N,) complex values."""
     pts = np.asarray(points)
@@ -145,24 +132,6 @@ def normalize(p: MultiPoly) -> MultiPoly:
     coeffs = p.coeffs / s
     q = MultiPoly(p.dim, p.exponents.copy(), coeffs)
     return replace(q, sup_cert=certify_sup(q))
-
-
-def sampled_sup_lower_bound(p: MultiPoly, samples: int, seed: int) -> float:
-    """Diagnostic lower bound: max |p| over random points of the complex sphere."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    rng = chunk_rng(seed, STREAM_SUP_DIAG, 0)
-    best = 0.0
-    remaining = samples
-    while remaining > 0:
-        m = min(remaining, 1 << 15)
-        z = rng.standard_normal((m, p.dim)) + 1j * rng.standard_normal((m, p.dim))
-        norms = np.linalg.norm(z, axis=1)
-        norms[norms == 0.0] = 1.0
-        z /= norms[:, None]
-        best = max(best, float(np.max(np.abs(eval_many(p, z)))))
-        remaining -= m
-    return best
 
 
 def max_slice_halflength(base, direction) -> float:

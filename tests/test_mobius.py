@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from sublevel_lab.mobius import (CURVATURE_BOUND, MapParams, apply_map,
-                                 check_curvature, check_log_concavity,
-                                 check_preimage_convexity,
+from sublevel_lab import mobius
+from sublevel_lab.mobius import (CURVATURE_BLOCK, CURVATURE_BOUND, MapParams,
+                                 apply_map, check_curvature,
+                                 check_log_concavity, check_preimage_convexity,
                                  check_radial_profile, jacobian, log_jacobian,
-                                 mobius_factor, mobius_factor_d1)
+                                 mobius_factor, mobius_factor_d1,
+                                 mobius_factor_d2)
 
 EIGHTH = MapParams(0.125)
 
@@ -151,6 +153,39 @@ class TestCurvature:
         assert m > 0
         rep = check_curvature(EIGHTH, 2, 91)  # r grid {0, r0}
         assert rep.passed
+
+    @pytest.mark.parametrize("delta", [1 / 32, 1 / 16, 1 / 8])
+    def test_row_blocks_match_full_grid_bitwise(self, delta):
+        # 1001 rows are not a multiple of the block size: the last block is short
+        r_grid, alpha_grid = 1001, 37
+        assert r_grid % CURVATURE_BLOCK
+        params = MapParams(delta)
+        rs = np.linspace(0.0, params.injectivity_radius, r_grid)[:, None]
+        alphas = np.linspace(0.0, np.pi, alpha_grid)[None, :]
+        R = rs * rs
+        m, m1 = mobius_factor(R, params), mobius_factor_d1(R, params)
+        m2 = mobius_factor_d2(R, params)
+        ca, sa = np.cos(alphas), np.sin(alphas)
+        sp_x = m * ca + 2.0 * R * m1 * ca
+        sp_y = m * sa
+        spp_x = 4.0 * rs * m1 * ca * ca + 2.0 * rs * m1 + 4.0 * rs * R * m2 * ca * ca
+        spp_y = 4.0 * rs * m1 * ca * sa
+        full = np.abs(sp_x * spp_y - sp_y * spp_x) / (sp_x * sp_x + sp_y * sp_y) ** 1.5
+        rep = check_curvature(params, r_grid, alpha_grid)
+        assert rep.statistic.hex() == float(np.max(full)).hex()
+
+    def test_nan_in_a_later_block_fails(self, monkeypatch):
+        # a NaN only in the last block must reach the statistic and fail it
+        d2 = mobius.mobius_factor_d2
+        last = EIGHTH.injectivity_radius * EIGHTH.injectivity_radius
+
+        def nan_at_rim(R, params):
+            return np.where(R == last, np.nan, d2(R, params))
+
+        monkeypatch.setattr(mobius, "mobius_factor_d2", nan_at_rim)
+        rep = check_curvature(EIGHTH, 3 * CURVATURE_BLOCK + 5, 7)
+        assert np.isnan(rep.statistic)
+        assert not rep.passed
 
 
 class TestLogConcavity:

@@ -3,10 +3,29 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sublevel_lab.poly import (MultiPoly, certify_sup, eval_many, eval_poly,
-                               format_poly, from_terms, lift,
-                               max_slice_halflength, normalize, parse_poly,
-                               restrict_to_line, sampled_sup_lower_bound)
+from sublevel_lab.poly import (MultiPoly, certify_sup, eval_many, format_poly,
+                               from_terms, lift, max_slice_halflength,
+                               normalize, parse_poly, restrict_to_line)
+
+
+def eval_poly(p: MultiPoly, z) -> complex:
+    """Reference for eval_many: p at a single point of C^n, one product per term."""
+    z = np.asarray(z, dtype=np.complex128).reshape(-1)
+    if z.size != p.dim:
+        raise ValueError(f"point has dimension {z.size}, expected {p.dim}")
+    if p.n_terms == 0:
+        return 0.0 + 0.0j
+    monomials = np.prod(z[None, :] ** p.exponents, axis=1)
+    return complex(np.sum(p.coeffs * monomials))
+
+
+def sampled_sup_lower_bound(p: MultiPoly, samples: int, seed: int) -> float:
+    """Lower bound for sup |p|: the max of |p| over random points of the
+    complex unit sphere."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((samples, p.dim)) + 1j * rng.standard_normal((samples, p.dim))
+    z /= np.linalg.norm(z, axis=1)[:, None]
+    return float(np.max(np.abs(eval_many(p, z))))
 
 
 def random_poly(rng, max_dim=8, max_degree=6, max_terms=12) -> MultiPoly:
@@ -46,6 +65,8 @@ class TestEval:
         p = from_terms(2, {(1, 0): 1.0})
         with pytest.raises(ValueError):
             eval_poly(p, [0.1])
+        with pytest.raises(ValueError):
+            eval_many(p, np.array([[0.1]]))
 
     def test_eval_many_matches_eval_poly(self):
         rng = np.random.default_rng(7)

@@ -232,6 +232,19 @@ class TestKolmogorovDistance:
         a = np.linspace(0, 1, 1000)
         assert ks_distance(a, a) == 0.0
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_tied_unequal_samples_match_union_grid(self, seed):
+        # integer draws tie within and across samples; sizes differ
+        rng = np.random.default_rng(seed)
+        a = rng.integers(0, 12, 1000).astype(float)
+        b = rng.integers(2, 15, 1537).astype(float)
+        sa, sb = np.sort(a), np.sort(b)
+        grid = np.sort(np.concatenate([sa, sb]))
+        ref = np.max(np.abs(np.searchsorted(sa, grid, side="right") / sa.size
+                            - np.searchsorted(sb, grid, side="right") / sb.size))
+        assert ks_distance(a, b).hex() == float(ref).hex()
+        assert ks_distance(b, a).hex() == float(ref).hex()
+
     def test_rect_vs_limit_linear_small_delta(self):
         f = build_function(LINEAR, 0.1)
         rect = rectangle_moduli(f, 1e-4, 200_000, seed=13)

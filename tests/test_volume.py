@@ -1,8 +1,11 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from sublevel_lab import volume
 from sublevel_lab.poly import from_terms, lift, normalize
 from sublevel_lab.volume import (BallSpec, check_quantile_bounds,
                                  check_superlevel_power_bound, level_fraction,
@@ -203,3 +206,73 @@ def test_reports_deterministic_across_threads_and_runs():
     assert a.quantile == b.quantile
     for ra, rb in zip(a.rows, b.rows):
         assert ra == rb
+
+
+class TestSampleMemo:
+    """sample_moduli remembers its last call, keyed on every argument."""
+
+    P2 = lift(HALF_SHIFT, 2)
+    SPEC2 = BallSpec(np.zeros(2), 0.7, 0.25)
+    BASE = {"poly": P2, "spec": SPEC2, "count": 20_000, "seed": 71, "threads": 1}
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        """Start from an empty memo and count the map_chunks passes."""
+        monkeypatch.setattr(volume, "_last_moduli", None)
+        calls = []
+        inner = volume.map_chunks
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(volume, "map_chunks", counting)
+        return calls
+
+    def test_quantile_and_power_checks_draw_once(self, draws):
+        spec = self.SPEC2
+        qb = check_quantile_bounds(self.P2, spec, [2.0, 4.0], 100_000, seed=72)
+        check_superlevel_power_bound(self.P2, spec, qb.quantile, [2.0, 4.0],
+                                     100_000, seed=72)
+        assert draws == [100_000]
+
+    @pytest.mark.parametrize("change", [
+        {"seed": 72},
+        {"count": 20_001},
+        {"threads": 2},
+        {"poly": lift(normalize(from_terms(1, {(0,): 0.5, (1,): 0.5j})), 2)},
+        {"spec": BallSpec(np.array([0.01, 0.0]), 0.7, 0.25)},
+        {"spec": BallSpec(np.zeros(2), 0.6, 0.25)},
+    ], ids=["seed", "count", "threads", "coefficient", "centre", "radius"])
+    def test_any_argument_change_draws_again(self, draws, change):
+        first = sample_moduli(**self.BASE)
+        again = sample_moduli(**self.BASE)
+        assert again is first and draws == [20_000]
+        changed = sample_moduli(**{**self.BASE, **change})
+        assert changed is not first
+        assert len(draws) == 2
+
+    def test_sample_is_read_only(self, draws):
+        summary = sample_moduli(**self.BASE)
+        with pytest.raises(ValueError, match="read-only"):
+            summary.sorted_moduli[0] = 0.0
+        assert not summary.sorted_moduli.flags.writeable
+
+    def test_concurrent_callers_get_their_own_sample(self, monkeypatch):
+        # more threads than cores, alternating keys, frequent switches: every
+        # caller must still receive the sample of its own arguments
+        monkeypatch.setattr(volume, "_last_moduli", None)
+        seeds = (81, 82, 83)
+        refs = {s: sample_moduli(**{**self.BASE, "seed": s}).sorted_moduli.copy()
+                for s in seeds}
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                jobs = [(s, pool.submit(sample_moduli, **{**self.BASE, "seed": s}))
+                        for s in seeds * 40]
+                got = [(s, job.result(timeout=60)) for s, job in jobs]
+        finally:
+            sys.setswitchinterval(old)
+        for s, summary in got:
+            np.testing.assert_array_equal(summary.sorted_moduli, refs[s])
