@@ -49,10 +49,6 @@ class IntervalSet:
         arr = np.array(merged, dtype=float)
         return cls(arr[:, 0], arr[:, 1])
 
-    @classmethod
-    def empty(cls) -> "IntervalSet":
-        return cls(np.empty(0), np.empty(0))
-
     @property
     def n_components(self) -> int:
         return int(self.lower.size)
@@ -60,11 +56,6 @@ class IntervalSet:
     @property
     def total_length(self) -> float:
         return float(np.sum(self.upper - self.lower))
-
-    @property
-    def endpoints(self) -> np.ndarray:
-        """All component endpoints, ascending."""
-        return np.sort(np.concatenate([self.lower, self.upper]))
 
     def pairs(self) -> list[tuple[float, float]]:
         return [(float(l), float(u)) for l, u in zip(self.lower, self.upper)]
@@ -76,9 +67,6 @@ class IntervalSet:
             if not ok:
                 return False
         return True
-
-    def union(self, other: "IntervalSet") -> "IntervalSet":
-        return IntervalSet.from_pairs(self.pairs() + other.pairs())
 
     def measure_below(self, x) -> np.ndarray:
         """|self ∩ (-inf, x]| for scalar or array x (piecewise linear)."""

@@ -13,7 +13,7 @@ candidate-endpoint enumeration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,17 +26,15 @@ CONCAVITY_TOL = 1e-12
 
 @dataclass(frozen=True)
 class PiecewiseLogLinear:
-    """Density exp(log_scale + piecewise-linear interpolation of log_values).
+    """Density exp(piecewise-linear interpolation of log_values).
 
     Concavity (non-increasing slopes) is enforced at construction.  The
-    log_scale offset never enters mass ratios, so scaling the weight by a
-    positive constant through `scaled` leaves every reported ratio
-    bit-identical.
+    localization check reads only mass ratios, which a positive constant
+    factor of the weight does not change.
     """
 
     breakpoints: np.ndarray
     log_values: np.ndarray
-    log_scale: float = 0.0
 
     def __post_init__(self):
         t = np.asarray(self.breakpoints, dtype=float).reshape(-1)
@@ -55,24 +53,8 @@ class PiecewiseLogLinear:
     def support(self) -> tuple[float, float]:
         return float(self.breakpoints[0]), float(self.breakpoints[-1])
 
-    def scaled(self, factor: float) -> "PiecewiseLogLinear":
-        """Multiply the density by a positive constant."""
-        if factor <= 0:
-            raise ValueError("factor must be positive")
-        return replace(self, log_scale=self.log_scale + float(np.log(factor)))
-
-    def log_value(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        lo, hi = self.support
-        if np.any(x < lo) or np.any(x > hi):
-            raise ValueError("point outside the support")
-        return self.log_scale + np.interp(x, self.breakpoints, self.log_values)
-
-    def value(self, x) -> np.ndarray:
-        return np.exp(self.log_value(x))
-
-    def _integral_unscaled(self, lo: float, hi: float) -> float:
-        """Exact integral of exp(interpolated log-density), scale excluded."""
+    def integral(self, lo: float, hi: float) -> float:
+        """Exact integral of the density over [lo, hi]."""
         t, v = self.breakpoints, self.log_values
         s_lo, s_hi = self.support
         if lo < s_lo - 1e-12 or hi > s_hi + 1e-12:
@@ -93,11 +75,8 @@ class PiecewiseLogLinear:
                 total += np.exp(base) * np.expm1(m * (b - a)) / m
         return float(total)
 
-    def integral(self, lo: float, hi: float) -> float:
-        return float(np.exp(self.log_scale)) * self._integral_unscaled(lo, hi)
-
-    def _integral_set_unscaled(self, e: IntervalSet) -> float:
-        return float(sum(self._integral_unscaled(l, u) for l, u in e.pairs()))
+    def _integral_set(self, e: IntervalSet) -> float:
+        return float(sum(self.integral(l, u) for l, u in e.pairs()))
 
 
 def _candidate_points(e: IntervalSet, s: tuple[float, float]) -> np.ndarray:
@@ -235,13 +214,13 @@ def localization_check_1d(inst: LocalizationInstance,
         raise ValueError("resolution must be >= 2")
     den = inst.density
     s0, s1 = inst.s_interval
-    mass_s = den._integral_unscaled(s0, s1)
+    mass_s = den.integral(s0, s1)
     if mass_s <= 0:
         raise ValueError("S carries no mass")
     core = dense_core_1d(inst.e_set, inst.s_interval, inst.lam)
-    lhs_inner = den._integral_set_unscaled(core.inner) / mass_s
-    lhs_outer = den._integral_set_unscaled(core.outer) / mass_s
-    rhs = (den._integral_set_unscaled(inst.e_set) / mass_s) ** inst.lam
+    lhs_inner = den._integral_set(core.inner) / mass_s
+    lhs_outer = den._integral_set(core.outer) / mass_s
+    rhs = (den._integral_set(inst.e_set) / mass_s) ** inst.lam
     return LocalizationReport(
         lhs_inner=float(lhs_inner), lhs_outer=float(lhs_outer), rhs=float(rhs),
         passed=bool(lhs_outer <= rhs + PASS_TOL),
@@ -285,15 +264,6 @@ def parse_instance(text: str) -> LocalizationInstance:
     density = PiecewiseLogLinear(np.array(bps), np.array(vals))
     return LocalizationInstance(density, s_interval,
                                 IntervalSet.from_pairs(e_pairs), lam)
-
-
-def format_instance(inst: LocalizationInstance) -> str:
-    lines = [f"phi {float(t)!r} {float(v)!r}" for t, v in
-             zip(inst.density.breakpoints, inst.density.log_values)]
-    lines.append(f"S {float(inst.s_interval[0])!r} {float(inst.s_interval[1])!r}")
-    lines.extend(f"E {l!r} {u!r}" for l, u in inst.e_set.pairs())
-    lines.append(f"lambda {float(inst.lam)!r}")
-    return "\n".join(lines) + "\n"
 
 
 def random_instance(rng: np.random.Generator) -> LocalizationInstance:

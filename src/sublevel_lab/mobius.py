@@ -26,7 +26,6 @@ MEMBERSHIP_TOL = 1e-12
 CONTAINMENT_MARGIN = 1e-9
 CURVATURE_BOUND = 25.0 / 27.0
 LOGDERIV_RATIO_BOUND = 1.0 / 30.0
-RADIAL_GRID = 10_000
 CURVATURE_BLOCK = 256  # r-grid rows per block in check_curvature
 
 
@@ -152,7 +151,10 @@ class CheckReport:
 
 def check_radial_profile(params: MapParams, grid_points: int = 10_000) -> CheckReport:
     """Strict monotonicity of r -> r*m(r^2), the image radius target, and the
-    derivative-ratio bound |m'|/m <= 1/30 on [0, injectivity_radius]."""
+    derivative-ratio bound |m'|/m <= 1/30 on [0, injectivity_radius].
+
+    |m'|/m = (1 - A^2) / ((1 - A R)(A - R)) increases in R, so its maximum is
+    the closed form at R = injectivity_radius_sq."""
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
     r0 = params.injectivity_radius
@@ -160,8 +162,8 @@ def check_radial_profile(params: MapParams, grid_points: int = 10_000) -> CheckR
     g = rs * mobius_factor(rs * rs, params)
     min_diff = float(np.min(np.diff(g)))
     image_radius = params.image_radius
-    ratio = np.abs(mobius_factor_d1(rs * rs, params)) / mobius_factor(rs * rs, params)
-    max_ratio = float(np.max(ratio))
+    R0 = params.injectivity_radius_sq
+    max_ratio = float(-mobius_factor_d1(R0, params) / mobius_factor(R0, params))
     radius_target = 1.0 - 2.0 * params.delta
     passed = (min_diff > 0.0 and image_radius > radius_target
               and max_ratio <= LOGDERIV_RATIO_BOUND)
@@ -180,8 +182,15 @@ def check_radial_profile(params: MapParams, grid_points: int = 10_000) -> CheckR
 def check_log_concavity(params: MapParams, n: int, trials: int, seed: int,
                         threads: int = 1) -> CheckReport:
     """Midpoint log-concavity of the Jacobian over random segment pairs, plus
-    concavity (nonpositive second differences) of both closed-form radial
-    factors on a uniform grid of RADIAL_GRID points."""
+    concavity along the radius of both radial factors, m(r^2) and
+    (m + 2 R m')(r^2), in closed form.
+
+    On [0, r0^2], with A = 1 - delta^3 and 1 - A R > 0, each derivative
+    m^(k) = -k! A^(k-1) (1 - A^2) / (1 - A R)^(k+1), k >= 1, is negative
+    and grows in size with R.  So d^2/dr^2 m(r^2) = 2 m' + 4 R m'' and
+    d^2/dr^2 (m + 2 R m')(r^2) = 6 m' + 24 R m'' + 8 R^2 m''' fall with r,
+    and their maxima are their values at r = 0: -2 (1 - A^2) and
+    -6 (1 - A^2)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     r0 = params.injectivity_radius
@@ -199,24 +208,18 @@ def check_log_concavity(params: MapParams, n: int, trials: int, seed: int,
     defects = map_chunks(trials, worker, threads)
     worst = float(np.min(defects)) if defects.size else 0.0
 
-    # concavity of both radial factors along the radius
-    rs = np.linspace(0.0, r0, RADIAL_GRID)
-    R = rs * rs
-    m = mobius_factor(R, params)
-    radial = m + 2.0 * R * mobius_factor_d1(R, params)
-    sd_m = float(np.max(np.diff(m, 2)))
-    sd_radial = float(np.max(np.diff(radial, 2)))
-    second_diff_ok = sd_m <= 1e-12 and sd_radial <= 1e-12
+    # concavity of both radial factors along the radius; m'(0) = -(1 - A^2)
+    m1 = float(mobius_factor_d1(0.0, params))
+    d2_m, d2_radial = 2.0 * m1, 6.0 * m1
 
-    passed = worst >= -ALGEBRAIC_TOL and second_diff_ok
+    passed = worst >= -ALGEBRAIC_TOL and d2_m < 0.0 and d2_radial < 0.0
     return CheckReport(
         check="log_concavity", delta=params.delta, n=n, seed=seed,
         statistic=worst, bound=-ALGEBRAIC_TOL, passed=passed,
         extras={
             "trials": trials,
-            "max_second_diff_factor": sd_m,
-            "max_second_diff_radial": sd_radial,
-            "radial_grid": RADIAL_GRID,
+            "max_d2_factor": d2_m,
+            "max_d2_radial": d2_radial,
         })
 
 

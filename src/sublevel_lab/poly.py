@@ -223,11 +223,3 @@ def parse_poly(text: str) -> MultiPoly:
     if dim is None:
         raise ValueError("empty polynomial literal")
     return from_terms(dim, terms)
-
-
-def format_poly(p: MultiPoly) -> str:
-    lines = []
-    for alpha, c in zip(p.exponents, p.coeffs):
-        idx = " ".join(str(int(a)) for a in alpha)
-        lines.append(f"{float(c.real)!r} {float(c.imag)!r} {idx}")
-    return "\n".join(lines) + ("\n" if lines else "")

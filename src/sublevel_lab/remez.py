@@ -40,7 +40,6 @@ def __getattr__(name: str):
 REL_TOL = 1e-9
 ZERO_RADIUS_TOL = 1e-9
 CIRCLE_TOL = 1e-12
-MODULUS_SLACK = 1e-12
 SPLIT_THRESHOLD = 2.0 / 3.0
 REMEZ_CONSTANT = 8.0
 CLASSICAL_REMEZ_CONSTANT = 4.0
@@ -107,19 +106,6 @@ def log_abs_f(f: DiskFunction, x) -> np.ndarray:
     if np.any(np.abs(x) >= 1.0):
         raise ValueError("points must lie in the open unit disk")
     return blaschke_log_abs(f.zeros, x) + outer_log_abs(f.atom_locs, f.atom_weights, x)
-
-
-def eval_disk_function(f: DiskFunction, z: complex) -> complex:
-    """Value of f at one point of the open disk (modulus <= 1 + 1e-12)."""
-    z = complex(z)
-    if abs(z) >= 1.0:
-        raise ValueError("point must lie in the open unit disk")
-    value = complex(f.const)
-    for zero in f.zeros:
-        value *= (z - zero) / (1.0 - z * np.conj(zero))
-    if f.atom_locs.size:
-        value *= np.exp(-np.sum(f.atom_weights * (f.atom_locs + z) / (f.atom_locs - z)))
-    return complex(value)
 
 
 def split_criterion(zeros: np.ndarray, a: float) -> np.ndarray:
@@ -613,15 +599,6 @@ def parse_disk_function(text: str) -> DiskFunction:
     return DiskFunction(np.array(zeros, dtype=np.complex128),
                         np.array(locs, dtype=np.complex128),
                         np.array(weights, dtype=float), const)
-
-
-def format_disk_function(f: DiskFunction) -> str:
-    lines = [f"const {float(np.angle(f.const))!r}"]
-    for z in f.zeros:
-        lines.append(f"zero {float(z.real)!r} {float(z.imag)!r}")
-    for loc, w in zip(f.atom_locs, f.atom_weights):
-        lines.append(f"atom {float(np.angle(loc))!r} {float(w)!r}")
-    return "\n".join(lines) + "\n"
 
 
 def random_disk_function(rng: np.random.Generator) -> DiskFunction:

@@ -80,14 +80,21 @@ def ball_points(rng: np.random.Generator, size: int, dim: int,
     return x
 
 
+def _ascending(x: np.ndarray) -> np.ndarray:
+    """`x` itself when its entries ascend, else a sorted copy.  A NaN fails
+    every comparison, so a sample holding one is sorted as before."""
+    return x if np.all(x[:-1] <= x[1:]) else np.sort(x)
+
+
 def ks_distance(sample_a: np.ndarray, sample_b: np.ndarray) -> float:
     """Two-sample Kolmogorov-Smirnov statistic sup |F_a - F_b|.
 
     Both empirical CDFs step only at sample points, so the supremum is taken
     over the points of `a` and the points of `b`, each set searched on its own.
+    A sample that is already ascending, such as `sorted_moduli`, is not
+    sorted again.
     """
-    a = np.sort(np.asarray(sample_a, dtype=float))
-    b = np.sort(np.asarray(sample_b, dtype=float))
+    a, b = (_ascending(np.asarray(s, dtype=float)) for s in (sample_a, sample_b))
     if a.size == 0 or b.size == 0:
         raise ValueError("samples must be nonempty")
     gaps = [np.max(np.abs(np.searchsorted(a, x, side="right") / a.size

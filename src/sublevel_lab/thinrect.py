@@ -181,12 +181,6 @@ def required_exponent_from_summary(summary: DistributionSummary,
     return RequiredExponent(sigma_eff, rel / denom, m, t_star, lam)
 
 
-def required_exponent(f: ThinRectFunction, delta: float, lam: float,
-                      count: int, seed: int, threads: int = 1) -> RequiredExponent:
-    summary = rectangle_moduli(f, delta, count, seed, threads)
-    return required_exponent_from_summary(summary, lam)
-
-
 # ----------------------------------------------------------------------
 # Quadrature oracle for the limit law (independent of the sampler).
 

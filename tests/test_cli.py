@@ -171,17 +171,22 @@ class TestValidation:
         rc = main([sub, "--config", str(write_config(tmp_path, cfg)),
                    "--out", str(out)])
         assert rc == 2
-        assert field in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert field in err
+        if field in cfg["inputs"] and field not in FIELDS[sub]:
+            assert f"unknown {sub} input field(s): {field}" in err
         assert not (out / "report.json").exists()
 
     @pytest.mark.parametrize("inputs, field", [
         ({"theorem": {"lambdas": [1e12]}}, "lambdas"),
+        ({"theorem": {"normalize": True}}, "normalize"),
+        ({"counterexample": {"ks_degree": 1}}, "ks_degree"),
         ({"theorem": {"radius": 0.9}}, "radius"),
         ({"counterexample": {"eta": 1.0}}, "eta"),
         ({"lemma-b": {"function": "zero 0.5 0\n", "a": 0.5,
                       "interval": [-0.9, 0.9]}}, "interval"),
-    ], ids=["lambda-beyond-sample", "ball-outside", "eta-too-large",
-            "interval-outside"])
+    ], ids=["lambda-beyond-sample", "removed-normalize", "removed-ks_degree",
+            "ball-outside", "eta-too-large", "interval-outside"])
     def test_all_rejects_before_first_write(self, tmp_path, capsys, inputs,
                                             field):
         # the last three fail only inside a run, after earlier runs wrote
@@ -312,14 +317,29 @@ class TestOtherSubcommands:
         cfg = {"subcommand": "counterexample", "seed": 7,
                "inputs": {"family": "monomial", "degrees": [1, 2],
                           "eta": 0.1, "delta": 1e-5, "lambdas": [2.0],
-                          "samples": 30_000, "ks_delta": 1e-4,
-                          "ks_degree": 1}}
+                          "samples": 30_000, "ks_delta": 1e-4}}
         out = tmp_path / "out"
         rc = main(["counterexample", "--config",
                    str(write_config(tmp_path, cfg)), "--out", str(out)])
         assert rc == 0
         csv = (out / "report.csv").read_text().splitlines()
         assert csv[0] == "degQ,F0,sigma_theorem,lambda,sigma_eff,N,seed"
+
+    def test_ks_row_does_not_depend_on_family(self, tmp_path):
+        # the KS row always compares the laws of Q(z) = z
+        ks = {}
+        for family in ("chebyshev", "monomial"):
+            cfg = {"subcommand": "counterexample", "seed": 3,
+                   "inputs": {"family": family, "degrees": [2, 3],
+                              "samples": 2000, "ks_delta": 1e-4}}
+            out = tmp_path / family
+            run(cfg, str(out))
+            rows = json.loads((out / "report.json").read_text())["rows"]
+            ks[family] = [r["ks"] for r in rows if r["check"] == "ks_limit"]
+            csv = (out / "report.csv").read_text().splitlines()
+            assert csv[-1].startswith("1,")
+        assert len(ks["chebyshev"]) == 1
+        assert ks["chebyshev"] == ks["monomial"]
 
     def test_run_function_returns_pass_flag(self, tmp_path):
         ok = run(THEOREM_CONFIG, str(tmp_path / "out"), threads=1)

@@ -6,12 +6,36 @@ import pytest
 from sublevel_lab import kls
 from sublevel_lab.intervals import IntervalSet
 from sublevel_lab.kls import (LocalizationInstance, PiecewiseLogLinear,
-                              dense_core_1d, format_instance,
-                              localization_check_1d, min_interval_ratio,
-                              min_interval_ratio_many, parse_instance,
-                              random_instance)
+                              dense_core_1d, localization_check_1d,
+                              min_interval_ratio, min_interval_ratio_many,
+                              parse_instance, random_instance)
 
 UNIFORM = PiecewiseLogLinear(np.array([0.0, 1.0]), np.array([0.0, 0.0]))
+
+
+def endpoints(e: IntervalSet) -> np.ndarray:
+    """All component endpoints of `e`, ascending."""
+    return np.sort(np.concatenate([e.lower, e.upper]))
+
+
+def with_points(e: IntervalSet, pts) -> IntervalSet:
+    """`e` joined with the zero-length components [p, p]."""
+    return IntervalSet.from_pairs(e.pairs() + [(p, p) for p in pts])
+
+
+def scaled(den: PiecewiseLogLinear, factor: float) -> PiecewiseLogLinear:
+    """The density multiplied by `factor`: log_values shifted by its log."""
+    return PiecewiseLogLinear(den.breakpoints, den.log_values + math.log(factor))
+
+
+def format_instance(inst: LocalizationInstance) -> str:
+    """The instance literal that parse_instance reads."""
+    lines = [f"phi {float(t)!r} {float(v)!r}" for t, v in
+             zip(inst.density.breakpoints, inst.density.log_values)]
+    lines.append(f"S {float(inst.s_interval[0])!r} {float(inst.s_interval[1])!r}")
+    lines.extend(f"E {l!r} {u!r}" for l, u in inst.e_set.pairs())
+    lines.append(f"lambda {float(inst.lam)!r}")
+    return "\n".join(lines) + "\n"
 
 
 def brute_min_ratio(x, e: IntervalSet, s, grid=1000):
@@ -19,10 +43,10 @@ def brute_min_ratio(x, e: IntervalSet, s, grid=1000):
     joined with the candidate endpoints."""
     s0, s1 = s
     lefts = np.unique(np.concatenate(
-        [np.linspace(s0, x, grid), e.endpoints, [s0, x]]))
+        [np.linspace(s0, x, grid), endpoints(e), [s0, x]]))
     lefts = lefts[(lefts >= s0) & (lefts <= x)]
     rights = np.unique(np.concatenate(
-        [np.linspace(x, s1, grid), e.endpoints, [x, s1]]))
+        [np.linspace(x, s1, grid), endpoints(e), [x, s1]]))
     rights = rights[(rights >= x) & (rights <= s1)]
     w_l = e.measure_below(lefts)
     w_r = e.measure_below(rights)
@@ -86,7 +110,8 @@ class TestMinIntervalRatio:
                 expected, abs=1e-12)
 
     def test_empty_set(self):
-        assert min_interval_ratio(0.5, IntervalSet.empty(), (0.0, 1.0)) == 0.0
+        empty = IntervalSet.from_pairs([])
+        assert min_interval_ratio(0.5, empty, (0.0, 1.0)) == 0.0
 
     def test_outside_s_rejected(self):
         e = IntervalSet.from_pairs([(0.0, 1.0)])
@@ -123,7 +148,7 @@ class TestMinIntervalRatio:
             e, (s0, s1) = inst.e_set, inst.s_interval
             if rng.random() < 0.3:  # add zero-length components
                 pts = rng.uniform(s0, s1, 3)
-                e = e.union(IntervalSet.from_pairs([(p, p) for p in pts]))
+                e = with_points(e, pts)
             xs = np.concatenate([rng.uniform(s0, s1, 200), [s0, s1],
                                  kls._candidate_points(e, (s0, s1)),
                                  np.linspace(s0, s1, 101)])
@@ -209,7 +234,7 @@ class TestDenseCore:
             e, (s0, s1) = inst.e_set, inst.s_interval
             if rng.random() < 0.3:  # add zero-length components
                 pts = rng.uniform(s0, s1, 3)
-                e = e.union(IntervalSet.from_pairs([(p, p) for p in pts]))
+                e = with_points(e, pts)
             theta = (inst.lam - 1.0) / inst.lam
             core = dense_core_1d(e, (s0, s1), inst.lam)
             for lo, hi in e.pairs():
@@ -249,12 +274,13 @@ class TestDensity:
         den = PiecewiseLogLinear(np.array([-1.0, 0.0, 2.0]),
                                  np.array([0.0, 1.0, -3.0]))
         assert den.support == (-1.0, 2.0)
-        assert den.value(0.0) == pytest.approx(math.e)
+        # the density is exp(1 + x) on [-1, 0]
+        assert den.integral(-1.0, 0.0) == pytest.approx(math.e - 1.0, rel=1e-14)
         with pytest.raises(ValueError):
-            den.value(2.5)
+            den.integral(0.0, 2.5)
 
     def test_scaling_changes_integral(self):
-        den = UNIFORM.scaled(7.3)
+        den = scaled(UNIFORM, 7.3)
         assert den.integral(0.0, 1.0) == pytest.approx(7.3, rel=1e-12)
 
 
@@ -287,17 +313,20 @@ class TestLocalizationCheck1D:
         mass_s = 1 - math.exp(-1.0)
         assert rep.rhs == pytest.approx((mass_e / mass_s) ** 3, rel=1e-12)
 
-    def test_scaling_invariance_bitwise(self):
+    def test_scaling_invariance(self):
+        # mass ratios do not see a constant factor of the weight
         e = IntervalSet.from_pairs([(0.1, 0.4), (0.6, 0.8)])
         den = PiecewiseLogLinear(np.array([0.0, 0.5, 1.0]),
                                  np.array([0.0, 0.4, -0.6]))
         inst = LocalizationInstance(den, (0.0, 1.0), e, 2.5)
-        scaled = LocalizationInstance(den.scaled(7.3), (0.0, 1.0), e, 2.5)
+        times = LocalizationInstance(scaled(den, 7.3), (0.0, 1.0), e, 2.5)
         a = localization_check_1d(inst, 256)
-        b = localization_check_1d(scaled, 256)
-        assert a.lhs_inner == b.lhs_inner
-        assert a.lhs_outer == b.lhs_outer
-        assert a.rhs == b.rhs
+        b = localization_check_1d(times, 256)
+        assert b.lhs_inner == pytest.approx(a.lhs_inner, rel=1e-12)
+        assert b.lhs_outer == pytest.approx(a.lhs_outer, rel=1e-12)
+        assert b.rhs == pytest.approx(a.rhs, rel=1e-12)
+        assert times.density.integral(0.0, 1.0) == pytest.approx(
+            7.3 * den.integral(0.0, 1.0), rel=1e-12)
 
     def test_randomized_instances(self):
         rng = np.random.default_rng(101)

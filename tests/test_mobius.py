@@ -206,9 +206,25 @@ class TestLogConcavity:
         assert vals[0] - 2 * vals[1] + vals[2] <= 0.0
 
     def test_second_difference_grid(self):
-        rep = check_log_concavity(EIGHTH, 1, 1000, seed=2)
-        assert rep.extras["max_second_diff_factor"] <= 1e-12
-        assert rep.extras["max_second_diff_radial"] <= 1e-12
+        # the closed-form maxima of d^2/dr^2 of both radial factors bound
+        # their second differences on a grid, and sit at r = 0
+        for delta in (1 / 32, 1 / 16, 1 / 8):
+            params = MapParams(delta)
+            rep = check_log_concavity(params, 1, 1000, seed=2)
+            a = params.zero_sphere_radius_sq
+            assert rep.passed
+            assert rep.extras["max_d2_factor"] == pytest.approx(-2 * (1 - a * a))
+            assert rep.extras["max_d2_radial"] == pytest.approx(-6 * (1 - a * a))
+            rs, h = np.linspace(0.0, params.injectivity_radius, 2001,
+                                retstep=True)
+            R = rs * rs
+            m = mobius_factor(R, params)
+            radial = m + 2.0 * R * mobius_factor_d1(R, params)
+            for values, top in ((m, rep.extras["max_d2_factor"]),
+                                (radial, rep.extras["max_d2_radial"])):
+                d2 = np.diff(values, 2) / h ** 2
+                assert np.all(d2 <= top * (1 - 1e-3))
+                assert d2[0] == pytest.approx(top, rel=1e-2)
 
 
 class TestPreimageConvexity:

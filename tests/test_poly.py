@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sublevel_lab.poly import (MultiPoly, certify_sup, eval_many, format_poly,
-                               from_terms, lift, max_slice_halflength,
-                               normalize, parse_poly, restrict_to_line)
+from sublevel_lab.poly import (MultiPoly, certify_sup, eval_many, from_terms,
+                               lift, max_slice_halflength, normalize,
+                               parse_poly, restrict_to_line)
 
 
 def eval_poly(p: MultiPoly, z) -> complex:
@@ -17,6 +17,15 @@ def eval_poly(p: MultiPoly, z) -> complex:
         return 0.0 + 0.0j
     monomials = np.prod(z[None, :] ** p.exponents, axis=1)
     return complex(np.sum(p.coeffs * monomials))
+
+
+def format_poly(p: MultiPoly) -> str:
+    """The polynomial literal that parse_poly reads."""
+    lines = []
+    for alpha, c in zip(p.exponents, p.coeffs):
+        idx = " ".join(str(int(a)) for a in alpha)
+        lines.append(f"{float(c.real)!r} {float(c.imag)!r} {idx}")
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def sampled_sup_lower_bound(p: MultiPoly, samples: int, seed: int) -> float:

@@ -11,9 +11,15 @@ from sublevel_lab.thinrect import (RectangleSpec, build_function,
                                    growth_experiment, limit_moduli,
                                    monomial_on_quarter,
                                    oracle_required_exponent, oracle_quantile,
-                                   rectangle_moduli, required_exponent,
+                                   rectangle_moduli,
                                    required_exponent_from_summary,
                                    sublevel_measure)
+
+def required_exponent(f, delta, lam, count, seed):
+    """sigma_eff of the rectangle law of width `delta`, from one sample."""
+    return required_exponent_from_summary(
+        rectangle_moduli(f, delta, count, seed), lam)
+
 
 LINEAR = np.array([0.0, 1.0])          # Q(z) = z
 CONSTANT = np.array([1.0])
