@@ -387,7 +387,7 @@ def _run_lemma_b(inputs: dict, seed: int, threads: int):
 
 def _run_lemma_c(inputs: dict, seed: int, threads: int):
     v = _read_inputs("lemma-c", inputs)
-    reports = run_all_checks(v["delta"], v["n"], v["trials"], seed, threads,
+    reports = run_all_checks(v["delta"], v["n"], v["trials"], seed,
                              v["r_grid"], v["alpha_grid"])
     return ([r.to_row() for r in reports],
             ["check", "delta", "n", "seed", "statistic", "bound", "pass"], None)
@@ -506,7 +506,7 @@ SUITE_DEFAULTS = {
     "random_localization_instances": 40,
     "random_disk_functions": 40,
     "classical_instances": 10,
-    "logconcavity_trials": 20_000,
+    "map_trials": 20_000,
     "r_grid": 2_001,
     "alpha_grid": 181,
 }
@@ -524,7 +524,7 @@ def suite(seed: int, out_dir: str, threads: int = 1) -> bool:
     for delta in (1 / 32, 1 / 16, 1 / 8):
         for n in (2, 8, 32):
             cfg = _default_config("lemma-c", seed, {
-                "trials": d["logconcavity_trials"], "r_grid": d["r_grid"],
+                "trials": d["map_trials"], "r_grid": d["r_grid"],
                 "alpha_grid": d["alpha_grid"], "delta": delta, "n": n})
             ok &= run(cfg, out / f"lemma-c-{delta:.6f}-{n}", threads)
     verdicts = [("criterion-1 map properties", ok)]

@@ -5,9 +5,11 @@ from sublevel_lab import mobius
 from sublevel_lab.mobius import (CURVATURE_BLOCK, CURVATURE_BOUND, MapParams,
                                  apply_map, check_curvature,
                                  check_log_concavity, check_preimage_convexity,
-                                 check_radial_profile, jacobian, log_jacobian,
+                                 check_radial_profile, jacobian,
                                  mobius_factor, mobius_factor_d1,
                                  mobius_factor_d2)
+
+from .map_reference import log_jacobian, midpoint_defects
 
 EIGHTH = MapParams(0.125)
 
@@ -110,23 +112,36 @@ class TestJacobian:
 class TestRadialProfile:
     @pytest.mark.parametrize("delta", [1 / 32, 1 / 16, 1 / 8])
     def test_passes(self, delta):
-        rep = check_radial_profile(MapParams(delta), 2001)
+        rep = check_radial_profile(MapParams(delta))
         assert rep.passed
         assert rep.statistic > 0.0
         assert rep.extras["image_radius"] > 1 - 2 * delta
 
     def test_reported_values_for_eighth(self):
-        rep = check_radial_profile(EIGHTH, 2001)
+        rep = check_radial_profile(EIGHTH)
         assert rep.extras["image_radius"] == pytest.approx(0.78271, abs=1e-5)
         assert rep.extras["max_logderiv_ratio"] == pytest.approx(0.0275, abs=1e-3)
         assert rep.extras["max_logderiv_ratio"] <= 1 / 30
 
     def test_small_delta_image_radius(self):
-        rep = check_radial_profile(MapParams(1 / 32), 2001)
+        rep = check_radial_profile(MapParams(1 / 32))
         assert rep.extras["image_radius"] > 1 - 1 / 16
 
+    @pytest.mark.parametrize("delta, expected", [(1 / 32, 0.9868),
+                                                 (1 / 16, 0.9752),
+                                                 (1 / 8, 0.9576)])
+    def test_statistic_is_grid_minimum_at_rim(self, delta, expected):
+        # (r m(r^2))' = J_1(r); its minimum on a fine grid sits at r0
+        params = MapParams(delta)
+        rs = np.linspace(0.0, params.injectivity_radius, 200_001)
+        slope = jacobian(rs, 1, params)
+        rep = check_radial_profile(params)
+        assert int(np.argmin(slope)) == rs.size - 1
+        assert rep.statistic == pytest.approx(float(np.min(slope)), rel=1e-14)
+        assert rep.statistic == pytest.approx(expected, abs=1e-4)
+
     def test_row_schema(self):
-        row = check_radial_profile(EIGHTH, 101).to_row()
+        row = check_radial_profile(EIGHTH).to_row()
         assert set(row) == {"check", "delta", "n", "seed", "statistic",
                             "bound", "pass"}
 
@@ -136,7 +151,8 @@ class TestCurvature:
     def test_bound(self, delta):
         rep = check_curvature(MapParams(delta), 2001, 181)
         assert rep.passed
-        assert rep.statistic <= CURVATURE_BOUND + 1e-6
+        assert rep.statistic <= CURVATURE_BOUND
+        assert rep.bound == CURVATURE_BOUND
 
     def test_radial_lines_are_straight(self):
         # alpha = 0: sigma' and sigma'' are parallel, curvature 0
@@ -190,9 +206,45 @@ class TestCurvature:
 
 class TestLogConcavity:
     def test_passes_dimension_two(self):
-        rep = check_log_concavity(EIGHTH, 2, 20_000, seed=11)
+        rep = check_log_concavity(EIGHTH, 2)
         assert rep.passed
-        assert rep.statistic >= -1e-9
+        assert rep.statistic == pytest.approx(0.031281, abs=1e-6)
+        assert rep.bound == 0.0
+        assert rep.seed is None
+
+    @pytest.mark.parametrize("delta", [1 / 32, 1 / 16, 1 / 8])
+    @pytest.mark.parametrize("n", [1, 2, 8, 32, 64])
+    def test_statistic_closed_form(self, delta, n):
+        d3 = delta ** 3
+        rep = check_log_concavity(MapParams(delta), n)
+        assert rep.statistic == pytest.approx(
+            (2 * n + 4) * d3 * (2 - d3) / (1 - d3), rel=1e-14)
+
+    @pytest.mark.parametrize("delta", [1 / 32, 1 / 16, 1 / 8])
+    @pytest.mark.parametrize("n", [1, 2, 8, 32])
+    def test_kappa_attained_at_origin(self, delta, n):
+        # second difference of Psi along a line through 0, over -kappa_n
+        params, h = MapParams(delta), 1e-3
+        kappa = check_log_concavity(params, n).statistic
+        d2 = 2.0 * (log_jacobian(h, n, params) - log_jacobian(0.0, n, params)) / h ** 2
+        assert -d2 / kappa == pytest.approx(1.0, rel=1e-5)
+
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    def test_sampled_defects_respect_certificate(self, n):
+        kappa = check_log_concavity(EIGHTH, n).statistic
+        defect, dist_sq = midpoint_defects(EIGHTH, n, 20_000, seed=11)
+        assert np.min(defect - kappa * dist_sq / 8) >= -1e-12
+
+    def test_draws_no_random_numbers(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("random draw")
+
+        monkeypatch.setattr(mobius, "chunk_rng", no_draws)
+        monkeypatch.setattr(mobius, "ball_points", no_draws)
+        a = check_log_concavity(EIGHTH, 3, 70_000, seed=21, threads=1)
+        b = check_log_concavity(EIGHTH, 3, 10, seed=5, threads=4)
+        assert a == b
+        assert check_radial_profile(EIGHTH, 10) == check_radial_profile(EIGHTH)
 
     def test_midpoint_identity(self):
         r = 0.3
@@ -210,7 +262,7 @@ class TestLogConcavity:
         # their second differences on a grid, and sit at r = 0
         for delta in (1 / 32, 1 / 16, 1 / 8):
             params = MapParams(delta)
-            rep = check_log_concavity(params, 1, 1000, seed=2)
+            rep = check_log_concavity(params, 1)
             a = params.zero_sphere_radius_sq
             assert rep.passed
             assert rep.extras["max_d2_factor"] == pytest.approx(-2 * (1 - a * a))
@@ -250,12 +302,6 @@ class TestPreimageConvexity:
         b = check_preimage_convexity(EIGHTH, 0.3, 0.2, 1000, seed=9)
         assert a.extras["pairs_checked"] == b.extras["pairs_checked"]
         assert a.statistic == b.statistic
-
-
-def test_log_concavity_deterministic_across_threads():
-    a = check_log_concavity(EIGHTH, 3, 70_000, seed=21, threads=1)
-    b = check_log_concavity(EIGHTH, 3, 70_000, seed=21, threads=4)
-    assert a.statistic == b.statistic
 
 
 def test_paper_constant_chain_for_eighth():

@@ -23,6 +23,12 @@ ALLOWED = {
     # bench/workloads.py:312-334
     ("remez.py", "classical_remez_check", "n_grid"),
     ("remez.py", "classical_remez_check", "per_component"),
+    # bench/workloads.py:207
+    ("mobius.py", "check_radial_profile", "grid_points"),
+    # bench/workloads.py:230-231
+    ("mobius.py", "check_log_concavity", "trials"),
+    ("mobius.py", "check_log_concavity", "seed"),
+    ("mobius.py", "check_log_concavity", "threads"),
 }
 
 

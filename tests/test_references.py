@@ -6,7 +6,9 @@ file is walked with the standard library `ast`.  A public name is a
 module-level function, class or constant of a module under
 `src/sublevel_lab`, or a method of a module-level class, whose name does
 not start with an underscore.  It counts as referenced when its bare name
-is loaded as a variable or read as an attribute
+is loaded as a variable or read as an attribute, and a method (or property)
+only when it is read as an attribute, `x.name`, never through a bare
+variable of the same name,
 
 - in a file under `src/`, outside the name's own definition and outside
   `__init__.py`, whose imports only re-export;
@@ -14,8 +16,13 @@ is loaded as a variable or read as an attribute
   a dotted name also counts, because the benchmark's tracer names spans
   and wrapped functions by string.
 
-Names are matched without their module or class, so a method shares its
-reference with every attribute of the same name.
+In a dotted string, the first part counts as a variable and the rest as
+attributes.
+
+Names are matched without their module or class, so a method still shares
+its references with every attribute of the same name: an unused method
+hides behind any other class's attribute that is read under its name
+(`IntervalSet.empty` once hid behind `_LogForm.empty`).
 """
 
 import ast
@@ -31,6 +38,9 @@ ALLOWED = {
     "poly.restrict_to_line":
         "documented API: the README's poly bullet offers restriction to "
         "real line segments whose complex disk stays inside the ball",
+    "poly.LineSlice.eval":
+        "documented API: evaluates the slice that poly.restrict_to_line "
+        "returns, the restriction the README's poly bullet offers",
 }
 
 DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
@@ -57,10 +67,10 @@ def public_names(tree):
 
 
 def references(tree, strings=False) -> dict:
-    """Bare name -> the enclosing definitions (as node ids) of each place
-    under `tree` that loads the name or reads it as an attribute; with
-    `strings`, also each string constant that spells a dotted name,
-    docstrings excepted."""
+    """(bare name, read as an attribute?) -> the enclosing definitions (as
+    node ids) of each place under `tree` that loads the name as a variable
+    or reads it as an attribute; with `strings`, also each string constant
+    that spells a dotted name, docstrings excepted."""
     docstrings = {id(node.body[0].value) for node in ast.walk(tree)
                   if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
                                        ast.AsyncFunctionDef))
@@ -70,17 +80,18 @@ def references(tree, strings=False) -> dict:
     stack = [(tree, ())]
     while stack:
         node, owners = stack.pop()
-        names = ()
+        keys = ()
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            names = (node.id,)
+            keys = ((node.id, False),)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            names = (node.attr,)
+            keys = ((node.attr, True),)
         elif (strings and isinstance(node, ast.Constant)
               and isinstance(node.value, str) and id(node) not in docstrings
               and DOTTED.fullmatch(node.value)):
-            names = node.value.split(".")
-        for name in names:
-            found.setdefault(name, []).append(owners)
+            keys = tuple((part, i > 0)
+                         for i, part in enumerate(node.value.split(".")))
+        for key in keys:
+            found.setdefault(key, []).append(owners)
         inner = owners + (id(node),)
         stack.extend((child, inner) for child in ast.iter_child_nodes(node))
     return found
@@ -94,8 +105,8 @@ def unreferenced_names() -> set:
                if path.name != "__init__.py"}
     in_src = {}
     for tree in modules.values():
-        for name, places in references(tree).items():
-            in_src.setdefault(name, []).extend(places)
+        for key, places in references(tree).items():
+            in_src.setdefault(key, []).extend(places)
     in_scripts = set()
     for folder in SCRIPT_DIRS:
         for path in sorted((ROOT / folder).rglob("*.py")):
@@ -103,9 +114,12 @@ def unreferenced_names() -> set:
     missing = set()
     for module, tree in modules.items():
         for qualname, bare, node in public_names(tree):
+            # a method counts only as an attribute read
+            keys = [(bare, True)] if "." in qualname else [(bare, False), (bare, True)]
             # a use inside the name's own definition does not count
-            if bare not in in_scripts and all(
-                    id(node) in owners for owners in in_src.get(bare, [])):
+            if not in_scripts.intersection(keys) and all(
+                    id(node) in owners
+                    for key in keys for owners in in_src.get(key, [])):
                 missing.add(f"{module}.{qualname}")
     return missing
 
