@@ -6,8 +6,8 @@ real sphere of squared radius `zero_sphere_radius_sq` collapses to the
 origin, the map is injective on a smaller real ball, its Jacobian has a
 closed form that is log-concave there, and preimages of balls in the image
 are convex.  The check_* routines verify each property, in closed form
-where one exists (radial profile, log-concavity), and return small report
-objects.
+where one exists (radial profile, log-concavity, curvature), and return
+small report objects.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ MEMBERSHIP_TOL = 1e-12
 CONTAINMENT_MARGIN = 1e-9
 CURVATURE_BOUND = 25.0 / 27.0
 LOGDERIV_RATIO_BOUND = 1.0 / 30.0
-CURVATURE_BLOCK = 256  # r-grid rows per block in check_curvature
 
 
 @dataclass(frozen=True)
@@ -81,10 +80,17 @@ def mobius_factor_d1(R, params: MapParams):
     return -(1.0 - A * A) / (1.0 - A * np.asarray(R)) ** 2
 
 
-def mobius_factor_d2(R, params: MapParams):
-    """Second derivative, from the closed form (no numeric differencing)."""
+def _rim_values(params: MapParams) -> tuple[float, float, float]:
+    """m, m' and m'' at R0 = injectivity_radius_sq, free of cancellation and
+    of underflow.  With A - R0 = 3 delta, 1 - A R0 = 3 delta q for
+    q = 1 + delta^2 (2 - 3 delta - delta^3) / 3, and 1 - A^2 = delta^3 s for
+    s = 2 - delta^3, they are 1/q, -delta s / (9 q^2) and
+    -2 A s / (27 q^3); they stay accurate where A = 1 - delta^3 rounds to 1."""
+    d = params.delta
+    q = 1.0 + d * d * (2.0 - 3.0 * d - d ** 3) / 3.0
+    s = 2.0 - d ** 3
     A = params.zero_sphere_radius_sq
-    return -2.0 * A * (1.0 - A * A) / (1.0 - A * np.asarray(R)) ** 3
+    return 1.0 / q, -d * s / (9.0 * q * q), -2.0 * A * s / (27.0 * q ** 3)
 
 
 def apply_map(z, params: MapParams) -> np.ndarray:
@@ -146,10 +152,8 @@ def check_radial_profile(params: MapParams, grid_points: int = 10_000) -> CheckR
     so its exact minimum is its value at r0.  |m'|/m = (1 - A^2) /
     ((1 - A R)(A - R)) increases in R, so its maximum is the closed form at
     R = injectivity_radius_sq.  `grid_points` is ignored."""
-    R0 = params.injectivity_radius_sq
-    m0 = float(mobius_factor(R0, params))
-    m1 = float(mobius_factor_d1(R0, params))
-    min_slope = m0 + 2.0 * R0 * m1
+    m0, m1, _ = _rim_values(params)
+    min_slope = m0 + 2.0 * params.injectivity_radius_sq * m1
     image_radius = params.image_radius
     max_ratio = -m1 / m0
     radius_target = 1.0 - 2.0 * params.delta
@@ -192,9 +196,8 @@ def check_log_concavity(params: MapParams, n: int, trials: int = 0,
     d3 = params.delta ** 3
     one_minus_a_sq = d3 * (2.0 - d3)
     kappa = (2 * n + 4) * one_minus_a_sq / params.zero_sphere_radius_sq
-    R0 = params.injectivity_radius_sq
-    factor_r0 = float(mobius_factor(R0, params))
-    radial_r0 = factor_r0 + 2.0 * R0 * float(mobius_factor_d1(R0, params))
+    factor_r0, m1, _ = _rim_values(params)
+    radial_r0 = factor_r0 + 2.0 * params.injectivity_radius_sq * m1
     passed = kappa > 0.0 and factor_r0 > 0.0 and radial_r0 > 0.0
     return CheckReport(
         check="log_concavity", delta=params.delta, n=n,
@@ -207,40 +210,36 @@ def check_log_concavity(params: MapParams, n: int, trials: int = 0,
 
 def check_curvature(params: MapParams, r_grid: int = 10_000,
                     alpha_grid: int = 360) -> CheckReport:
-    """Maximum curvature of images of straight lines, evaluated in the plane.
+    """Certified upper bound on the curvature of images of straight lines.
 
-    The tangent line through r*x with direction v at angle alpha maps to a
-    curve whose first two derivatives at the touch point have closed forms;
-    curvature = |s' x s''| / |s'|^3.  The r grid is walked in blocks of
-    CURVATURE_BLOCK rows, so memory is bounded by CURVATURE_BLOCK *
-    alpha_grid, not by r_grid * alpha_grid; a NaN in any block fails the check.
-    """
-    if r_grid < 2 or alpha_grid < 2:
-        raise ValueError("grids must be >= 2")
-    r_all = np.linspace(0.0, params.injectivity_radius, r_grid)[:, None]
-    alphas = np.linspace(0.0, np.pi, alpha_grid)[None, :]
-    ca, sa = np.cos(alphas), np.sin(alphas)
-    block_max = []
-    for start in range(0, r_grid, CURVATURE_BLOCK):
-        rs = r_all[start:start + CURVATURE_BLOCK]
-        R = rs * rs
-        m = mobius_factor(R, params)
-        m1 = mobius_factor_d1(R, params)
-        m2 = mobius_factor_d2(R, params)
-        # x = (1, 0), v = (cos a, sin a)
-        sp_x = m * ca + 2.0 * R * m1 * ca
-        sp_y = m * sa
-        spp_x = 4.0 * rs * m1 * ca * ca + 2.0 * rs * m1 + 4.0 * rs * R * m2 * ca * ca
-        spp_y = 4.0 * rs * m1 * ca * sa
-        cross = np.abs(sp_x * spp_y - sp_y * spp_x)
-        speed_sq = sp_x * sp_x + sp_y * sp_y
-        block_max.append(np.max(cross / speed_sq ** 1.5))
-    max_curv = float(np.max(block_max))
+    The line through r e_1 at direction angle a maps to a plane curve s(t)
+    with curvature |s' x s''| / |s'|^3 at r e_1.  With c = cos^2 a and
+    g = m + 2 R m', m' and m'' evaluated at R = r^2, this is
+
+        kappa = r sin a (4 R c (2 m'^2 + m |m''|) + 2 m |m'|)
+                / (g^2 c + m^2 (1 - c))^(3/2).
+
+    On [0, r0] the values r, R, |m'| and |m''| rise, and 0 < g <= m <= A
+    with g falling (see check_log_concavity).  So the denominator is at
+    least g(R0)^3, and kappa <= r0 h(c) / g(R0)^3 with h(c) = sqrt(1 - c)
+    (alpha c + beta), alpha = 4 R0 (2 m'(R0)^2 + A |m''(R0)|) and
+    beta = 2 A |m'(R0)|.  h is largest at c* = (2 alpha - beta) / (3 alpha),
+    clipped to [0, 1].  A non-positive g(R0) or a NaN fails the check.
+    `r_grid` and `alpha_grid` are ignored."""
+    m0, m1, m2 = _rim_values(params)
+    A, R0 = params.zero_sphere_radius_sq, params.injectivity_radius_sq
+    g0 = m0 + 2.0 * R0 * m1
+    alpha = 4.0 * R0 * (2.0 * m1 * m1 + A * abs(m2))
+    beta = 2.0 * A * abs(m1)
+    c = 0.0
+    if alpha:
+        c = min(max((2.0 * alpha - beta) / (3.0 * alpha), 0.0), 1.0)
+    kappa = (params.injectivity_radius * math.sqrt(1.0 - c) * (alpha * c + beta)
+             / g0 ** 3)
     return CheckReport(
         check="curvature", delta=params.delta,
-        statistic=max_curv, bound=CURVATURE_BOUND,
-        passed=max_curv <= CURVATURE_BOUND,
-        extras={"r_grid": r_grid, "alpha_grid": alpha_grid})
+        statistic=kappa, bound=CURVATURE_BOUND,
+        passed=g0 > 0.0 and kappa <= CURVATURE_BOUND)
 
 
 def check_preimage_convexity(params: MapParams, center_dist: float,
@@ -249,7 +248,8 @@ def check_preimage_convexity(params: MapParams, center_dist: float,
 
     The preimage is a body of revolution around the axis through the test
     ball's center, so the plane case decides convexity; the test runs in R^2
-    with the ball centered at (center_dist, 0).
+    with the ball centered at (center_dist, 0).  It passes only when it
+    checked at least `trials` pairs.
     """
     if radius < 0 or center_dist < 0:
         raise ValueError("center_dist and radius must be nonnegative")
@@ -286,7 +286,8 @@ def check_preimage_convexity(params: MapParams, center_dist: float,
         chunk_index += 1
     return CheckReport(
         check="preimage_convexity", delta=params.delta, seed=seed,
-        statistic=float(violations), bound=0.0, passed=violations == 0,
+        statistic=float(violations), bound=0.0,
+        passed=violations == 0 and checked_pairs >= trials,
         extras={
             "pairs_checked": checked_pairs,
             "pairs_requested": trials,
@@ -295,16 +296,15 @@ def check_preimage_convexity(params: MapParams, center_dist: float,
         })
 
 
-def run_all_checks(delta: float, n: int, trials: int, seed: int,
-                   r_grid: int = 10_000,
-                   alpha_grid: int = 360) -> list[CheckReport]:
+def run_all_checks(delta: float, n: int, trials: int,
+                   seed: int) -> list[CheckReport]:
     """Full property sweep for one (delta, n).  Only the preimage test draws
     samples: max(trials // 10, 100) midpoint pairs."""
     params = MapParams(delta)
     ball = (0.35 * params.image_radius, 0.4 * params.image_radius)
     return [
         check_radial_profile(params),
-        check_curvature(params, r_grid, alpha_grid),
+        check_curvature(params),
         check_log_concavity(params, n),
         check_preimage_convexity(params, ball[0], ball[1],
                                  max(trials // 10, 100), seed),

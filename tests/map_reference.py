@@ -1,14 +1,47 @@
-"""Sampled reference for the Jacobian's log-concavity.
+"""Sampled and gridded references for the map's closed-form certificates.
 
 `mobius.check_log_concavity` certifies strong log-concavity in closed form;
 the tests cross-check that certificate against random midpoint triples of
-Psi(x) = log J_n(|x|) in the injectivity ball.
+Psi(x) = log J_n(|x|) in the injectivity ball.  `mobius.check_curvature`
+certifies an upper bound on the curvature of line images; the tests compare
+it with the maximum over an (r, alpha) grid.
 """
 
 import numpy as np
 
 from sublevel_lab.mobius import MapParams, mobius_factor, mobius_factor_d1
 from sublevel_lab.sampling import ball_points
+
+
+def mobius_factor_d2(R, params: MapParams):
+    """Second derivative of the Moebius factor at real argument R."""
+    A = params.zero_sphere_radius_sq
+    return -2.0 * A * (1.0 - A * A) / (1.0 - A * np.asarray(R)) ** 3
+
+
+def curvature_grid_max(params: MapParams, r_grid: int, alpha_grid: int) -> float:
+    """Maximum curvature of line images over an r_grid x alpha_grid grid of
+    [0, r0] x [0, pi], walked in row blocks to bound memory.
+
+    The line through r e_1 with direction (cos a, sin a) maps to a curve s
+    whose first two derivatives at r e_1 have closed forms; curvature =
+    |s' x s''| / |s'|^3.  A NaN anywhere makes the maximum NaN."""
+    r_all = np.linspace(0.0, params.injectivity_radius, r_grid)[:, None]
+    alphas = np.linspace(0.0, np.pi, alpha_grid)[None, :]
+    ca, sa = np.cos(alphas), np.sin(alphas)
+    block_max = []
+    for rs in np.array_split(r_all, -(-r_grid // 256)):
+        R = rs * rs
+        m = mobius_factor(R, params)
+        m1 = mobius_factor_d1(R, params)
+        m2 = mobius_factor_d2(R, params)
+        sp_x = m * ca + 2.0 * R * m1 * ca
+        sp_y = m * sa
+        spp_x = 4.0 * rs * m1 * ca * ca + 2.0 * rs * m1 + 4.0 * rs * R * m2 * ca * ca
+        spp_y = 4.0 * rs * m1 * ca * sa
+        cross = np.abs(sp_x * spp_y - sp_y * spp_x)
+        block_max.append(np.max(cross / (sp_x * sp_x + sp_y * sp_y) ** 1.5))
+    return float(np.max(block_max))
 
 
 def log_jacobian(r, n: int, params: MapParams):

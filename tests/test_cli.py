@@ -32,8 +32,7 @@ BASE_INPUTS = {
     "theorem": THEOREM_CONFIG["inputs"],
     "lemma-a": {"random_instances": 1},
     "lemma-b": {"random_instances": 1},
-    "lemma-c": {"delta": 0.125, "n": 2, "trials": 200, "r_grid": 11,
-                "alpha_grid": 5},
+    "lemma-c": {"delta": 0.125, "n": 2, "trials": 200},
     "counterexample": {"family": "chebyshev", "degrees": [4, 8],
                        "samples": 2000},
     "all": {},
@@ -149,6 +148,8 @@ class TestValidation:
         ("lemma-b", "set", [[0.0, 0.1]]),
         ("counterexample", "ks_bound", 0.0),
         ("counterexample", "ks_degree", 2),
+        ("lemma-c", "r_grid", 2001),
+        ("lemma-c", "alpha_grid", 181),
     ], ids=["empty-lambdas", "nan-radius", "nan-strong_form_c", "one-degree",
             "inf-lambda", "string-lambda", "string-normalize", "unknown-key",
             "nan-center", "bool-seed", "negative-seed", "misspelled-inputs",
@@ -158,7 +159,8 @@ class TestValidation:
             "inf-instance", "nan-function", "dropped-grid",
             "lambda-beyond-sample", "a-without-function",
             "interval-without-function", "set-without-function",
-            "ks_bound-without-ks_delta", "ks_degree-without-ks_delta"])
+            "ks_bound-without-ks_delta", "ks_degree-without-ks_delta",
+            "dropped-r_grid", "dropped-alpha_grid"])
     def test_vacuous_or_nan_input_names_field(self, tmp_path, capsys, sub,
                                               field, value):
         cfg = {"subcommand": sub, "seed": 1,
@@ -277,8 +279,7 @@ class TestTheoremRun:
 class TestOtherSubcommands:
     def test_lemma_c(self, tmp_path):
         cfg = {"subcommand": "lemma-c", "seed": 7,
-               "inputs": {"delta": 0.125, "n": 2, "trials": 5000,
-                          "r_grid": 1001, "alpha_grid": 91}}
+               "inputs": {"delta": 0.125, "n": 2, "trials": 5000}}
         out = tmp_path / "out"
         rc = main(["lemma-c", "--config", str(write_config(tmp_path, cfg)),
                    "--out", str(out)])

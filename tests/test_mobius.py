@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from sublevel_lab import mobius
-from sublevel_lab.mobius import (CURVATURE_BLOCK, CURVATURE_BOUND, MapParams,
-                                 apply_map, check_curvature,
-                                 check_log_concavity, check_preimage_convexity,
+from sublevel_lab.mobius import (CURVATURE_BOUND, MapParams, apply_map,
+                                 check_curvature, check_log_concavity,
+                                 check_preimage_convexity,
                                  check_radial_profile, jacobian,
-                                 mobius_factor, mobius_factor_d1,
-                                 mobius_factor_d2)
+                                 mobius_factor, mobius_factor_d1)
 
-from .map_reference import log_jacobian, midpoint_defects
+from .map_reference import (curvature_grid_max, log_jacobian,
+                            midpoint_defects, mobius_factor_d2)
 
 EIGHTH = MapParams(0.125)
 
@@ -146,62 +146,75 @@ class TestRadialProfile:
                             "bound", "pass"}
 
 
+class TestRimValues:
+    @pytest.mark.parametrize("delta", [1 / 32, 1 / 16, 1 / 8])
+    def test_match_direct_forms(self, delta):
+        params = MapParams(delta)
+        R0 = params.injectivity_radius_sq
+        direct = (mobius_factor(R0, params), mobius_factor_d1(R0, params),
+                  mobius_factor_d2(R0, params))
+        for got, ref in zip(mobius._rim_values(params), direct):
+            assert got == pytest.approx(float(ref), rel=1e-12)
+
+    @pytest.mark.parametrize("delta", [1e-7, 1e-6, 1e-5])
+    def test_leading_terms_at_tiny_delta(self, delta):
+        # for delta <= 1e-6, A = 1 - delta^3 rounds to 1 and the direct
+        # forms read m' = 0
+        params = MapParams(delta)
+        m0, m1, m2 = mobius._rim_values(params)
+        assert m1 == pytest.approx(-2 * delta / 9, rel=1e-8)
+        assert m2 == pytest.approx(-4 / 27, rel=1e-8)
+        g0 = m0 + 2 * params.injectivity_radius_sq * m1
+        assert g0 == pytest.approx(1 - 4 * delta / 9, abs=1e-9)
+        rep = check_radial_profile(params)
+        assert rep.statistic == g0
+        assert rep.extras["max_logderiv_ratio"] == pytest.approx(2 * delta / 9,
+                                                                 rel=1e-6)
+
+
 class TestCurvature:
     @pytest.mark.parametrize("delta", [1 / 32, 1 / 16, 1 / 8])
     def test_bound(self, delta):
-        rep = check_curvature(MapParams(delta), 2001, 181)
+        rep = check_curvature(MapParams(delta))
         assert rep.passed
         assert rep.statistic <= CURVATURE_BOUND
         assert rep.bound == CURVATURE_BOUND
 
+    @pytest.mark.parametrize("delta", [1e-4, 1 / 1024, 1 / 32, 1 / 16, 1 / 8])
+    def test_certificate_brackets_grid_maximum(self, delta):
+        params = MapParams(delta)
+        grid_max = curvature_grid_max(params, 2001, 181)
+        assert grid_max <= check_curvature(params).statistic <= 1.06 * grid_max
+
+    @pytest.mark.parametrize("delta", [1e-300, 1e-7, 1e-6])
+    def test_small_delta_limit(self, delta):
+        # kappa -> r0 h(2/3) with alpha = 16/27, beta = 0 as delta -> 0
+        rep = check_curvature(MapParams(delta))
+        assert rep.statistic == pytest.approx(32 / (81 * np.sqrt(3)), abs=1e-6)
+
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    def test_nan_rim_value_fails(self, monkeypatch, slot):
+        values = list(mobius._rim_values(EIGHTH))
+        values[slot] = np.nan
+        monkeypatch.setattr(mobius, "_rim_values", lambda params: tuple(values))
+        assert not check_curvature(EIGHTH).passed
+
+    def test_draws_no_random_numbers_and_builds_no_grid(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("sampled or gridded")
+
+        for name in ("chunk_rng", "ball_points", "mobius_factor",
+                     "mobius_factor_d1"):
+            monkeypatch.setattr(mobius, name, forbidden)
+        assert check_curvature(EIGHTH, 2, 2) == check_curvature(EIGHTH)
+
     def test_radial_lines_are_straight(self):
-        # alpha = 0: sigma' and sigma'' are parallel, curvature 0
-        params = EIGHTH
-        rep = check_curvature(params, 101, 2)
-        # grid includes alpha=0 and alpha=pi rows only; both radial
-        assert rep.statistic <= 1e-12
+        # alpha in {0, pi}: s' and s'' are parallel, curvature 0
+        assert curvature_grid_max(EIGHTH, 101, 2) <= 1e-12
 
     def test_zero_radius_no_bending(self):
-        r0 = EIGHTH.injectivity_radius
-        R = 0.0
-        m = float(mobius_factor(R, EIGHTH))
-        # sigma''(0) carries a factor r; at r=0 cross product vanishes
-        assert m > 0
-        rep = check_curvature(EIGHTH, 2, 91)  # r grid {0, r0}
-        assert rep.passed
-
-    @pytest.mark.parametrize("delta", [1 / 32, 1 / 16, 1 / 8])
-    def test_row_blocks_match_full_grid_bitwise(self, delta):
-        # 1001 rows are not a multiple of the block size: the last block is short
-        r_grid, alpha_grid = 1001, 37
-        assert r_grid % CURVATURE_BLOCK
-        params = MapParams(delta)
-        rs = np.linspace(0.0, params.injectivity_radius, r_grid)[:, None]
-        alphas = np.linspace(0.0, np.pi, alpha_grid)[None, :]
-        R = rs * rs
-        m, m1 = mobius_factor(R, params), mobius_factor_d1(R, params)
-        m2 = mobius_factor_d2(R, params)
-        ca, sa = np.cos(alphas), np.sin(alphas)
-        sp_x = m * ca + 2.0 * R * m1 * ca
-        sp_y = m * sa
-        spp_x = 4.0 * rs * m1 * ca * ca + 2.0 * rs * m1 + 4.0 * rs * R * m2 * ca * ca
-        spp_y = 4.0 * rs * m1 * ca * sa
-        full = np.abs(sp_x * spp_y - sp_y * spp_x) / (sp_x * sp_x + sp_y * sp_y) ** 1.5
-        rep = check_curvature(params, r_grid, alpha_grid)
-        assert rep.statistic.hex() == float(np.max(full)).hex()
-
-    def test_nan_in_a_later_block_fails(self, monkeypatch):
-        # a NaN only in the last block must reach the statistic and fail it
-        d2 = mobius.mobius_factor_d2
-        last = EIGHTH.injectivity_radius * EIGHTH.injectivity_radius
-
-        def nan_at_rim(R, params):
-            return np.where(R == last, np.nan, d2(R, params))
-
-        monkeypatch.setattr(mobius, "mobius_factor_d2", nan_at_rim)
-        rep = check_curvature(EIGHTH, 3 * CURVATURE_BLOCK + 5, 7)
-        assert np.isnan(rep.statistic)
-        assert not rep.passed
+        # s''(0) carries a factor r; at r = 0 the cross product vanishes
+        assert curvature_grid_max(EIGHTH, 1, 91) == 0.0
 
 
 class TestLogConcavity:
@@ -290,8 +303,10 @@ class TestPreimageConvexity:
         assert rep.passed
 
     def test_degenerate_radius(self):
+        # no sampled point lands in a zero-radius preimage: not a pass
         rep = check_preimage_convexity(EIGHTH, 0.2, 0.0, 100, seed=4)
-        assert rep.passed
+        assert rep.extras["pairs_checked"] < 100
+        assert not rep.passed
 
     def test_ball_outside_image_rejected(self):
         with pytest.raises(ValueError, match="inside the image"):

@@ -29,6 +29,9 @@ ALLOWED = {
     ("mobius.py", "check_log_concavity", "trials"),
     ("mobius.py", "check_log_concavity", "seed"),
     ("mobius.py", "check_log_concavity", "threads"),
+    # bench/workloads.py:213
+    ("mobius.py", "check_curvature", "r_grid"),
+    ("mobius.py", "check_curvature", "alpha_grid"),
 }
 
 
