@@ -94,7 +94,6 @@ FIELDS = {
     "lemma-c": {
         "delta": Field("float", gt=0.0, le=0.125),
         "n": Field("int", 2, ge=1, le=64),
-        "trials": Field("int", 100_000, ge=1, le=10**7),
     },
     "counterexample": {
         "family": Field("choice", "chebyshev",
@@ -385,9 +384,9 @@ def _run_lemma_b(inputs: dict, seed: int, threads: int):
 
 def _run_lemma_c(inputs: dict, seed: int, threads: int):
     v = _read_inputs("lemma-c", inputs)
-    reports = run_all_checks(v["delta"], v["n"], v["trials"], seed)
+    reports = run_all_checks(v["delta"], v["n"])
     return ([r.to_row() for r in reports],
-            ["check", "delta", "n", "seed", "statistic", "bound", "pass"], None)
+            ["check", "delta", "n", "statistic", "bound", "pass"], None)
 
 
 def _family_coeffs(v: dict, degrees):
@@ -440,7 +439,7 @@ def _default_config(sub: str, seed: int, inputs: dict) -> dict:
                     "lambdas": [1.5, 2.0, 4.0, 8.0], "samples": 50_000},
         "lemma-a": {"random_instances": 25},
         "lemma-b": {"random_instances": 10, "classical_instances": 5},
-        "lemma-c": {"delta": 0.125, "n": 2, "trials": 20_000},
+        "lemma-c": {"delta": 0.125, "n": 2},
         "counterexample": {"family": "monomial", "degrees": [1, 2, 4],
                            "eta": 0.1, "delta": 1e-5, "lambdas": [2.0],
                            "samples": 50_000, "ks_delta": 1e-4},
@@ -502,7 +501,6 @@ SUITE_DEFAULTS = {
     "random_localization_instances": 40,
     "random_disk_functions": 40,
     "classical_instances": 10,
-    "map_trials": 20_000,
 }
 
 
@@ -517,8 +515,7 @@ def suite(seed: int, out_dir: str, threads: int = 1) -> bool:
     ok = True
     for delta in (1 / 32, 1 / 16, 1 / 8):
         for n in (2, 8, 32):
-            cfg = _default_config("lemma-c", seed, {
-                "trials": d["map_trials"], "delta": delta, "n": n})
+            cfg = _default_config("lemma-c", seed, {"delta": delta, "n": n})
             ok &= run(cfg, out / f"lemma-c-{delta:.6f}-{n}", threads)
     verdicts = [("criterion-1 map properties", ok)]
     for name, sub, inputs in (

@@ -5,8 +5,9 @@ coefficient.  It fixes the origin's value pattern needed downstream: the
 real sphere of squared radius `zero_sphere_radius_sq` collapses to the
 origin, the map is injective on a smaller real ball, its Jacobian has a
 closed form that is log-concave there, and preimages of balls in the image
-are convex.  The check_* routines verify each property, in closed form
-where one exists (radial profile, log-concavity, curvature), and return
+are convex.  The check_* routines verify each property in closed form
+(radial profile, log-concavity, curvature, and preimage convexity as a
+corollary of the curvature bound), draw no random numbers, and return
 small report objects.
 """
 
@@ -17,10 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sampling import STREAM_PREIMAGE, ball_points, chunk_rng, chunk_sizes
-
 POLE_TOL = 1e-15
-MEMBERSHIP_TOL = 1e-12
 CONTAINMENT_MARGIN = 1e-9
 CURVATURE_BOUND = 25.0 / 27.0
 LOGDERIV_RATIO_BOUND = 1.0 / 30.0
@@ -129,7 +127,6 @@ class CheckReport:
     bound: float
     passed: bool
     n: int | None = None
-    seed: int | None = None
     extras: dict = field(default_factory=dict)
 
     def to_row(self) -> dict:
@@ -137,7 +134,6 @@ class CheckReport:
             "check": self.check,
             "delta": self.delta,
             "n": self.n,
-            "seed": self.seed,
             "statistic": self.statistic,
             "bound": self.bound,
             "pass": bool(self.passed),
@@ -208,6 +204,23 @@ def check_log_concavity(params: MapParams, n: int, trials: int = 0,
         })
 
 
+def _curvature_certificate(params: MapParams) -> tuple[float, float]:
+    """(kappa_cert, g(R0)): the closed-form bound on the curvature of line
+    images that check_curvature derives, and the radial slope g = m + 2 R m'
+    at R0 that it divides by."""
+    m0, m1, m2 = _rim_values(params)
+    A, R0 = params.zero_sphere_radius_sq, params.injectivity_radius_sq
+    g0 = m0 + 2.0 * R0 * m1
+    alpha = 4.0 * R0 * (2.0 * m1 * m1 + A * abs(m2))
+    beta = 2.0 * A * abs(m1)
+    c = 0.0
+    if alpha:
+        c = min(max((2.0 * alpha - beta) / (3.0 * alpha), 0.0), 1.0)
+    kappa = (params.injectivity_radius * math.sqrt(1.0 - c) * (alpha * c + beta)
+             / g0 ** 3)
+    return kappa, g0
+
+
 def check_curvature(params: MapParams, r_grid: int = 10_000,
                     alpha_grid: int = 360) -> CheckReport:
     """Certified upper bound on the curvature of images of straight lines.
@@ -226,16 +239,7 @@ def check_curvature(params: MapParams, r_grid: int = 10_000,
     beta = 2 A |m'(R0)|.  h is largest at c* = (2 alpha - beta) / (3 alpha),
     clipped to [0, 1].  A non-positive g(R0) or a NaN fails the check.
     `r_grid` and `alpha_grid` are ignored."""
-    m0, m1, m2 = _rim_values(params)
-    A, R0 = params.zero_sphere_radius_sq, params.injectivity_radius_sq
-    g0 = m0 + 2.0 * R0 * m1
-    alpha = 4.0 * R0 * (2.0 * m1 * m1 + A * abs(m2))
-    beta = 2.0 * A * abs(m1)
-    c = 0.0
-    if alpha:
-        c = min(max((2.0 * alpha - beta) / (3.0 * alpha), 0.0), 1.0)
-    kappa = (params.injectivity_radius * math.sqrt(1.0 - c) * (alpha * c + beta)
-             / g0 ** 3)
+    kappa, g0 = _curvature_certificate(params)
     return CheckReport(
         check="curvature", delta=params.delta,
         statistic=kappa, bound=CURVATURE_BOUND,
@@ -243,69 +247,42 @@ def check_curvature(params: MapParams, r_grid: int = 10_000,
 
 
 def check_preimage_convexity(params: MapParams, center_dist: float,
-                             radius: float, trials: int, seed: int) -> CheckReport:
-    """Convexity of S = B(0, r0) ∩ T^{-1}(ball) via random midpoint tests.
+                             radius: float, trials: int = 0,
+                             seed: int = 0) -> CheckReport:
+    """Convexity of S = T^{-1}(D) for a ball D = B(c, radius) inside the image
+    ball, certified by radius * kappa_cert < 1 with kappa_cert from
+    check_curvature.
 
-    The preimage is a body of revolution around the axis through the test
-    ball's center, so the plane case decides convexity; the test runs in R^2
-    with the ball centered at (center_dist, 0).  It passes only when it
-    checked at least `trials` pairs.
-    """
+    Put F(y) = |T(y) - c|^2 - radius^2, take x on the boundary of S and a
+    unit t with t . grad F(x) = 0, and let gamma(s) = T(x + s t), a plane
+    curve of curvature at most kappa_cert.  At s = 0, gamma - c is normal to
+    gamma', so F'' = 2 |gamma'|^2 + 2 <gamma - c, gamma''> >= 2 |gamma'|^2
+    (1 - radius kappa_cert).  g(R0) > 0 makes DT invertible, so grad F and
+    gamma' do not vanish, and the boundary of S is curved positively in
+    every tangent direction.  S is compact and connected (T is a
+    homeomorphism of the injectivity ball onto the image ball), so it is
+    convex by Hadamard's theorem.  The statistic is radius * kappa_cert
+    against 1; a NaN fails.  `trials` and `seed` are ignored."""
     if radius < 0 or center_dist < 0:
         raise ValueError("center_dist and radius must be nonnegative")
     if center_dist + radius >= params.image_radius - CONTAINMENT_MARGIN:
         raise ValueError("test ball must lie strictly inside the image ball")
-    r0 = params.injectivity_radius
-    center = np.array([center_dist, 0.0])
-
-    def member(points):
-        img = mobius_factor(np.sum(points * points, axis=1), params)[:, None] * points
-        return np.linalg.norm(img - center, axis=1) <= radius
-
-    violations = 0
-    tested = 0
-    checked_pairs = 0
-    chunk_index = 0
-    n_chunks = len(chunk_sizes(max(trials, 1)))
-    # Rejection from the injectivity ball; stop once enough member pairs seen
-    # or the chunk budget (64x oversampling) is exhausted.
-    max_chunks = max(n_chunks * 64, 64)
-    while checked_pairs < trials and chunk_index < max_chunks:
-        rng = chunk_rng(seed, STREAM_PREIMAGE, chunk_index)
-        pts = ball_points(rng, 2 * 4096, 2, r0)
-        inside = pts[member(pts)]
-        m = inside.shape[0] - (inside.shape[0] % 2)
-        if m >= 2:
-            a, b = inside[:m:2], inside[1:m:2]
-            mid = 0.5 * (a + b)
-            img = mobius_factor(np.sum(mid * mid, axis=1), params)[:, None] * mid
-            bad = np.linalg.norm(img - center, axis=1) > radius - MEMBERSHIP_TOL
-            violations += int(np.sum(bad))
-            checked_pairs += m // 2
-        tested += pts.shape[0]
-        chunk_index += 1
+    kappa, g0 = _curvature_certificate(params)
+    bending = radius * kappa
     return CheckReport(
-        check="preimage_convexity", delta=params.delta, seed=seed,
-        statistic=float(violations), bound=0.0,
-        passed=violations == 0 and checked_pairs >= trials,
-        extras={
-            "pairs_checked": checked_pairs,
-            "pairs_requested": trials,
-            "center_dist": center_dist,
-            "radius": radius,
-        })
+        check="preimage_convexity", delta=params.delta,
+        statistic=bending, bound=1.0, passed=g0 > 0.0 and bending < 1.0,
+        extras={"center_dist": center_dist, "radius": radius})
 
 
-def run_all_checks(delta: float, n: int, trials: int,
-                   seed: int) -> list[CheckReport]:
-    """Full property sweep for one (delta, n).  Only the preimage test draws
-    samples: max(trials // 10, 100) midpoint pairs."""
+def run_all_checks(delta: float, n: int) -> list[CheckReport]:
+    """Full property sweep for one (delta, n), in closed form: it draws no
+    random numbers."""
     params = MapParams(delta)
     ball = (0.35 * params.image_radius, 0.4 * params.image_radius)
     return [
         check_radial_profile(params),
         check_curvature(params),
         check_log_concavity(params, n),
-        check_preimage_convexity(params, ball[0], ball[1],
-                                 max(trials // 10, 100), seed),
+        check_preimage_convexity(params, ball[0], ball[1]),
     ]

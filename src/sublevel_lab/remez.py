@@ -449,7 +449,6 @@ class RemezReport:
     max_i: float
     sup_e: float
     sigma: float
-    sigma_symmetric: float
     log_max_i: float
     log_bound: float
     passed: bool
@@ -486,7 +485,6 @@ def remez_check(f: DiskFunction, a: float, interval: tuple[float, float],
         max_i=float(np.exp(log_max_i)),
         sup_e=float(np.exp(log_sup_e)),
         sigma=sigma,
-        sigma_symmetric=symmetric_exponent(f, a),
         log_max_i=float(log_max_i),
         log_bound=float(log_bound),
         passed=passed,

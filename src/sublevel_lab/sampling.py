@@ -19,7 +19,6 @@ CHUNK_SIZE = 1 << 16
 # streams, so renumbering one changes every draw of that operation.
 STREAM_BALL = 1
 STREAM_LEVEL = 3
-STREAM_PREIMAGE = 5
 STREAM_RECT = 6
 STREAM_LIMIT = 7
 STREAM_SUITE = 9

@@ -81,7 +81,6 @@ class ThinRectFunction:
     q_coeffs: np.ndarray
     eta: float
     poly: MultiPoly
-    q_sup_upper: float
     f0_abs: float
     f0_lower_bound: float
 
@@ -104,8 +103,7 @@ def build_function(q_coeffs, eta: float) -> ThinRectFunction:
     poly = certified(from_terms(2, terms))
     f0 = abs(0.25 + eta * q[0])
     return ThinRectFunction(
-        q_coeffs=q, eta=float(eta), poly=poly, q_sup_upper=float(q_sup),
-        f0_abs=float(f0),
+        q_coeffs=q, eta=float(eta), poly=poly, f0_abs=float(f0),
         f0_lower_bound=float(0.5 * (0.5 - 2.0 * eta * q_sup)))
 
 
@@ -152,7 +150,6 @@ class RequiredExponent:
     sigma_eff: float
     std_err: float
     quantile: float
-    low_threshold: float
     lam: float
 
 
@@ -178,7 +175,7 @@ def required_exponent_from_summary(summary: DistributionSummary,
     sigma_eff = math.log(m / t_star) / denom
     rel = math.hypot(m_se / m if m > 0 else 0.0,
                      t_se / t_star if t_star > 0 else 0.0)
-    return RequiredExponent(sigma_eff, rel / denom, m, t_star, lam)
+    return RequiredExponent(sigma_eff, rel / denom, m, lam)
 
 
 # ----------------------------------------------------------------------
@@ -322,15 +319,14 @@ class GrowthReport:
     extras: dict = field(default_factory=dict)
 
 
-def growth_experiment(family, eta_rule, delta: float, lambdas, count: int,
+def growth_experiment(family, eta: float, delta: float, lambdas, count: int,
                       seed: int, threads: int = 1) -> GrowthReport:
     """Required-exponent growth across a polynomial family.
 
-    family: iterable of coefficient arrays.  eta_rule: float, or callable
-    mapping coefficients to eta.  Passing requires sigma_eff strictly
-    increasing in degree at every lambda while the ball-theorem exponent
-    varies by less than 2x across the family.  The ball-theorem exponent is
-    taken at epsilon = THEOREM_EPSILON.
+    family: iterable of coefficient arrays, each scaled by the same eta.
+    Passing requires sigma_eff strictly increasing in degree at every lambda
+    while the ball-theorem exponent varies by less than 2x across the
+    family.  The ball-theorem exponent is taken at epsilon = THEOREM_EPSILON.
     """
     family = [np.asarray(q, dtype=np.complex128).reshape(-1) for q in family]
     if not family:
@@ -340,7 +336,6 @@ def growth_experiment(family, eta_rule, delta: float, lambdas, count: int,
     sigma_theorems = []
     per_lam: dict[float, list[float]] = {l: [] for l in lambdas}
     for idx, q in enumerate(family):
-        eta = float(eta_rule(q)) if callable(eta_rule) else float(eta_rule)
         f = build_function(q, eta)
         sigma_theorem = sigma_exponent(f.poly, THEOREM_EPSILON)
         sigma_theorems.append(sigma_theorem)

@@ -4,7 +4,9 @@
 the tests cross-check that certificate against random midpoint triples of
 Psi(x) = log J_n(|x|) in the injectivity ball.  `mobius.check_curvature`
 certifies an upper bound on the curvature of line images; the tests compare
-it with the maximum over an (r, alpha) grid.
+it with the maximum over an (r, alpha) grid.  `check_preimage_convexity`
+certifies convexity of ball preimages from that bound; the tests look for
+random member pairs whose midpoint leaves the preimage.
 """
 
 import numpy as np
@@ -67,3 +69,34 @@ def midpoint_defects(params: MapParams, n: int, count: int, seed: int):
 
     defect = psi(0.5 * (x + y)) - 0.5 * (psi(x) + psi(y))
     return defect, np.sum((x - y) ** 2, axis=1)
+
+
+def preimage_midpoint_violations(params: MapParams, center_dist: float,
+                                 radius: float, pairs: int,
+                                 seed: int) -> tuple[int, int]:
+    """(violations, pairs checked) for random pairs of points of the plane
+    preimage S = {x in B(0, r0) : |T(x) - (center_dist, 0)| <= radius}: a
+    pair violates convexity when its midpoint's image lies outside the ball
+    or within 1e-12 of its rim.  Points are drawn from the injectivity disk
+    and kept when they land in S, in rounds of 8192, for at most 64 rounds;
+    a degenerate S can leave fewer than `pairs` pairs checked."""
+    rng = np.random.default_rng(seed)
+    r0 = params.injectivity_radius
+    center = np.array([center_dist, 0.0])
+
+    def image_dist(points):
+        img = mobius_factor(np.sum(points * points, axis=1), params)[:, None] * points
+        return np.linalg.norm(img - center, axis=1)
+
+    members, found = [], 0
+    for _ in range(64):
+        if found >= 2 * pairs:
+            break
+        pts = ball_points(rng, 8192, 2, r0)
+        inside = pts[image_dist(pts) <= radius]
+        members.append(inside)
+        found += inside.shape[0]
+    pts = np.concatenate(members)
+    m = min(pts.shape[0] // 2, pairs)
+    bad = image_dist(0.5 * (pts[:m] + pts[m:2 * m])) > radius - 1e-12
+    return int(np.sum(bad)), m

@@ -16,7 +16,9 @@ from sublevel_lab.intervals import IntervalSet
 from sublevel_lab.kls import (LocalizationInstance, PiecewiseLogLinear,
                               localization_check_1d, random_instance)
 from sublevel_lab.mobius import (MapParams, check_curvature,
-                                 check_log_concavity, check_radial_profile)
+                                 check_log_concavity,
+                                 check_preimage_convexity,
+                                 check_radial_profile)
 from sublevel_lab.poly import from_terms, lift, normalize
 from sublevel_lab.remez import (classical_remez_check, factor_bounds,
                                 random_disk_function, remez_check)
@@ -30,7 +32,8 @@ from sublevel_lab.volume import (BallSpec, check_quantile_bounds,
                                  check_superlevel_power_bound, level_fraction,
                                  sigma_exponent)
 
-from .map_reference import curvature_grid_max, midpoint_defects
+from .map_reference import (curvature_grid_max, midpoint_defects,
+                            preimage_midpoint_violations)
 
 DELTAS = (1 / 32, 1 / 16, 1 / 8)
 DIMS = (2, 8, 32)
@@ -58,8 +61,18 @@ class TestCriterion1MapProperties:
             curv = check_curvature(params)
             grid_max = curvature_grid_max(params, 10_000, 360)
             ok &= curv.passed and grid_max <= curv.statistic <= 25 / 27
+            # the preimage certificate on the suite's ball, then 1e4
+            # reference midpoint pairs
+            r_img = params.image_radius
+            ball = (0.35 * r_img, 0.4 * r_img)
+            pre = check_preimage_convexity(params, *ball)
+            violations, pairs = preimage_midpoint_violations(
+                params, *ball, 10_000, seed=2000)
+            ok &= pre.passed
+            ok &= violations == 0 and pairs == 10_000
             details.append(f"delta={delta:.5f} curv={curv.statistic:.4f} "
-                           f"grid={grid_max:.4f} margin={margin:.4f}")
+                           f"grid={grid_max:.4f} margin={margin:.4f} "
+                           f"rho_kappa={pre.statistic:.4f}")
             for n in DIMS:
                 # the certificate, then 1e5 reference midpoint triples
                 lc = check_log_concavity(params, n)

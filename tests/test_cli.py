@@ -32,7 +32,7 @@ BASE_INPUTS = {
     "theorem": THEOREM_CONFIG["inputs"],
     "lemma-a": {"random_instances": 1},
     "lemma-b": {"random_instances": 1},
-    "lemma-c": {"delta": 0.125, "n": 2, "trials": 200},
+    "lemma-c": {"delta": 0.125, "n": 2},
     "counterexample": {"family": "chebyshev", "degrees": [4, 8],
                        "samples": 2000},
     "all": {},
@@ -131,7 +131,6 @@ class TestValidation:
         ("theorem", "output_dir", 5),
         ("lemma-a", "instance", 5),
         ("lemma-b", "interval", 5),
-        ("lemma-c", "trials", 0),
         ("counterexample", "samples", 0),
         ("counterexample", "degrees", [4, 400]),
         ("counterexample", "lambdas", []),
@@ -150,17 +149,18 @@ class TestValidation:
         ("counterexample", "ks_degree", 2),
         ("lemma-c", "r_grid", 2001),
         ("lemma-c", "alpha_grid", 181),
+        ("lemma-c", "trials", 20_000),
     ], ids=["empty-lambdas", "nan-radius", "nan-strong_form_c", "one-degree",
             "inf-lambda", "string-lambda", "string-normalize", "unknown-key",
             "nan-center", "bool-seed", "negative-seed", "misspelled-inputs",
-            "int-output_dir", "int-instance", "int-interval", "zero-trials",
+            "int-output_dir", "int-instance", "int-interval",
             "zero-samples", "degree-400", "counterexample-empty-lambdas",
             "nan-ks_bound", "nan-ks_delta", "all-int-inputs", "nan-poly",
             "inf-instance", "nan-function", "dropped-grid",
             "lambda-beyond-sample", "a-without-function",
             "interval-without-function", "set-without-function",
             "ks_bound-without-ks_delta", "ks_degree-without-ks_delta",
-            "dropped-r_grid", "dropped-alpha_grid"])
+            "dropped-r_grid", "dropped-alpha_grid", "dropped-trials"])
     def test_vacuous_or_nan_input_names_field(self, tmp_path, capsys, sub,
                                               field, value):
         cfg = {"subcommand": sub, "seed": 1,
@@ -279,7 +279,7 @@ class TestTheoremRun:
 class TestOtherSubcommands:
     def test_lemma_c(self, tmp_path):
         cfg = {"subcommand": "lemma-c", "seed": 7,
-               "inputs": {"delta": 0.125, "n": 2, "trials": 5000}}
+               "inputs": {"delta": 0.125, "n": 2}}
         out = tmp_path / "out"
         rc = main(["lemma-c", "--config", str(write_config(tmp_path, cfg)),
                    "--out", str(out)])
@@ -287,6 +287,18 @@ class TestOtherSubcommands:
         rows = json.loads((out / "report.json").read_text())["rows"]
         curv = next(r for r in rows if r["check"] == "curvature")
         assert curv["statistic"] <= 25 / 27 + 1e-6
+
+    def test_lemma_c_does_not_depend_on_seed(self, tmp_path):
+        cfgp = write_config(tmp_path, {"subcommand": "lemma-c", "seed": 1,
+                                       "inputs": {"delta": 0.125, "n": 2}})
+        reports = []
+        for seed in ("1", "2"):
+            out = tmp_path / f"seed{seed}"
+            assert main(["lemma-c", "--config", str(cfgp), "--out", str(out),
+                         "--seed", seed]) == 0
+            reports.append({name: (out / name).read_bytes()
+                            for name in ("report.csv", "report.json")})
+        assert reports[0] == reports[1]
 
     def test_lemma_c_bad_delta(self, tmp_path, capsys):
         cfg = {"subcommand": "lemma-c", "seed": 7,

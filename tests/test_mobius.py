@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sublevel_lab import mobius
+from sublevel_lab import mobius, sampling
 from sublevel_lab.mobius import (CURVATURE_BOUND, MapParams, apply_map,
                                  check_curvature, check_log_concavity,
                                  check_preimage_convexity,
@@ -9,9 +9,20 @@ from sublevel_lab.mobius import (CURVATURE_BOUND, MapParams, apply_map,
                                  mobius_factor, mobius_factor_d1)
 
 from .map_reference import (curvature_grid_max, log_jacobian,
-                            midpoint_defects, mobius_factor_d2)
+                            midpoint_defects, mobius_factor_d2,
+                            preimage_midpoint_violations)
 
 EIGHTH = MapParams(0.125)
+
+
+def forbid_draws(monkeypatch):
+    """Make every random draw the package could reach raise."""
+    def no_draws(*args, **kwargs):
+        raise AssertionError("random draw")
+
+    monkeypatch.setattr(sampling, "chunk_rng", no_draws)
+    monkeypatch.setattr(sampling, "ball_points", no_draws)
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
 
 
 class TestParams:
@@ -142,8 +153,8 @@ class TestRadialProfile:
 
     def test_row_schema(self):
         row = check_radial_profile(EIGHTH).to_row()
-        assert set(row) == {"check", "delta", "n", "seed", "statistic",
-                            "bound", "pass"}
+        assert set(row) == {"check", "delta", "n", "statistic", "bound",
+                            "pass"}
 
 
 class TestRimValues:
@@ -201,10 +212,10 @@ class TestCurvature:
 
     def test_draws_no_random_numbers_and_builds_no_grid(self, monkeypatch):
         def forbidden(*args):
-            raise AssertionError("sampled or gridded")
+            raise AssertionError("gridded")
 
-        for name in ("chunk_rng", "ball_points", "mobius_factor",
-                     "mobius_factor_d1"):
+        forbid_draws(monkeypatch)
+        for name in ("mobius_factor", "mobius_factor_d1"):
             monkeypatch.setattr(mobius, name, forbidden)
         assert check_curvature(EIGHTH, 2, 2) == check_curvature(EIGHTH)
 
@@ -223,7 +234,6 @@ class TestLogConcavity:
         assert rep.passed
         assert rep.statistic == pytest.approx(0.031281, abs=1e-6)
         assert rep.bound == 0.0
-        assert rep.seed is None
 
     @pytest.mark.parametrize("delta", [1 / 32, 1 / 16, 1 / 8])
     @pytest.mark.parametrize("n", [1, 2, 8, 32, 64])
@@ -249,11 +259,7 @@ class TestLogConcavity:
         assert np.min(defect - kappa * dist_sq / 8) >= -1e-12
 
     def test_draws_no_random_numbers(self, monkeypatch):
-        def no_draws(*args):
-            raise AssertionError("random draw")
-
-        monkeypatch.setattr(mobius, "chunk_rng", no_draws)
-        monkeypatch.setattr(mobius, "ball_points", no_draws)
+        forbid_draws(monkeypatch)
         a = check_log_concavity(EIGHTH, 3, 70_000, seed=21, threads=1)
         b = check_log_concavity(EIGHTH, 3, 10, seed=5, threads=4)
         assert a == b
@@ -292,31 +298,64 @@ class TestLogConcavity:
                 assert d2[0] == pytest.approx(top, rel=1e-2)
 
 
+def preimage_balls(params: MapParams):
+    """(center_dist, radius) of the suite's ball, a centred ball and a ball
+    whose rim nearly touches the image rim."""
+    r = params.image_radius
+    return [(0.35 * r, 0.4 * r), (0.0, 0.5 * r), (0.6 * r, 0.4 * r - 1e-6)]
+
+
 class TestPreimageConvexity:
+    @pytest.mark.parametrize("delta", [1 / 32, 1 / 16, 1 / 8, 1e-4, 1e-6])
+    def test_certificate_is_radius_times_curvature(self, delta):
+        params = MapParams(delta)
+        kappa = check_curvature(params).statistic
+        for center_dist, radius in preimage_balls(params):
+            rep = check_preimage_convexity(params, center_dist, radius)
+            assert rep.passed
+            assert rep.statistic == radius * kappa
+            assert rep.bound == 1.0
+
+    @pytest.mark.parametrize("delta", [1 / 32, 1 / 16, 1 / 8])
+    def test_sampled_pairs_respect_certificate(self, delta):
+        params = MapParams(delta)
+        for k, (center_dist, radius) in enumerate(preimage_balls(params)):
+            violations, pairs = preimage_midpoint_violations(
+                params, center_dist, radius, 10_000, seed=40 + k)
+            assert pairs == 10_000
+            assert violations == 0
+
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    def test_nan_rim_value_fails(self, monkeypatch, slot):
+        values = list(mobius._rim_values(EIGHTH))
+        values[slot] = np.nan
+        monkeypatch.setattr(mobius, "_rim_values", lambda params: tuple(values))
+        assert not check_preimage_convexity(EIGHTH, 0.3, 0.2).passed
+
+    def test_draws_no_random_numbers(self, monkeypatch):
+        forbid_draws(monkeypatch)
+        a = check_preimage_convexity(EIGHTH, 0.3, 0.2, 1000, seed=9)
+        b = check_preimage_convexity(EIGHTH, 0.3, 0.2, 10, seed=4)
+        assert a == b
+
     def test_centered_ball(self):
         rep = check_preimage_convexity(EIGHTH, 0.0, 0.5, 2000, seed=4)
         assert rep.passed
-        assert rep.statistic == 0.0
+        assert 0.0 < rep.statistic < 1.0
 
     def test_near_boundary_ball(self):
         rep = check_preimage_convexity(EIGHTH, 0.5, 0.28, 2000, seed=4)
         assert rep.passed
 
     def test_degenerate_radius(self):
-        # no sampled point lands in a zero-radius preimage: not a pass
+        # a point is convex
         rep = check_preimage_convexity(EIGHTH, 0.2, 0.0, 100, seed=4)
-        assert rep.extras["pairs_checked"] < 100
-        assert not rep.passed
+        assert rep.passed
+        assert rep.statistic == 0.0
 
     def test_ball_outside_image_rejected(self):
         with pytest.raises(ValueError, match="inside the image"):
             check_preimage_convexity(EIGHTH, 0.6, 0.3, 100, seed=4)
-
-    def test_deterministic_in_seed(self):
-        a = check_preimage_convexity(EIGHTH, 0.3, 0.2, 1000, seed=9)
-        b = check_preimage_convexity(EIGHTH, 0.3, 0.2, 1000, seed=9)
-        assert a.extras["pairs_checked"] == b.extras["pairs_checked"]
-        assert a.statistic == b.statistic
 
 
 def test_paper_constant_chain_for_eighth():

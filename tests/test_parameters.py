@@ -32,6 +32,9 @@ ALLOWED = {
     # bench/workloads.py:213
     ("mobius.py", "check_curvature", "r_grid"),
     ("mobius.py", "check_curvature", "alpha_grid"),
+    # bench/workloads.py:219-220
+    ("mobius.py", "check_preimage_convexity", "trials"),
+    ("mobius.py", "check_preimage_convexity", "seed"),
 }
 
 

@@ -282,12 +282,6 @@ class TestGrowthExperiment:
         assert rep.strictly_increasing  # no adjacent pair to violate
         assert rep.passed
 
-    def test_eta_rule_callable(self):
-        fam = [np.array([0.0, 1.0]), np.array([0.0, 0.0, 1.0])]
-        rep = growth_experiment(fam, lambda q: 0.05, 1e-5, [2.0], 50_000,
-                                seed=19)
-        assert rep.rows[0].f0_abs == pytest.approx(0.25)
-
     def test_oracle_column_present(self):
         rep = growth_experiment([LINEAR], 0.1, 1e-5, [2.0], 50_000, seed=20)
         row = rep.rows[0]
