@@ -187,30 +187,76 @@ def _grid_moduli(q: np.ndarray, eta: float):
     return ts, np.abs(eta * npp.polyval(ts, q))
 
 
-def _sublevel_measure(q: np.ndarray, eta: float, s: float, ts: np.ndarray,
-                      moduli: np.ndarray) -> float:
-    """sublevel_measure with the grid moduli |eta Q(ts)| already computed."""
+def _crossing_cells(s: float, ts: np.ndarray, moduli: np.ndarray):
+    """The grid cells where |eta Q| - s changes sign: whether each cell's
+    left grid point lies in the sublevel set, and the cells' ends."""
     below = moduli <= s
     flips = np.nonzero(below[:-1] != below[1:])[0]
-    if flips.size:
-        lo = ts[flips].copy()
-        hi = ts[flips + 1].copy()
-        for _ in range(REFINE_ITERS):
-            mid = 0.5 * (lo + hi)
-            mid_below = np.abs(eta * npp.polyval(mid, q)) <= s
-            # move the endpoint whose state matches the midpoint
-            same_as_left = mid_below == below[flips]
-            lo = np.where(same_as_left, mid, lo)
-            hi = np.where(same_as_left, hi, mid)
-        crossings = 0.5 * (lo + hi)
-    else:
-        crossings = np.empty(0)
-    # segments between consecutive crossings alternate in/out, starting
-    # from the state at t = 0
+    return below[flips], ts[flips], ts[flips + 1]
+
+
+def _bisect_cells(q: np.ndarray, eta: float, s: float, left_below: np.ndarray,
+                  lo: np.ndarray, hi: np.ndarray):
+    """One bisection step on every crossing cell at once."""
+    mid = 0.5 * (lo + hi)
+    mid_below = np.abs(eta * npp.polyval(mid, q)) <= s
+    # move the endpoint whose state matches the midpoint
+    same_as_left = mid_below == left_below
+    return np.where(same_as_left, mid, lo), np.where(same_as_left, hi, mid)
+
+
+def _measure(crossings: np.ndarray, start_below: bool) -> float:
+    """Total length of the segments of [0, 1/4] between consecutive
+    crossings that lie in the sublevel set; they alternate in/out, starting
+    from the state at t = 0."""
     edges = np.concatenate([[0.0], crossings, [RECT_X_MAX]])
     lengths = np.diff(edges)
-    start = 0 if bool(below[0]) else 1
-    return float(np.sum(lengths[start::2]))
+    return float(np.sum(lengths[(0 if start_below else 1)::2]))
+
+
+def _sublevel_measure(q: np.ndarray, eta: float, s: float, ts: np.ndarray,
+                      moduli: np.ndarray) -> float:
+    """sublevel_measure with the grid moduli |eta Q(ts)| already computed:
+    every crossing cell is bisected REFINE_ITERS times and each crossing is
+    taken at the midpoint of its last bracket."""
+    left_below, lo, hi = _crossing_cells(s, ts, moduli)
+    if lo.size:
+        for _ in range(REFINE_ITERS):
+            lo, hi = _bisect_cells(q, eta, s, left_below, lo, hi)
+    return _measure(0.5 * (lo + hi), bool(moduli[0] <= s))
+
+
+def _measure_below(q: np.ndarray, eta: float, s: float, ts: np.ndarray,
+                   moduli: np.ndarray, level: float) -> bool:
+    """_sublevel_measure(q, eta, s, ts, moduli) / RECT_X_MAX < level,
+    refining the crossings only until that comparison is decided.
+
+    The measure is linear in the crossings, each with coefficient +1 where
+    its cell's left grid point is in the sublevel set and -1 elsewhere.  So
+    with every crossing at the outer end of its current bracket (`hi` where
+    the left point is in, `lo` elsewhere) the measure is largest, and at the
+    inner end it is smallest.  Each later bracket, the REFINE_ITERS-step
+    midpoints included, lies inside the current one, so the refined measure
+    lies between the two.  Each computed measure is a sum of at most F + 1
+    nonnegative rounded differences, F crossing cells, with total at most
+    RECT_X_MAX, so it is within (F + 1) u RECT_X_MAX of the exact measure of
+    its crossings (u = eps / 2, up to a factor 1 + (F + 1) u).  The margin
+    2 (F + 2) eps RECT_X_MAX is at least twice the rounding of two such
+    sums and of the margin's own addition, so a decision made with it is
+    the one the full refinement makes, bit for bit.  If no bracket clears
+    the target by the margin, the full REFINE_ITERS-step measure decides."""
+    left_below, lo, hi = _crossing_cells(s, ts, moduli)
+    start_below = bool(moduli[0] <= s)
+    margin = 2.0 * (lo.size + 2) * np.finfo(float).eps * RECT_X_MAX
+    for _ in range(REFINE_ITERS):
+        outer = _measure(np.where(left_below, hi, lo), start_below)
+        if (outer + margin) / RECT_X_MAX < level:
+            return True
+        inner = _measure(np.where(left_below, lo, hi), start_below)
+        if (inner - margin) / RECT_X_MAX >= level:
+            return False
+        lo, hi = _bisect_cells(q, eta, s, left_below, lo, hi)
+    return _measure(0.5 * (lo + hi), start_below) / RECT_X_MAX < level
 
 
 def sublevel_measure(q_coeffs, eta: float, s: float) -> float:
@@ -218,8 +264,11 @@ def sublevel_measure(q_coeffs, eta: float, s: float) -> float:
     of |eta Q| - s on the ORACLE_GRID + 1-point grid and bisecting all of
     them in parallel, REFINE_ITERS steps each.
 
-    Each call evaluates |eta Q| on the whole grid; `oracle_quantile`
-    evaluates it once and reuses it for every level it tries."""
+    Each call evaluates |eta Q| on the whole grid and refines every crossing
+    in full.  `oracle_quantile` evaluates the grid once per polynomial and
+    needs only the side of its target that this measure falls on, so it
+    stops refining as soon as the side is decided and gets the same answer
+    as this function would give."""
     if s < 0:
         raise ValueError("s must be nonnegative")
     q = np.asarray(q_coeffs, dtype=np.complex128).reshape(-1)
@@ -227,23 +276,21 @@ def sublevel_measure(q_coeffs, eta: float, s: float) -> float:
     return _sublevel_measure(q, eta, s, ts, moduli)
 
 
-def oracle_quantile(q_coeffs, eta: float, level: float) -> float:
-    """s with measure{|eta Q| <= s}/(1/4) = level, by bisection in s.
-
-    Each bisection step measures the sublevel set exactly as
-    `sublevel_measure` does, but |eta Q| on the ORACLE_GRID + 1 grid points
-    is computed once per call."""
-    if not (0.0 < level < 1.0):
-        raise ValueError("level must lie in (0, 1)")
-    q = np.asarray(q_coeffs, dtype=np.complex128).reshape(-1)
+def _oracle_grid(q: np.ndarray, eta: float):
+    """What every quantile of one polynomial shares: an upper bound for
+    |eta Q| on [0, 1/4] from 4096 points, the oracle grid and |eta Q| on it."""
     ts = np.linspace(0.0, RECT_X_MAX, 1 << 12)
     hi = float(np.max(np.abs(eta * npp.polyval(ts, q)))) * (1.0 + 1e-9) + 1e-300
+    return (hi, *_grid_moduli(q, eta))
+
+
+def _oracle_quantile(q: np.ndarray, eta: float, level: float, grid) -> float:
+    """oracle_quantile on the grid that `_oracle_grid` built for q."""
+    hi, ts, moduli = grid
     lo = 0.0
-    grid_ts, moduli = _grid_moduli(q, eta)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        measure = _sublevel_measure(q, eta, mid, grid_ts, moduli)
-        if measure / RECT_X_MAX < level:
+        if _measure_below(q, eta, mid, ts, moduli, level):
             lo = mid
         else:
             hi = mid
@@ -252,12 +299,31 @@ def oracle_quantile(q_coeffs, eta: float, level: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def oracle_quantile(q_coeffs, eta: float, level: float) -> float:
+    """s with measure{|eta Q| <= s}/(1/4) = level, by bisection in s.
+
+    Each bisection step asks only whether `sublevel_measure(q, eta, s)`
+    falls below level/4.  |eta Q| on the ORACLE_GRID + 1 grid points is
+    computed once per call, and the crossings are refined only until a
+    bracket on the measure, widened by a bound on its rounding, lies clear
+    of the target (see `_measure_below`); an undecided step refines in full.
+    Every step thus takes the branch that the full refinement takes, and
+    the result is the one a bisection over `sublevel_measure` returns."""
+    if not (0.0 < level < 1.0):
+        raise ValueError("level must lie in (0, 1)")
+    q = np.asarray(q_coeffs, dtype=np.complex128).reshape(-1)
+    return _oracle_quantile(q, eta, level, _oracle_grid(q, eta))
+
+
 def oracle_required_exponent(f: ThinRectFunction, lam: float) -> float:
-    """sigma_eff of the limit law from quadrature quantiles."""
+    """sigma_eff of the limit law from quadrature quantiles, both taken on
+    one oracle grid."""
     if lam < MIN_LAMBDA:
         raise ValueError(f"lambda must be >= {MIN_LAMBDA}")
-    m = oracle_quantile(f.q_coeffs, f.eta, QUANTILE_LEVEL)
-    t_star = oracle_quantile(f.q_coeffs, f.eta, 1.0 / lam)
+    q = np.asarray(f.q_coeffs, dtype=np.complex128).reshape(-1)
+    grid = _oracle_grid(q, f.eta)
+    m = _oracle_quantile(q, f.eta, QUANTILE_LEVEL, grid)
+    t_star = _oracle_quantile(q, f.eta, 1.0 / lam, grid)
     if t_star <= 0.0:
         raise ValueError("oracle low quantile is zero")
     return math.log(m / t_star) / math.log(8.0 * lam)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sublevel_lab import thinrect
 from sublevel_lab.poly import certify_sup
 from sublevel_lab.sampling import ks_distance
 from sublevel_lab.thinrect import (RectangleSpec, build_function,
@@ -37,6 +38,27 @@ def bisect_over_sublevel_measure(q, eta, level):
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if sublevel_measure(q, eta, mid) / 0.25 < level:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-13 * hi:
+            break
+    return 0.5 * (lo + hi)
+
+
+def bisect_over_full_refinement(q, eta, level):
+    """Reference: the bisection in s over `thinrect._sublevel_measure`, which
+    refines every crossing REFINE_ITERS times at every step, on one grid."""
+    q = np.asarray(q, dtype=np.complex128)
+    ts = np.linspace(0.0, 0.25, 1 << 12)
+    hi = float(np.max(np.abs(eta * np.polynomial.polynomial.polyval(ts, q))))
+    hi = hi * (1.0 + 1e-9) + 1e-300
+    lo = 0.0
+    grid_ts, moduli = thinrect._grid_moduli(q, eta)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        measure = thinrect._sublevel_measure(q, eta, mid, grid_ts, moduli)
+        if measure / 0.25 < level:
             lo = mid
         else:
             hi = mid
@@ -223,6 +245,28 @@ class TestOracle:
         for q, eta in cases:
             got = oracle_quantile(q, eta, 1 - 1 / math.e)
             assert got == bisect_over_sublevel_measure(q, eta, 1 - 1 / math.e)
+
+    def test_early_decision_matches_full_refinement_bit_for_bit(self):
+        # T32 in the power basis has about 1000 crossing cells at its median,
+        # so the margin's growth with the cell count is exercised
+        rng = np.random.default_rng(31)
+        cases = [(monomial_on_quarter(1), 0.1), (monomial_on_quarter(32), 0.1),
+                 (disk_normalized(chebyshev_on_quarter(4)), 0.1),
+                 (disk_normalized(chebyshev_on_quarter(8)), 0.1),
+                 (disk_normalized(chebyshev_on_quarter(32)), 0.1),
+                 (rng.standard_normal(7) + 1j * rng.standard_normal(7), 0.01),
+                 (CONSTANT, 0.1)]
+        levels = (1 - 1 / math.e, 0.5, 0.125)
+        for q, eta in cases:
+            want = {}
+            for level in levels:
+                want[level] = bisect_over_full_refinement(q, eta, level)
+                assert oracle_quantile(q, eta, level) == want[level]
+            f = build_function(q, eta)
+            for lam in (2.0, 8.0):
+                ref = (math.log(want[levels[0]] / want[1.0 / lam])
+                       / math.log(8.0 * lam))
+                assert oracle_required_exponent(f, lam) == ref
 
     def test_oracle_matches_monte_carlo(self):
         q = disk_normalized(chebyshev_on_quarter(4))
