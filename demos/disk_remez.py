@@ -32,7 +32,7 @@ fb = factor_bounds(f, a)
 print(f"outer factor:   min |U|  = {fb.outer_min:.4e} >= {fb.outer_min_bound:.4e}")
 print(f"tame factor:    min |B1| = {fb.b1_min:.4e} >= {fb.b1_min_bound:.4e}")
 print(f"short factor:   count {fb.n_b2} <= {fb.n_b2_bound:.2f}")
-print(f"denominators:   spread {fb.r_ratio:.4e} <= {fb.r_ratio_bound:.4e}")
+print(f"denominators:   log spread {fb.log_r_spread:.4f} <= {fb.log_r_bound:.4f}")
 print("all factor bounds pass:", fb.all_pass)
 
 sigma = remez_exponent(f, a)

@@ -1,14 +1,16 @@
 """Batch experiment runner.
 
 Usage:  sublevel-lab <subcommand> --config <path> [--out <dir>] [--threads <k>]
+        sublevel-lab all [--seed <s>] [--out <dir>] [--threads <k>]
         sublevel-lab suite [--seed <s>] [--out <dir>] [--threads <k>]
 
 Every run writes manifest.json (the exact config echoed back, plus the tool,
-Python and numpy versions the bytes depend on), report.csv and report.json
-to the output directory, and exits 0 exactly when every reported row
-passes.  All randomness flows from the single seed in the config;
-environment variables are never consulted, and the worker count cannot
-change any reported number.
+Python and numpy versions the bytes depend on), report.json (its rows and
+their summary) and report.csv (the same rows, one column per key) to the
+output directory, and exits 0 exactly when every reported row passes.
+All randomness flows from the single seed in the config; environment
+variables are never consulted, and the worker count cannot change any
+reported number.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .poly import normalize, parse_poly
 from .remez import (classical_remez_check, factor_bounds, parse_disk_function,
                     random_disk_function, random_subset, remez_check,
                     remez_exponent)
-from .reports import write_csv, write_json
+from .reports import dumps_json, write_csv, write_json
 from .sampling import STREAM_SUITE, chunk_rng, ks_distance
 from .thinrect import (build_function, chebyshev_on_quarter, disk_normalized,
                        growth_experiment, limit_moduli, monomial_on_quarter,
@@ -281,8 +283,8 @@ def load_config(path: str) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Subcommand runners.  Each returns (rows, csv_header, csv_rows); csv_rows
-# None means the header's fields of each row.
+# Subcommand runners.  Each returns its report rows: one dict per checked
+# inequality, with its `check` name first and its `pass` flag.
 
 def _run_theorem(inputs: dict, seed: int, threads: int):
     v = _read_inputs("theorem", inputs)
@@ -294,31 +296,18 @@ def _run_theorem(inputs: dict, seed: int, threads: int):
     sf = check_superlevel_power_bound(poly, spec, c, lambdas, samples, seed,
                                       threads)
 
-    header = ["lambda", "sigma", "M", "threshold_log", "fraction", "bound",
-              "std_err", "pass"]
-    csv_rows = []
-    rows = []
-    for r in qb.rows:
-        csv_rows.append([r.lam, r.sigma, r.quantile, r.small_threshold_log,
-                         r.small_fraction, r.small_bound, r.small_std_err,
-                         r.passed])
-        csv_rows.append([r.lam, r.sigma, r.quantile, r.tail_threshold_log,
-                         r.tail_fraction, r.tail_bound, r.tail_std_err,
-                         r.passed])
-        rows.append({"check": "quantile_bounds", "lambda": r.lam,
-                     "sigma": r.sigma, "M": r.quantile,
-                     "small_fraction": r.small_fraction,
-                     "small_bound": r.small_bound,
-                     "tail_fraction": r.tail_fraction,
-                     "tail_bound": r.tail_bound, "pass": r.passed})
-    for r in sf.rows:
-        log_thr = math.log(c) + sf.sigma * math.log(8.0 * r.lam)
-        csv_rows.append([r.lam, sf.sigma, c, log_thr, r.lhs, r.rhs,
-                         r.margin / 3.0, r.passed])
-        rows.append({"check": "superlevel_power", "lambda": r.lam,
-                     "sigma": sf.sigma, "c": c, "lhs": r.lhs, "rhs": r.rhs,
-                     "pass": r.passed})
-    return rows, header, csv_rows
+    rows = [{"check": "quantile_bounds", "lambda": r.lam, "sigma": r.sigma,
+             "M": r.quantile, "small_threshold_log": r.small_threshold_log,
+             "small_fraction": r.small_fraction, "small_bound": r.small_bound,
+             "small_std_err": r.small_std_err,
+             "tail_threshold_log": r.tail_threshold_log,
+             "tail_fraction": r.tail_fraction, "tail_bound": r.tail_bound,
+             "tail_std_err": r.tail_std_err, "pass": r.passed}
+            for r in qb.rows]
+    return rows + [{"check": "superlevel_power", "lambda": r.lam,
+                    "sigma": sf.sigma, "c": c, "threshold_log": r.threshold_log,
+                    "lhs": r.lhs, "rhs": r.rhs, "margin": r.margin,
+                    "pass": r.passed} for r in sf.rows]
 
 
 def _run_lemma_a(inputs: dict, seed: int, threads: int):
@@ -335,8 +324,7 @@ def _run_lemma_a(inputs: dict, seed: int, threads: int):
         rows.append({"check": name, "lambda": inst.lam,
                      "lhs_inner": rep.lhs_inner, "lhs_outer": rep.lhs_outer,
                      "rhs": rep.rhs, "pass": rep.passed})
-    return rows, ["check", "lambda", "lhs_inner", "lhs_outer", "rhs",
-                  "pass"], None
+    return rows
 
 
 def _run_lemma_b(inputs: dict, seed: int, threads: int):
@@ -353,7 +341,8 @@ def _run_lemma_b(inputs: dict, seed: int, threads: int):
                 ("outer_min", fb.outer_min, fb.outer_min_bound, "outer_pass"),
                 ("b1_min", fb.b1_min, fb.b1_min_bound, "b1_pass"),
                 ("count", fb.n_b2, fb.n_b2_bound, "count_pass"),
-                ("denominator_ratio", fb.r_ratio, fb.r_ratio_bound, "r_pass")):
+                ("denominator_ratio", fb.log_r_spread, fb.log_r_bound,
+                 "r_pass")):
             record(f"{tag}_{part}", a, stat, bound, fb.extras[ok])
         rz = remez_check(f, a, interval, e)
         record(f"{tag}_remez", a, rz.log_max_i, rz.log_bound, rz.passed)
@@ -379,14 +368,12 @@ def _run_lemma_b(inputs: dict, seed: int, threads: int):
         rep = classical_remez_check(coeffs, (lo, hi), e)
         record(f"classical_{k}", 0.9, rep.extras["log_lhs"],
                rep.extras["log_rhs"], rep.passed)
-    return rows, ["check", "a", "statistic", "bound", "pass"], None
+    return rows
 
 
 def _run_lemma_c(inputs: dict, seed: int, threads: int):
     v = _read_inputs("lemma-c", inputs)
-    reports = run_all_checks(v["delta"], v["n"])
-    return ([r.to_row() for r in reports],
-            ["check", "delta", "n", "statistic", "bound", "pass"], None)
+    return [r.to_row() for r in run_all_checks(v["delta"], v["n"])]
 
 
 def _family_coeffs(v: dict, degrees):
@@ -404,13 +391,11 @@ def _run_counterexample(inputs: dict, seed: int, threads: int):
     report = growth_experiment(_family_coeffs(v, v["degrees"]), eta,
                                v["delta"], v["lambdas"], samples, seed,
                                threads)
-    header = ["degQ", "F0", "sigma_theorem", "lambda", "sigma_eff", "N", "seed"]
-    csv_rows = [[r.degree, r.f0_abs, r.sigma_theorem, r.lam, r.sigma_eff,
-                 samples, seed] for r in report.rows]
     rows = [{"check": "growth", "degQ": r.degree, "F0": r.f0_abs,
              "sigma_theorem": r.sigma_theorem, "lambda": r.lam,
-             "sigma_eff": r.sigma_eff, "sigma_eff_oracle": r.sigma_eff_oracle,
-             "pass": report.passed} for r in report.rows]
+             "sigma_eff": r.sigma_eff, "sigma_eff_std_err": r.sigma_eff_std_err,
+             "sigma_eff_oracle": r.sigma_eff_oracle, "pass": report.passed}
+            for r in report.rows]
 
     if v["ks_delta"] is not None:
         f = build_function(monomial_on_quarter(KS_DEGREE), eta)
@@ -419,8 +404,7 @@ def _run_counterexample(inputs: dict, seed: int, threads: int):
         ks = ks_distance(rect.sorted_moduli, lim.sorted_moduli)
         rows.append({"check": "ks_limit", "delta": v["ks_delta"], "ks": ks,
                      "bound": v["ks_bound"], "pass": ks <= v["ks_bound"]})
-        csv_rows.append([KS_DEGREE, f.f0_abs, 0.0, 0.0, ks, samples, seed])
-    return rows, header, csv_rows
+    return rows
 
 
 _RUNNERS = {
@@ -471,26 +455,27 @@ def run(config: dict, out_dir: str, threads: int = 1) -> bool:
         rows = [{"check": cfg["subcommand"],
                  "pass": run(cfg, out / cfg["subcommand"], threads)}
                 for cfg in configs]
-        header, csv_rows, summary = ["check", "pass"], None, {}
     else:
-        rows, header, csv_rows = _RUNNERS[sub](inputs, seed, threads)
-        summary = {"n_rows": len(rows),
-                   "n_pass": sum(1 for r in rows if r.get("pass"))}
-    summary["all_pass"] = all(r.get("pass") for r in rows)
-    _write_report(out, config, header, csv_rows, rows, summary)
-    return summary["all_pass"]
+        rows = _RUNNERS[sub](inputs, seed, threads)
+    return _write_report(out, config, rows)
 
 
-def _write_report(out: Path, config: dict, header: list[str], csv_rows,
-                  rows: list[dict], summary: dict) -> None:
+def _write_report(out: Path, config: dict, rows: list[dict]) -> bool:
+    """Write manifest.json, report.csv and report.json; returns whether
+    every row passes.  A value that is not finite raises before any file is
+    written."""
+    n_pass = sum(1 for r in rows if r["pass"])
+    summary = {"n_rows": len(rows), "n_pass": n_pass,
+               "all_pass": n_pass == len(rows)}
+    manifest = {"config": config, "tool_version": __version__,
+                "python": platform.python_version(), "numpy": np.__version__}
+    report = {"rows": rows, "summary": summary}
+    dumps_json([manifest, report])
     out.mkdir(parents=True, exist_ok=True)
-    write_json(out / "manifest.json",
-               {"config": config, "tool_version": __version__,
-                "python": platform.python_version(), "numpy": np.__version__})
-    if csv_rows is None:
-        csv_rows = [[r[k] for k in header] for r in rows]
-    write_csv(out / "report.csv", header, csv_rows)
-    write_json(out / "report.json", {"rows": rows, "summary": summary})
+    write_json(out / "manifest.json", manifest)
+    write_csv(out / "report.csv", rows)
+    write_json(out / "report.json", report)
+    return summary["all_pass"]
 
 
 # ----------------------------------------------------------------------
@@ -533,14 +518,10 @@ def suite(seed: int, out_dir: str, threads: int = 1) -> bool:
         cfg = _default_config(sub, seed, inputs)
         verdicts.append((name, run(cfg, out / sub, threads)))
 
-    all_ok = all(ok for _, ok in verdicts)
     for name, ok in verdicts:
         print(f"{name}: {'PASS' if ok else 'FAIL'}")
-    _write_report(out, {"subcommand": "suite", "seed": seed, "defaults": d},
-                  ["check", "pass"], None,
-                  [{"check": n, "pass": bool(o)} for n, o in verdicts],
-                  {"all_pass": bool(all_ok)})
-    return all_ok
+    return _write_report(out, {"subcommand": "suite", "seed": seed, "defaults": d},
+                         [{"check": n, "pass": bool(o)} for n, o in verdicts])
 
 
 def main(argv=None) -> int:

@@ -19,7 +19,9 @@ import numpy as np
 
 from .intervals import IntervalSet
 
-PASS_TOL = 1e-9
+# slack of the closed-form dense core's self-certification; no pass rule
+# reads it
+CERT_TOL = 1e-9
 CORE_PAD = 1e-12
 CONCAVITY_TOL = 1e-12
 
@@ -164,7 +166,7 @@ def dense_core_1d(e: IntervalSet, s: tuple[float, float],
     hi = np.minimum(u, np.min(np.where(cands > u[:, None], g, np.inf), axis=1))
     keep = lo <= hi
     ends = np.concatenate([lo[keep], hi[keep]])
-    if np.any(min_interval_ratio_many(ends, e, (s0, s1)) < theta - PASS_TOL):
+    if np.any(min_interval_ratio_many(ends, e, (s0, s1)) < theta - CERT_TOL):
         raise ValueError("closed-form dense core fails its certification")
     out_lo, out_hi = np.maximum(l, lo - CORE_PAD), np.minimum(u, hi + CORE_PAD)
     wide = out_lo <= out_hi
@@ -223,7 +225,7 @@ def localization_check_1d(inst: LocalizationInstance,
     rhs = (den._integral_set(inst.e_set) / mass_s) ** inst.lam
     return LocalizationReport(
         lhs_inner=float(lhs_inner), lhs_outer=float(lhs_outer), rhs=float(rhs),
-        passed=bool(lhs_outer <= rhs + PASS_TOL),
+        passed=bool(lhs_outer <= rhs),
         extras={
             "lambda": inst.lam,
             "core_inner_length": core.inner.total_length,

@@ -332,8 +332,8 @@ class FactorBoundsReport:
     b1_min_bound: float
     n_b2: int
     n_b2_bound: float
-    r_ratio: float
-    r_ratio_bound: float
+    log_r_spread: float
+    log_r_bound: float
     all_pass: bool
     extras: dict = field(default_factory=dict)
 
@@ -344,7 +344,8 @@ def factor_bounds(f: DiskFunction, a: float) -> FactorBoundsReport:
     outer factor:  min |U| >= |U(a)U(-a)|^(1/(1-a^2))
     tame factor:   min |B1| >= |B1(a)B1(-a)|^(2/(1-a^2))
     count:         #B2 <= 3/(1-a^2) * log 1/|B2(a)B2(-a)|
-    denominators:  max |reciprocal factor| <= (2/(1-a))^N * min of it
+    denominators:  max |reciprocal factor| <= (2/(1-a))^N * min of it,
+                   compared in log units (log_r_spread <= log_r_bound)
 
     Both minima are certified lower bounds and the spread of the reciprocal
     factor a certified upper bound, so each check can err only toward
@@ -392,8 +393,8 @@ def factor_bounds(f: DiskFunction, a: float) -> FactorBoundsReport:
         b1_min_bound=float(np.exp(bound_log_b1)),
         n_b2=n,
         n_b2_bound=float(n_bound),
-        r_ratio=float(np.exp(r_spread)),
-        r_ratio_bound=float(np.exp(min(r_bound, 700.0))),
+        log_r_spread=float(r_spread),
+        log_r_bound=float(r_bound),
         all_pass=bool(ok_u and ok_b1 and ok_n and ok_r),
         extras={
             "outer_pass": ok_u, "b1_pass": ok_b1, "count_pass": ok_n,
@@ -401,7 +402,6 @@ def factor_bounds(f: DiskFunction, a: float) -> FactorBoundsReport:
             "segments": neg_u.segments + neg_b1.segments + r_max.segments
             + r_neg_max.segments,
             "gap": max(neg_u.gap, neg_b1.gap, r_max.gap + r_neg_max.gap),
-            "log_r_spread": r_spread, "log_r_bound": float(r_bound),
         })
 
 

@@ -60,10 +60,11 @@ def format_cell(value) -> str:
     return str(value)
 
 
-def write_csv(path, header: list[str], rows: list[list]) -> None:
+def write_csv(path, rows: list[dict]) -> None:
+    """One column per row key, in order of first appearance with `pass`
+    last; a key that a row lacks leaves its cell empty."""
+    keys = dict.fromkeys(k for r in rows for k in r)
+    header = [k for k in keys if k != "pass"] + ["pass"]
     lines = [",".join(header)]
-    for row in rows:
-        if len(row) != len(header):
-            raise ValueError("row width does not match header")
-        lines.append(",".join(format_cell(v) for v in row))
+    lines += [",".join(format_cell(r.get(k)) for k in header) for r in rows]
     Path(path).write_text("\n".join(lines) + "\n")

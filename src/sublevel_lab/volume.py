@@ -274,6 +274,7 @@ def check_quantile_bounds(poly: MultiPoly, spec: BallSpec, lambdas,
 @dataclass(frozen=True)
 class PowerBoundRow:
     lam: float
+    threshold_log: float
     lhs: float
     rhs: float
     margin: float
@@ -308,11 +309,13 @@ def check_superlevel_power_bound(poly: MultiPoly, spec: BallSpec, c: float,
         lam = float(lam)
         if lam < 1.0:
             raise ValueError("every lambda must be >= 1")
-        lhs = _fraction_ge_log(logs, log_c + sigma * math.log(THEOREM_CONSTANT * lam))
+        threshold_log = log_c + sigma * math.log(THEOREM_CONSTANT * lam)
+        lhs = _fraction_ge_log(logs, threshold_log)
         rhs = base ** lam
         lhs_se = math.sqrt(lhs * (1.0 - lhs) / count)
         rhs_se = lam * base ** (lam - 1.0) * base_se if base > 0 else 0.0
         margin = 3.0 * math.hypot(lhs_se, rhs_se)
-        rows.append(PowerBoundRow(lam, lhs, rhs, margin, lhs <= rhs + margin))
+        rows.append(PowerBoundRow(lam, threshold_log, lhs, rhs, margin,
+                                  lhs <= rhs + margin))
     return PowerBoundReport(rows, sigma, c, count, seed,
                             all(r.passed for r in rows))

@@ -1,8 +1,10 @@
 import contextlib
+import csv
 import io
 import json
 import platform
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +12,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sublevel_lab import cli
 from sublevel_lab.cli import FIELDS, SUBCOMMANDS, load_config, main, run
+from sublevel_lab.mobius import CheckReport
+from sublevel_lab.reports import format_cell
 
 THEOREM_CONFIG = {
     "subcommand": "theorem",
@@ -243,9 +248,12 @@ class TestTheoremRun:
                    "--out", str(out)])
         assert rc == 0
         csv = (out / "report.csv").read_text().splitlines()
-        assert csv[0] == "lambda,sigma,M,threshold_log,fraction,bound,std_err,pass"
-        # two quantile-bound rows plus one power-bound row per lambda
-        assert len(csv) == 1 + 3 * len(THEOREM_CONFIG["inputs"]["lambdas"])
+        assert csv[0] == (
+            "check,lambda,sigma,M,small_threshold_log,small_fraction,"
+            "small_bound,small_std_err,tail_threshold_log,tail_fraction,"
+            "tail_bound,tail_std_err,c,threshold_log,lhs,rhs,margin,pass")
+        # one quantile-bound row and one power-bound row per lambda
+        assert len(csv) == 1 + 2 * len(THEOREM_CONFIG["inputs"]["lambdas"])
         report = json.loads((out / "report.json").read_text())
         assert report["summary"]["all_pass"] is True
         manifest = json.loads((out / "manifest.json").read_text())
@@ -326,6 +334,21 @@ class TestOtherSubcommands:
         rows = json.loads((out / "report.json").read_text())["rows"]
         assert any(r["check"] == "given_remez" and r["pass"] for r in rows)
 
+    def test_lemma_b_denominators_beyond_float_range(self, tmp_path):
+        # 400 zeros near the rim: the denominator spread is about e^1194, so
+        # the row compares logs
+        zeros = "".join(f"zero {0.9 + 0.0999 * k / 400!r} 1e-7\n"
+                        for k in range(400))
+        cfg = {"subcommand": "lemma-b", "seed": 1,
+               "inputs": {"function": zeros, "a": 0.95}}
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(cfg, str(out)) is True
+        rows = strict_json(out / "report.json")["rows"]
+        row = next(r for r in rows if r["check"] == "given_denominator_ratio")
+        assert row["pass"] == (row["statistic"] <= row["bound"])
+
     def test_counterexample_monomial(self, tmp_path):
         cfg = {"subcommand": "counterexample", "seed": 7,
                "inputs": {"family": "monomial", "degrees": [1, 2],
@@ -336,7 +359,9 @@ class TestOtherSubcommands:
                    str(write_config(tmp_path, cfg)), "--out", str(out)])
         assert rc == 0
         csv = (out / "report.csv").read_text().splitlines()
-        assert csv[0] == "degQ,F0,sigma_theorem,lambda,sigma_eff,N,seed"
+        assert csv[0] == ("check,degQ,F0,sigma_theorem,lambda,sigma_eff,"
+                          "sigma_eff_std_err,sigma_eff_oracle,delta,ks,bound,"
+                          "pass")
 
     def test_ks_row_does_not_depend_on_family(self, tmp_path):
         # the KS row always compares the laws of Q(z) = z
@@ -350,10 +375,41 @@ class TestOtherSubcommands:
             rows = json.loads((out / "report.json").read_text())["rows"]
             ks[family] = [r["ks"] for r in rows if r["check"] == "ks_limit"]
             csv = (out / "report.csv").read_text().splitlines()
-            assert csv[-1].startswith("1,")
+            assert csv[-1].startswith("ks_limit,")
         assert len(ks["chebyshev"]) == 1
         assert ks["chebyshev"] == ks["monomial"]
 
     def test_run_function_returns_pass_flag(self, tmp_path):
         ok = run(THEOREM_CONFIG, str(tmp_path / "out"), threads=1)
         assert ok is True
+
+
+class TestReportFiles:
+    def test_csv_renders_the_json_rows(self, tmp_path):
+        # every report of an `all` run: one CSV column per row key, `pass`
+        # last, and each cell the rendering of its JSON value
+        out = tmp_path / "out"
+        run({"subcommand": "all", "seed": 42, "inputs": {}}, str(out))
+        reports = sorted(out.rglob("report.json"))
+        assert len(reports) == 1 + len(cli._RUNNERS)
+        for path in reports:
+            rows = strict_json(path)["rows"]
+            with open(path.with_name("report.csv"), newline="") as fh:
+                table = list(csv.reader(fh))
+            header, cells = table[0], table[1:]
+            assert header[-1] == "pass"
+            assert set(header) == {k for r in rows for k in r}
+            assert len(header) == len(set(header))
+            assert cells == [[format_cell(r.get(k)) for k in header]
+                             for r in rows], path
+
+    def test_non_finite_row_writes_no_file(self, tmp_path, monkeypatch,
+                                           capsys):
+        bad = CheckReport("x", 0.125, float("nan"), 1.0, True, 2)
+        monkeypatch.setattr(cli, "run_all_checks", lambda delta, n: [bad])
+        cfg = {"subcommand": "lemma-c", "seed": 1, "inputs": {"delta": 0.125}}
+        out = tmp_path / "out"
+        assert main(["lemma-c", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(out)]) == 2
+        assert "not JSON compliant" in capsys.readouterr().err
+        assert not out.exists()

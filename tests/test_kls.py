@@ -335,6 +335,18 @@ class TestLocalizationCheck1D:
             rep = localization_check_1d(inst, 256)
             assert rep.passed, (inst.s_interval, inst.lam)
 
+    def test_outer_core_above_rhs_by_rounding_fails(self, monkeypatch):
+        # the core is all of E at lambda just above 1: lhs_outer = 1/2 lies
+        # above rhs = 2^-lambda by ~3.5e-13, far inside any rounding slack
+        e = IntervalSet.from_pairs([(0.0, 0.5)])
+        monkeypatch.setattr(kls, "dense_core_1d",
+                            lambda *args: kls.DenseCore(e, e))
+        inst = LocalizationInstance(UNIFORM, (0.0, 1.0), e, 1.0 + 1e-12)
+        rep = localization_check_1d(inst)
+        assert rep.lhs_outer == 0.5
+        assert 0.0 < rep.lhs_outer - rep.rhs < 1e-12
+        assert not rep.passed
+
     def test_e_outside_s_rejected(self):
         e = IntervalSet.from_pairs([(0.0, 1.5)])
         with pytest.raises(ValueError):

@@ -145,7 +145,7 @@ class TestFactorBounds:
         assert rep.outer_min == 1.0
         assert rep.b1_min == 1.0
         assert rep.n_b2 == 0
-        assert rep.r_ratio == 1.0
+        assert rep.log_r_spread == 0.0
         assert rep.all_pass
 
     def test_randomized(self):
