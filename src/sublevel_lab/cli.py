@@ -51,7 +51,7 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class Field:
-    """One config input: `kind` is int, float, bool, str, choice, object,
+    """One config input: `kind` is int, float, str, choice, object,
     pair ([lo, hi], lo < hi), ints, floats or pairs.  Bounds apply to a number
     or to each list entry; a list holds min_len to max_len entries.  A None
     default means "derived when absent", and JSON null reads the same.  A str
@@ -105,7 +105,6 @@ FIELDS = {
         "delta": Field("float", 1e-3, gt=0.0, le=0.5),
         "lambdas": Field("floats", [2.0], ge=1.1, min_len=1),
         "samples": Field("int", 100_000, ge=1000, le=10**7),
-        "normalization": Field("choice", "disk", choices=("disk", "none")),
         "ks_delta": Field("float", None, gt=0.0, le=0.5),
         "ks_bound": Field("float", 0.01, ge=0.0, le=1.0),
     },
@@ -147,10 +146,7 @@ def _read_value(name: str, f: Field, value):
         lo, hi = (_read_value(name, replace(f, kind="float"), x) for x in value)
         _require(lo < hi, f"{name} must have lo < hi, got {value!r}")
         return [lo, hi]
-    if f.kind == "bool":
-        _require(isinstance(value, bool),
-                 f"{name} must be true or false, got {value!r}")
-    elif f.kind in ("str", "choice"):
+    if f.kind in ("str", "choice"):
         _require(isinstance(value, str), f"{name} must be a string, got {value!r}")
         _require(f.kind == "str" or value in f.choices,
                  f"{name} must be one of {f.choices}, got {value!r}")
@@ -257,7 +253,7 @@ def _check_lemma_b(v: dict) -> None:
 
 def _check_counterexample(v: dict) -> None:
     """eta is admissible for every family member and the KS member."""
-    members = _family_coeffs(v, v["degrees"])
+    members = _family_coeffs(v)
     if v["ks_delta"] is not None:
         members.append(monomial_on_quarter(KS_DEGREE))
     for q in members:
@@ -331,8 +327,8 @@ def _run_lemma_b(inputs: dict, seed: int, threads: int):
     v = _read_inputs("lemma-b", inputs)
     rows = []
 
-    def record(name, a, stat, bound, ok):
-        rows.append({"check": name, "a": a, "statistic": stat,
+    def record(name, stat, bound, ok, **where):
+        rows.append({"check": name, **where, "statistic": stat,
                      "bound": bound, "pass": bool(ok)})
 
     def run_one(tag, f, a, interval, e):
@@ -343,9 +339,9 @@ def _run_lemma_b(inputs: dict, seed: int, threads: int):
                 ("count", fb.n_b2, fb.n_b2_bound, "count_pass"),
                 ("denominator_ratio", fb.log_r_spread, fb.log_r_bound,
                  "r_pass")):
-            record(f"{tag}_{part}", a, stat, bound, fb.extras[ok])
+            record(f"{tag}_{part}", stat, bound, fb.extras[ok], a=a)
         rz = remez_check(f, a, interval, e)
-        record(f"{tag}_remez", a, rz.log_max_i, rz.log_bound, rz.passed)
+        record(f"{tag}_remez", rz.log_max_i, rz.log_bound, rz.passed, a=a)
 
     if v["function"] is not None:
         run_one("given", v["function"], v["a"], tuple(v["interval"]),
@@ -366,8 +362,8 @@ def _run_lemma_b(inputs: dict, seed: int, threads: int):
         lo, hi = -0.9, 0.9
         e = random_subset(rng, lo, hi, max_components=5, min_fraction=0.05)
         rep = classical_remez_check(coeffs, (lo, hi), e)
-        record(f"classical_{k}", 0.9, rep.extras["log_lhs"],
-               rep.extras["log_rhs"], rep.passed)
+        record(f"classical_{k}", rep.extras["log_lhs"], rep.extras["log_rhs"],
+               rep.passed)
     return rows
 
 
@@ -376,21 +372,18 @@ def _run_lemma_c(inputs: dict, seed: int, threads: int):
     return [r.to_row() for r in run_all_checks(v["delta"], v["n"])]
 
 
-def _family_coeffs(v: dict, degrees):
+def _family_coeffs(v: dict):
+    """The growth family's members, each scaled to disk sup 1."""
     make = {"chebyshev": chebyshev_on_quarter,
             "monomial": monomial_on_quarter}[v["family"]]
-    coeffs = [make(d) for d in degrees]
-    if v["normalization"] == "disk":
-        coeffs = [disk_normalized(q) for q in coeffs]
-    return coeffs
+    return [disk_normalized(make(d)) for d in v["degrees"]]
 
 
 def _run_counterexample(inputs: dict, seed: int, threads: int):
     v = _read_inputs("counterexample", inputs)
     eta, samples = v["eta"], v["samples"]
-    report = growth_experiment(_family_coeffs(v, v["degrees"]), eta,
-                               v["delta"], v["lambdas"], samples, seed,
-                               threads)
+    report = growth_experiment(_family_coeffs(v), eta, v["delta"],
+                               v["lambdas"], samples, seed, threads)
     rows = [{"check": "growth", "degQ": r.degree, "F0": r.f0_abs,
              "sigma_theorem": r.sigma_theorem, "lambda": r.lam,
              "sigma_eff": r.sigma_eff, "sigma_eff_std_err": r.sigma_eff_std_err,
@@ -514,7 +507,7 @@ def suite(seed: int, out_dir: str, threads: int = 1) -> bool:
             ("criterion-5 thin rectangles", "counterexample",
              {"family": "chebyshev", "degrees": [4, 8, 16, 32], "eta": 0.1,
               "delta": 1e-3, "lambdas": [2.0], "samples": d["mc_samples"],
-              "normalization": "disk", "ks_delta": 1e-4})):
+              "ks_delta": 1e-4})):
         cfg = _default_config(sub, seed, inputs)
         verdicts.append((name, run(cfg, out / sub, threads)))
 

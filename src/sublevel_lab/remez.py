@@ -12,8 +12,10 @@ Systems of Equations, 1990).  It returns a certified upper bound and a value
 attained at a point, and every check takes the side that can only make it
 fail.
 
-All inequality checks compare log-moduli: the Remez bound (C|I|/|E|)^sigma
-overflows the linear scale long before the mathematics becomes interesting.
+All inequality checks compare log-moduli with a plain <=, no tolerance: the
+Remez bound (C|I|/|E|)^sigma overflows the linear scale long before the
+mathematics becomes interesting.  Empty factors and constant polynomials
+are exact on both sides, so their checks hold with equality.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-REL_TOL = 1e-9
 ZERO_RADIUS_TOL = 1e-9
 CIRCLE_TOL = 1e-12
 SPLIT_THRESHOLD = 2.0 / 3.0
@@ -136,11 +137,6 @@ def split_zeros(zeros, a: float) -> Factorization:
     crit = split_criterion(zeros, a)
     tame = crit <= SPLIT_THRESHOLD
     return Factorization(zeros[tame], zeros[~tame])
-
-
-def _log_leq(lhs_log: float, rhs_log: float, tol: float = REL_TOL) -> bool:
-    """lhs <= rhs with relative tolerance tol, compared on the log scale."""
-    return lhs_log <= rhs_log + tol * max(1.0, abs(lhs_log), abs(rhs_log))
 
 
 # ----------------------------------------------------------------------
@@ -363,27 +359,27 @@ def factor_bounds(f: DiskFunction, a: float) -> FactorBoundsReport:
     log_u_ma = float(outer_log_abs(f.atom_locs, f.atom_weights, np.array([-a]))[0])
     min_log_u = -neg_u.upper
     bound_log_u = (log_u_a + log_u_ma) / (1.0 - a * a)
-    ok_u = _log_leq(bound_log_u, min_log_u)
+    ok_u = bound_log_u <= min_log_u
 
     neg_b1 = _max_log_form(_log_form(-1.0, fac.b1_zeros, fac.b1_zeros), span)
     log_b1_a = float(blaschke_log_abs(fac.b1_zeros, np.array([a]))[0])
     log_b1_ma = float(blaschke_log_abs(fac.b1_zeros, np.array([-a]))[0])
     min_log_b1 = -neg_b1.upper
     bound_log_b1 = 2.0 * (log_b1_a + log_b1_ma) / (1.0 - a * a)
-    ok_b1 = _log_leq(bound_log_b1, min_log_b1)
+    ok_b1 = bound_log_b1 <= min_log_b1
 
     log_b2_a = float(blaschke_log_abs(fac.b2_zeros, np.array([a]))[0])
     log_b2_ma = float(blaschke_log_abs(fac.b2_zeros, np.array([-a]))[0])
     n = fac.n_b2
     n_bound = 3.0 / (1.0 - a * a) * (-(log_b2_a + log_b2_ma))
-    ok_n = n <= n_bound + REL_TOL * max(1.0, abs(n_bound))
+    ok_n = n <= n_bound
 
     # log of the reciprocal factor 1/prod|1 - x conj(z)|: spread = max + max of -
     r_max = _max_log_form(_log_form(1.0, den_zeros=fac.b2_zeros), span)
     r_neg_max = _max_log_form(_log_form(-1.0, den_zeros=fac.b2_zeros), span)
     r_spread = r_max.upper + r_neg_max.upper
     r_bound = n * np.log(2.0 / (1.0 - a))
-    ok_r = _log_leq(r_spread, r_bound)
+    ok_r = r_spread <= r_bound
 
     return FactorBoundsReport(
         a=a,
@@ -480,7 +476,7 @@ def remez_check(f: DiskFunction, a: float, interval: tuple[float, float],
     log_max_i, log_sup_e = max_i.upper, sup_e.attained
     ratio = REMEZ_CONSTANT * (hi - lo) / e.total_length
     log_bound = sigma * np.log(ratio) + log_sup_e
-    passed = _log_leq(log_max_i, log_bound)
+    passed = bool(log_max_i <= log_bound)
     return RemezReport(
         max_i=float(np.exp(log_max_i)),
         sup_e=float(np.exp(log_sup_e)),
@@ -507,7 +503,8 @@ def _poly_enclosure(coeffs: np.ndarray):
     """Per segment, an upper bound of log|P| from the Taylor expansion at the
     midpoint m, P(m + t) = sum_j p_j t^j with |t| <= r:
     |P| <= max|p0 +- p1 r| + sum_{j>=2} |p_j| r^j.  The p_j at every
-    midpoint come from one product V(m) @ W, W[i, j] = C(i + j, j) a_{i+j}."""
+    midpoint come from one product V(m) @ W, W[i, j] = C(i + j, j) a_{i+j}.
+    A constant is exact: p0 = a0 and there is no tail, so it gets no pad."""
     n = coeffs.size - 1
     i, j = np.indices((n + 1, n + 1))
     binom = np.array([[math.comb(p + q, q) for q in range(n + 1)]
@@ -525,7 +522,8 @@ def _poly_enclosure(coeffs: np.ndarray):
         with np.errstate(divide="ignore"):
             upper = np.log(np.maximum(np.abs(p0 + p1r), np.abs(p0 - p1r)) + tail)
             value = np.log(np.abs(p0))
-        pad = ENCLOSURE_PAD * np.maximum(1.0, np.abs(upper))
+        pad = (ENCLOSURE_PAD * np.maximum(1.0, np.abs(upper)) if n
+               else np.zeros_like(upper))
         return upper + pad, value, pad
 
     return enclose
@@ -559,7 +557,7 @@ def classical_remez_check(coeffs, interval: tuple[float, float], e: IntervalSet,
     log_max_i, log_sup_e = max_i.upper, sup_e.attained
     ratio = CLASSICAL_REMEZ_CONSTANT * (hi - lo) / e.total_length
     log_rhs = degree * np.log(ratio) + log_sup_e
-    passed = _log_leq(log_max_i, log_rhs)
+    passed = bool(log_max_i <= log_rhs)
     return ClassicalRemezReport(
         lhs=float(np.exp(log_max_i)),
         rhs=float(np.exp(min(log_rhs, 700.0))),

@@ -103,7 +103,7 @@ class TestCriterion2Localization:
         for _ in range(200):
             inst = random_instance(rng)
             rep = localization_check_1d(inst, 512)
-            worst = min(worst, rep.rhs + 1e-9 - rep.lhs_outer)
+            worst = min(worst, rep.rhs - rep.lhs_outer)
             ok &= rep.passed
         verdict("criterion-2 randomized", ok, f"worst margin={worst:.3e}")
         assert ok

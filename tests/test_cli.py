@@ -155,6 +155,7 @@ class TestValidation:
         ("lemma-c", "r_grid", 2001),
         ("lemma-c", "alpha_grid", 181),
         ("lemma-c", "trials", 20_000),
+        ("counterexample", "normalization", "disk"),
     ], ids=["empty-lambdas", "nan-radius", "nan-strong_form_c", "one-degree",
             "inf-lambda", "string-lambda", "string-normalize", "unknown-key",
             "nan-center", "bool-seed", "negative-seed", "misspelled-inputs",
@@ -165,7 +166,8 @@ class TestValidation:
             "lambda-beyond-sample", "a-without-function",
             "interval-without-function", "set-without-function",
             "ks_bound-without-ks_delta", "ks_degree-without-ks_delta",
-            "dropped-r_grid", "dropped-alpha_grid", "dropped-trials"])
+            "dropped-r_grid", "dropped-alpha_grid", "dropped-trials",
+            "removed-normalization"])
     def test_vacuous_or_nan_input_names_field(self, tmp_path, capsys, sub,
                                               field, value):
         cfg = {"subcommand": sub, "seed": 1,
@@ -348,6 +350,25 @@ class TestOtherSubcommands:
         rows = strict_json(out / "report.json")["rows"]
         row = next(r for r in rows if r["check"] == "given_denominator_ratio")
         assert row["pass"] == (row["statistic"] <= row["bound"])
+
+    def test_lemma_b_rows_are_their_own_verdicts(self, tmp_path):
+        # the suite's lemma-b inputs: each row's pass flag is its statistic
+        # against its bound, with no tolerance
+        d = cli.SUITE_DEFAULTS
+        cfg = {"subcommand": "lemma-b", "seed": 42,
+               "inputs": {"random_instances": d["random_disk_functions"],
+                          "classical_instances": d["classical_instances"]}}
+        out = tmp_path / "out"
+        assert run(cfg, str(out)) is True
+        rows = strict_json(out / "report.json")["rows"]
+        assert len(rows) == 5 * d["random_disk_functions"] + d["classical_instances"]
+        for r in rows:
+            if r["check"].endswith(("_outer_min", "_b1_min")):
+                assert r["pass"] == (r["statistic"] >= r["bound"]), r
+            else:
+                assert r["pass"] == (r["statistic"] <= r["bound"]), r
+            # `a` is a disk radius; the classical rows have none
+            assert ("a" in r) != r["check"].startswith("classical_"), r
 
     def test_counterexample_monomial(self, tmp_path):
         cfg = {"subcommand": "counterexample", "seed": 7,

@@ -141,12 +141,19 @@ class TestFactorBounds:
         assert rep.all_pass
 
     def test_trivial_function_equalities(self):
-        rep = factor_bounds(make_f(), 0.7)
-        assert rep.outer_min == 1.0
-        assert rep.b1_min == 1.0
-        assert rep.n_b2 == 0
-        assert rep.log_r_spread == 0.0
+        # every factor is empty: each rule and the remez rule compare 0 with 0
+        f = make_f(const=np.exp(0.3j))
+        rep = factor_bounds(f, 0.7)
+        assert rep.outer_min == rep.outer_min_bound == 1.0
+        assert rep.b1_min == rep.b1_min_bound == 1.0
+        assert rep.n_b2 == rep.n_b2_bound == 0
+        assert rep.log_r_spread == rep.log_r_bound == 0.0
         assert rep.all_pass
+        e = IntervalSet.from_pairs([(-0.5, -0.4), (0.1, 0.2)])
+        rz = remez_check(f, 0.7, (-0.6, 0.7), e)
+        assert rz.sigma == 0.0
+        assert rz.log_max_i == rz.log_bound == 0.0
+        assert rz.passed
 
     def test_randomized(self):
         rng = np.random.default_rng(77)
@@ -296,11 +303,33 @@ class TestClassicalRemez:
         assert rep.passed
 
     def test_constant_degree_zero_equality(self):
-        coeffs = np.array([3.0])
-        e = IntervalSet.from_pairs([(0.2, 0.3)])
-        rep = classical_remez_check(coeffs, (0.0, 1.0), e, 1001, 101)
-        assert rep.passed
-        assert rep.lhs == pytest.approx(rep.rhs, rel=1e-12)
+        # max_I |P| = sup_E |P| and the bound's factor is 1 at degree 0
+        e = IntervalSet.from_pairs([(0.2, 0.3), (0.5, 0.55)])
+        for const in (3.0, 1.0, 0.7j, -2.5 + 1e-3j, 1e-200):
+            rep = classical_remez_check(np.array([const]), (0.0, 1.0), e)
+            assert rep.degree == 0
+            assert rep.extras["log_lhs"] == rep.extras["log_rhs"]
+            assert rep.lhs == rep.rhs
+            assert rep.passed
+
+    def test_certified_max_one_ulp_above_bound_fails(self, monkeypatch):
+        coeffs = np.array([1.0, -2.0, 0.5])
+        interval, e = (-1.0, 1.0), IntervalSet.from_pairs([(0.2, 0.6)])
+        log_rhs = classical_remez_check(coeffs, interval, e).extras["log_rhs"]
+        certified_max = remez._certified_max
+
+        def one_ulp_over(enclose, pairs):
+            best = certified_max(enclose, pairs)
+            if list(pairs) != [interval]:
+                return best
+            return remez.Extremum(float(np.nextafter(log_rhs, np.inf)),
+                                  best.attained, best.segments)
+
+        monkeypatch.setattr(remez, "_certified_max", one_ulp_over)
+        rep = classical_remez_check(coeffs, interval, e)
+        assert rep.extras["log_rhs"] == log_rhs
+        assert rep.extras["log_lhs"] == np.nextafter(log_rhs, np.inf)
+        assert not rep.passed
 
     def test_randomized(self):
         rng = np.random.default_rng(55)
