@@ -275,14 +275,15 @@ def check_preimage_convexity(params: MapParams, center_dist: float,
         extras={"center_dist": center_dist, "radius": radius})
 
 
-def run_all_checks(delta: float, n: int) -> list[CheckReport]:
-    """Full property sweep for one (delta, n), in closed form: it draws no
-    random numbers."""
-    params = MapParams(delta)
-    ball = (0.35 * params.image_radius, 0.4 * params.image_radius)
-    return [
-        check_radial_profile(params),
-        check_curvature(params),
-        check_log_concavity(params, n),
-        check_preimage_convexity(params, ball[0], ball[1]),
-    ]
+def run_all_checks(deltas: list[float], ns: list[int]) -> list[CheckReport]:
+    """Full property sweep, in closed form: it draws no random numbers.  Each
+    delta gets its three dimension-free checks once and one log-concavity
+    check per n."""
+    reports = []
+    for delta in deltas:
+        params = MapParams(delta)
+        ball = (0.35 * params.image_radius, 0.4 * params.image_radius)
+        reports += [check_radial_profile(params), check_curvature(params)]
+        reports += [check_log_concavity(params, n) for n in ns]
+        reports.append(check_preimage_convexity(params, ball[0], ball[1]))
+    return reports

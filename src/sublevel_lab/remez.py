@@ -321,7 +321,6 @@ def _max_log_form(g: _LogForm, pairs) -> Extremum:
 
 @dataclass(frozen=True)
 class FactorBoundsReport:
-    a: float
     outer_min: float
     outer_min_bound: float
     b1_min: float
@@ -382,7 +381,6 @@ def factor_bounds(f: DiskFunction, a: float) -> FactorBoundsReport:
     ok_r = r_spread <= r_bound
 
     return FactorBoundsReport(
-        a=a,
         outer_min=float(np.exp(min_log_u)),
         outer_min_bound=float(np.exp(bound_log_u)),
         b1_min=float(np.exp(min_log_b1)),

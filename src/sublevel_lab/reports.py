@@ -7,7 +7,6 @@ sorted with fixed separators.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from pathlib import Path
 
@@ -15,25 +14,18 @@ import numpy as np
 
 
 def pyify(obj):
-    """Recursively convert numpy scalars/arrays and dataclasses to plain
+    """Recursively convert numpy scalars inside dicts and lists to plain
     Python objects suitable for deterministic JSON dumps."""
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: pyify(getattr(obj, f.name))
-                for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {str(k): pyify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [pyify(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [pyify(v) for v in obj.tolist()]
     if isinstance(obj, (np.bool_,)):
         return bool(obj)
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.floating,)):
         return float(obj)
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
     return obj
 
 

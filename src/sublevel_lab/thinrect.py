@@ -82,7 +82,6 @@ class ThinRectFunction:
     eta: float
     poly: MultiPoly
     f0_abs: float
-    f0_lower_bound: float
 
 
 def build_function(q_coeffs, eta: float) -> ThinRectFunction:
@@ -103,8 +102,7 @@ def build_function(q_coeffs, eta: float) -> ThinRectFunction:
     poly = certified(from_terms(2, terms))
     f0 = abs(0.25 + eta * q[0])
     return ThinRectFunction(
-        q_coeffs=q, eta=float(eta), poly=poly, f0_abs=float(f0),
-        f0_lower_bound=float(0.5 * (0.5 - 2.0 * eta * q_sup)))
+        q_coeffs=q, eta=float(eta), poly=poly, f0_abs=float(f0))
 
 
 def eval_on_rectangle(f: ThinRectFunction, x1: np.ndarray,

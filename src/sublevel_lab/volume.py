@@ -154,7 +154,6 @@ def quantile_with_se(summary: DistributionSummary,
 class QuantileEstimate:
     value: float
     std_err: float
-    level: float
     count: int
     seed: int
 
@@ -165,7 +164,7 @@ def modulus_quantile(poly: MultiPoly, spec: BallSpec, count: int, seed: int,
     _require_usable(poly)
     summary = sample_moduli(poly, spec, count, seed, threads)
     q, se = quantile_with_se(summary, QUANTILE_LEVEL)
-    return QuantileEstimate(q, se, QUANTILE_LEVEL, count, seed)
+    return QuantileEstimate(q, se, count, seed)
 
 
 def level_fraction(poly: MultiPoly, spec: BallSpec, threshold: float, side: str,

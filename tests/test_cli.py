@@ -37,7 +37,7 @@ BASE_INPUTS = {
     "theorem": THEOREM_CONFIG["inputs"],
     "lemma-a": {"random_instances": 1},
     "lemma-b": {"random_instances": 1},
-    "lemma-c": {"delta": 0.125, "n": 2},
+    "lemma-c": {"delta": [0.125], "n": [2]},
     "counterexample": {"family": "chebyshev", "degrees": [4, 8],
                        "samples": 2000},
     "all": {},
@@ -52,6 +52,11 @@ def write_config(tmp_path: Path, config: dict) -> Path:
 
 def read_all(out: Path) -> dict:
     return {p.name: p.read_bytes() for p in sorted(out.glob("*"))
+            if p.is_file()}
+
+
+def tree_bytes(out: Path) -> dict:
+    return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*"))
             if p.is_file()}
 
 
@@ -139,7 +144,6 @@ class TestValidation:
         ("counterexample", "samples", 0),
         ("counterexample", "degrees", [4, 400]),
         ("counterexample", "lambdas", []),
-        ("counterexample", "ks_bound", float("nan")),
         ("counterexample", "ks_delta", float("nan")),
         ("all", "theorem", 5),
         ("theorem", "poly", "nan 0 0 0\n0.5 0 1 0"),
@@ -150,7 +154,7 @@ class TestValidation:
         ("lemma-b", "a", 0.5),
         ("lemma-b", "interval", [-0.1, 0.1]),
         ("lemma-b", "set", [[0.0, 0.1]]),
-        ("counterexample", "ks_bound", 0.0),
+        ("counterexample", "ks_bound", 0.01),
         ("counterexample", "ks_degree", 2),
         ("lemma-c", "r_grid", 2001),
         ("lemma-c", "alpha_grid", 181),
@@ -161,11 +165,11 @@ class TestValidation:
             "nan-center", "bool-seed", "negative-seed", "misspelled-inputs",
             "int-output_dir", "int-instance", "int-interval",
             "zero-samples", "degree-400", "counterexample-empty-lambdas",
-            "nan-ks_bound", "nan-ks_delta", "all-int-inputs", "nan-poly",
+            "nan-ks_delta", "all-int-inputs", "nan-poly",
             "inf-instance", "nan-function", "dropped-grid",
             "lambda-beyond-sample", "a-without-function",
             "interval-without-function", "set-without-function",
-            "ks_bound-without-ks_delta", "ks_degree-without-ks_delta",
+            "removed-ks_bound", "ks_degree-without-ks_delta",
             "dropped-r_grid", "dropped-alpha_grid", "dropped-trials",
             "removed-normalization"])
     def test_vacuous_or_nan_input_names_field(self, tmp_path, capsys, sub,
@@ -289,18 +293,19 @@ class TestTheoremRun:
 class TestOtherSubcommands:
     def test_lemma_c(self, tmp_path):
         cfg = {"subcommand": "lemma-c", "seed": 7,
-               "inputs": {"delta": 0.125, "n": 2}}
+               "inputs": {"delta": [0.125], "n": [2]}}
         out = tmp_path / "out"
         rc = main(["lemma-c", "--config", str(write_config(tmp_path, cfg)),
                    "--out", str(out)])
         assert rc == 0
         rows = json.loads((out / "report.json").read_text())["rows"]
         curv = next(r for r in rows if r["check"] == "curvature")
-        assert curv["statistic"] <= 25 / 27 + 1e-6
+        assert curv["bound"] == 25 / 27
+        assert curv["pass"] and curv["statistic"] <= curv["bound"]
 
     def test_lemma_c_does_not_depend_on_seed(self, tmp_path):
         cfgp = write_config(tmp_path, {"subcommand": "lemma-c", "seed": 1,
-                                       "inputs": {"delta": 0.125, "n": 2}})
+                                       "inputs": {"delta": [0.125], "n": [2]}})
         reports = []
         for seed in ("1", "2"):
             out = tmp_path / f"seed{seed}"
@@ -312,11 +317,31 @@ class TestOtherSubcommands:
 
     def test_lemma_c_bad_delta(self, tmp_path, capsys):
         cfg = {"subcommand": "lemma-c", "seed": 7,
-               "inputs": {"delta": 0.2}}
+               "inputs": {"delta": [0.2]}}
         rc = main(["lemma-c", "--config", str(write_config(tmp_path, cfg)),
                    "--out", str(tmp_path / "out")])
         assert rc == 2
-        assert "delta" in capsys.readouterr().err
+        assert "delta[0] must be <= 0.125" in capsys.readouterr().err
+
+    def test_lemma_c_lists_write_each_row_once(self, tmp_path):
+        # the n-free rows once per delta and one log-concavity row per
+        # (delta, n): the distinct rows of the runs at one (delta, n) each
+        deltas, ns = [1 / 32, 1 / 8], [2, 8]
+        out = tmp_path / "grid"
+        assert run({"subcommand": "lemma-c", "seed": 1,
+                    "inputs": {"delta": deltas, "n": ns}}, str(out))
+        rows = {json.dumps(r, sort_keys=True)
+                for r in strict_json(out / "report.json")["rows"]}
+        single = set()
+        for delta in deltas:
+            for n in ns:
+                one = tmp_path / f"{delta}-{n}"
+                run({"subcommand": "lemma-c", "seed": 1,
+                     "inputs": {"delta": [delta], "n": [n]}}, str(one))
+                single.update(json.dumps(r, sort_keys=True)
+                              for r in strict_json(one / "report.json")["rows"])
+        assert len(rows) == len(deltas) * (3 + len(ns))
+        assert rows == single
 
     def test_lemma_a_random(self, tmp_path):
         cfg = {"subcommand": "lemma-a", "seed": 7,
@@ -354,14 +379,12 @@ class TestOtherSubcommands:
     def test_lemma_b_rows_are_their_own_verdicts(self, tmp_path):
         # the suite's lemma-b inputs: each row's pass flag is its statistic
         # against its bound, with no tolerance
-        d = cli.SUITE_DEFAULTS
-        cfg = {"subcommand": "lemma-b", "seed": 42,
-               "inputs": {"random_instances": d["random_disk_functions"],
-                          "classical_instances": d["classical_instances"]}}
+        d = cli.SUITE_INPUTS["lemma-b"]
+        cfg = {"subcommand": "lemma-b", "seed": 42, "inputs": d}
         out = tmp_path / "out"
         assert run(cfg, str(out)) is True
         rows = strict_json(out / "report.json")["rows"]
-        assert len(rows) == 5 * d["random_disk_functions"] + d["classical_instances"]
+        assert len(rows) == 5 * d["random_instances"] + d["classical_instances"]
         for r in rows:
             if r["check"].endswith(("_outer_min", "_b1_min")):
                 assert r["pass"] == (r["statistic"] >= r["bound"]), r
@@ -427,10 +450,27 @@ class TestReportFiles:
     def test_non_finite_row_writes_no_file(self, tmp_path, monkeypatch,
                                            capsys):
         bad = CheckReport("x", 0.125, float("nan"), 1.0, True, 2)
-        monkeypatch.setattr(cli, "run_all_checks", lambda delta, n: [bad])
-        cfg = {"subcommand": "lemma-c", "seed": 1, "inputs": {"delta": 0.125}}
+        monkeypatch.setattr(cli, "run_all_checks", lambda deltas, ns: [bad])
+        cfg = {"subcommand": "lemma-c", "seed": 1, "inputs": {"delta": [0.125]}}
         out = tmp_path / "out"
         assert main(["lemma-c", "--config", str(write_config(tmp_path, cfg)),
                      "--out", str(out)]) == 2
         assert "not JSON compliant" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("sub", ["all", "suite"])
+def test_every_manifest_replays(tmp_path, sub):
+    # each manifest.json of the tree, given back as the config of the
+    # subcommand it names, rewrites its directory bit for bit
+    tree = tmp_path / sub
+    main([sub, "--seed", "42", "--out", str(tree)])
+    manifests = sorted(tree.rglob("manifest.json"))
+    assert len(manifests) == 1 + len(cli._RUNNERS)
+    for k, path in enumerate(manifests):
+        name = strict_json(path)["config"]["subcommand"]
+        all_pass = strict_json(path.with_name("report.json"))["summary"]["all_pass"]
+        out = tmp_path / f"replay{k}"
+        rc = main([name, "--config", str(path), "--out", str(out)])
+        assert rc == (0 if all_pass else 1), path
+        assert tree_bytes(out) == tree_bytes(path.parent), path

@@ -4,11 +4,12 @@ A public name that only the tests use is test code living in the package;
 it belongs in the test that uses it, or nowhere.  The parse tree of each
 file is walked with the standard library `ast`.  A public name is a
 module-level function, class or constant of a module under
-`src/sublevel_lab`, or a method of a module-level class, whose name does
-not start with an underscore.  It counts as referenced when its bare name
-is loaded as a variable or read as an attribute, and a method (or property)
-only when it is read as an attribute, `x.name`, never through a bare
-variable of the same name,
+`src/sublevel_lab`, or a method or annotated (dataclass) field of a
+module-level class, whose name does not start with an underscore.  It
+counts as referenced when its bare name is loaded as a variable or read as
+an attribute, and a method (or property) or a field only when it is read
+as an attribute, `x.name`, never through a bare variable of the same name
+(passing a field to its constructor by keyword is no read),
 
 - in a file under `src/`, outside the name's own definition and outside
   `__init__.py`, whose imports only re-export;
@@ -41,6 +42,10 @@ ALLOWED = {
     "poly.LineSlice.eval":
         "documented API: evaluates the slice that poly.restrict_to_line "
         "returns, the restriction the README's poly bullet offers",
+    **{f"poly.LineSlice.{name}":
+       "documented API: the segment of the slice that poly.restrict_to_line "
+       "returns, the restriction the README's poly bullet offers"
+       for name in ("base", "direction", "halflength")},
 }
 
 DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
@@ -48,8 +53,8 @@ DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 
 def public_names(tree):
     """(qualified name, bare name, definition node) for each public
-    module-level name of one parsed module and each public method of its
-    module-level classes."""
+    module-level name of one parsed module and each public method and
+    annotated field of its module-level classes."""
     for node in tree.body:
         if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
                 and not node.name.startswith("_")):
@@ -59,6 +64,10 @@ def public_names(tree):
                     if (isinstance(item, ast.FunctionDef)
                             and not item.name.startswith("_")):
                         yield f"{node.name}.{item.name}", item.name, item
+                    elif (isinstance(item, ast.AnnAssign)
+                          and isinstance(item.target, ast.Name)
+                          and not item.target.id.startswith("_")):
+                        yield f"{node.name}.{item.target.id}", item.target.id, item
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
@@ -114,7 +123,7 @@ def unreferenced_names() -> set:
     missing = set()
     for module, tree in modules.items():
         for qualname, bare, node in public_names(tree):
-            # a method counts only as an attribute read
+            # a method or field counts only as an attribute read
             keys = [(bare, True)] if "." in qualname else [(bare, False), (bare, True)]
             # a use inside the name's own definition does not count
             if not in_scripts.intersection(keys) and all(
