@@ -37,7 +37,8 @@ spec = BallSpec(np.zeros(2), 0.7, 0.25)
 
 est = modulus_quantile(poly, spec, 200_000, seed=6)
 frac, se = level_fraction(poly, spec, est.value, "ge", 200_000, seed=7)
-print(f"\nself-consistency: frac{{|F| >= M}} = {frac:.5f} "
+print(f"\nM = {est.value:.5f} (standard error {est.std_err:.1e})")
+print(f"self-consistency: frac{{|F| >= M}} = {frac:.5f} "
       f"vs 1/e = {1 / math.e:.5f} (+- {3 * se:.5f})")
 
 sf = check_superlevel_power_bound(poly, spec, est.value, lambdas, 200_000,

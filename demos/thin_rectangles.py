@@ -19,7 +19,7 @@ the monomial family, whose disk sup is exactly 1.
 import numpy as np
 
 from sublevel_lab.sampling import ks_distance
-from sublevel_lab.thinrect import (build_function, chebyshev_on_quarter,
+from sublevel_lab.thinrect import (build_function, chebyshev_series,
                                    disk_normalized, disk_sup_upper_bound,
                                    growth_experiment, limit_moduli,
                                    monomial_on_quarter, rectangle_moduli)
@@ -47,13 +47,13 @@ print("strictly increasing:", rep.strictly_increasing,
 # the admissibility ceiling for oscillating families
 print("\ncertified disk sup of the Chebyshev family rescaled to [0, 1/4]:")
 for m in (4, 8, 16, 32):
-    sup = disk_sup_upper_bound(chebyshev_on_quarter(m))
+    sup = disk_sup_upper_bound(chebyshev_series(m))
     print(f"  degree {m:2d}: sup ~ {sup:.2e}  -> admissible amplitude "
           f"{0.1 / sup:.1e} on [0, 1/4]")
 print("(all far below a 1e-3 rectangle thickness: at fixed delta their "
       "rectangle law is the smear law, and no exponent growth is visible)")
 
-q16 = disk_normalized(chebyshev_on_quarter(16))
+q16 = disk_normalized(chebyshev_series(16))
 f16 = build_function(q16, 0.1)
 rect = rectangle_moduli(f16, 1e-4, 100_000, seed=4)
 lim16 = limit_moduli(f16, 100_000, seed=5)

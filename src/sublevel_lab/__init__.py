@@ -20,8 +20,8 @@ from .remez import (DiskFunction, Factorization, classical_remez_check,
                     factor_bounds, log_abs_f, parse_disk_function,
                     remez_check, remez_exponent, split_zeros)
 from .thinrect import (RectangleSpec, ThinRectFunction, build_function,
-                       chebyshev_on_quarter, growth_experiment, limit_moduli,
-                       rectangle_moduli)
+                       chebyshev_on_quarter, chebyshev_series,
+                       growth_experiment, limit_moduli, rectangle_moduli)
 from .volume import (BallSpec, DistributionSummary, check_quantile_bounds,
                      check_superlevel_power_bound, level_fraction,
                      modulus_quantile, sample_ball, sigma_exponent)
@@ -31,8 +31,8 @@ __all__ = [
     "IntervalSet", "LineSlice", "LocalizationInstance", "MapParams",
     "MultiPoly", "PiecewiseLogLinear", "RectangleSpec", "ThinRectFunction",
     "apply_map", "build_function", "certify_sup", "chebyshev_on_quarter",
-    "check_curvature", "check_log_concavity", "check_preimage_convexity",
-    "check_quantile_bounds", "check_radial_profile",
+    "chebyshev_series", "check_curvature", "check_log_concavity",
+    "check_preimage_convexity", "check_quantile_bounds", "check_radial_profile",
     "check_superlevel_power_bound", "classical_remez_check", "dense_core_1d",
     "eval_many", "factor_bounds", "from_terms", "growth_experiment",
     "jacobian", "level_fraction", "lift", "limit_moduli",

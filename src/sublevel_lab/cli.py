@@ -42,7 +42,7 @@ from .remez import (classical_remez_check, factor_bounds, parse_disk_function,
                     remez_exponent)
 from .reports import dumps_json, write_csv, write_json
 from .sampling import STREAM_SUITE, chunk_rng, ks_distance
-from .thinrect import (build_function, chebyshev_on_quarter, disk_normalized,
+from .thinrect import (build_function, chebyshev_series, disk_normalized,
                        growth_experiment, limit_moduli, monomial_on_quarter,
                        rectangle_moduli)
 from .volume import (BallSpec, check_quantile_bounds,
@@ -75,8 +75,8 @@ class Field:
 
 
 # The one reference for every subcommand's inputs.  Caps bound run time and
-# memory.  Degrees stop at 32, where the power-basis Chebyshev coefficients
-# already err by ~4e7.
+# memory.  Degrees stop at 32 for run time only: the Chebyshev family is
+# evaluated in its own basis, so its values on [0, 1/4] stay exact there.
 FIELDS = {
     "theorem": {
         "poly": Field("str", parse=parse_poly),
@@ -258,7 +258,7 @@ def _check_lemma_b(v: dict) -> None:
 
 def _check_counterexample(v: dict) -> None:
     """eta is admissible for every family member and the KS member."""
-    members = _family_coeffs(v)
+    members = _family(v)
     if v["ks_delta"] is not None:
         members.append(monomial_on_quarter(KS_DEGREE))
     for q in members:
@@ -377,9 +377,10 @@ def _run_lemma_c(inputs: dict, seed: int, threads: int):
     return [r.to_row() for r in run_all_checks(v["delta"], v["n"])]
 
 
-def _family_coeffs(v: dict):
-    """The growth family's members, each scaled to disk sup 1."""
-    make = {"chebyshev": chebyshev_on_quarter,
+def _family(v: dict):
+    """The growth family's members, each scaled to disk sup 1: T_m as a
+    Chebyshev series on [0, 1/4], z^m as power coefficients."""
+    make = {"chebyshev": chebyshev_series,
             "monomial": monomial_on_quarter}[v["family"]]
     return [disk_normalized(make(d)) for d in v["degrees"]]
 
@@ -387,7 +388,7 @@ def _family_coeffs(v: dict):
 def _run_counterexample(inputs: dict, seed: int, threads: int):
     v = _read_inputs("counterexample", inputs)
     eta, samples = v["eta"], v["samples"]
-    report = growth_experiment(_family_coeffs(v), eta, v["delta"],
+    report = growth_experiment(_family(v), eta, v["delta"],
                                v["lambdas"], samples, seed, threads)
     rows = [{"check": "growth", "degQ": r.degree, "F0": r.f0_abs,
              "sigma_theorem": r.sigma_theorem, "lambda": r.lam,

@@ -13,7 +13,7 @@ candidate-endpoint enumeration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -199,7 +199,6 @@ class LocalizationReport:
     lhs_outer: float
     rhs: float
     passed: bool
-    extras: dict = field(default_factory=dict)
 
 
 def localization_check_1d(inst: LocalizationInstance,
@@ -225,12 +224,7 @@ def localization_check_1d(inst: LocalizationInstance,
     rhs = (den._integral_set(inst.e_set) / mass_s) ** inst.lam
     return LocalizationReport(
         lhs_inner=float(lhs_inner), lhs_outer=float(lhs_outer), rhs=float(rhs),
-        passed=bool(lhs_outer <= rhs),
-        extras={
-            "lambda": inst.lam,
-            "core_inner_length": core.inner.total_length,
-            "core_outer_length": core.outer.total_length,
-        })
+        passed=bool(lhs_outer <= rhs))
 
 
 # ----------------------------------------------------------------------

@@ -12,15 +12,21 @@ Admissibility: eta * (certified sup of |Q| over the complex unit disk)
 must stay below 1/8, so that the full two-variable function is bounded by
 one on the complex ball.  The certificate is the smaller of the coefficient
 l1 norm and a dense boundary maximum padded with a derivative correction.
+
+Q is carried as a numpy series on [0, 1/4], and its basis is data: an
+array of coefficients is a power-basis `Polynomial`, and the oscillating
+family is a `Chebyshev` series on [0, 1/4].  Every value on [0, 1/4] comes
+from the series itself; only the disk certificate and the two-variable
+`MultiPoly`, which live on the unit disk, read power coefficients.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import chebyshev as npc
+from numpy.polynomial import Chebyshev, Polynomial
 from numpy.polynomial import polynomial as npp
 
 from .poly import MultiPoly, certified, from_terms
@@ -32,8 +38,11 @@ ETA_MARGIN = 1e-9
 MIN_LAMBDA = 1.1
 BOUNDARY_SAMPLES = 10_000
 RECT_X_MAX = 0.25
-ORACLE_GRID = 1 << 17
-REFINE_ITERS = 40
+# Newton steps that polish each oracle root: one takes a colleague or
+# companion root to rounding; a root of t^32 = c with tiny c starts ~1e-7 off
+POLISH_STEPS = 2
+# cap on the oracle's Newton-or-bisection steps in s (2 to 8 are taken)
+MAX_STEPS = 100
 # the ball theorem's epsilon at which growth_experiment reports its exponent
 THEOREM_EPSILON = 0.25
 
@@ -57,13 +66,27 @@ class RectangleSpec:
         return np.array([RECT_X_MAX, -0.5 + self.delta])
 
 
+def _series(q_coeffs):
+    """Q as a numpy series: a `Polynomial` or `Chebyshev` series as given,
+    and an array as the power-basis `Polynomial` of its complex entries."""
+    if isinstance(q_coeffs, (Polynomial, Chebyshev)):
+        return q_coeffs
+    q = np.asarray(q_coeffs, dtype=np.complex128).reshape(-1)
+    return Polynomial(q if q.size else np.zeros(1, dtype=np.complex128))
+
+
+def _disk_coeffs(q) -> np.ndarray:
+    """Complex power coefficients of the series q in the disk variable z."""
+    return np.asarray(q.convert(kind=Polynomial).coef, dtype=np.complex128)
+
+
 def disk_sup_upper_bound(q_coeffs) -> float:
     """Certified upper bound for max |Q| over the closed unit disk.
 
     min(coefficient l1 norm, dense boundary max + Lipschitz correction from
     the derivative's l1 norm); both branches are rigorous upper bounds.
     """
-    q = np.asarray(q_coeffs, dtype=np.complex128).reshape(-1)
+    q = _disk_coeffs(_series(q_coeffs))
     l1 = float(np.sum(np.abs(q)))
     if q.size <= 1:
         return l1
@@ -78,7 +101,7 @@ def disk_sup_upper_bound(q_coeffs) -> float:
 class ThinRectFunction:
     """The two-variable test function together with its certificates."""
 
-    q_coeffs: np.ndarray
+    q: Polynomial | Chebyshev
     eta: float
     poly: MultiPoly
     f0_abs: float
@@ -88,10 +111,9 @@ def build_function(q_coeffs, eta: float) -> ThinRectFunction:
     """Construct F = eta*Q(z1) + z2/2 + 1/4 and certify its hypotheses."""
     if eta <= 0:
         raise ValueError("eta must be positive")
-    q = np.asarray(q_coeffs, dtype=np.complex128).reshape(-1)
-    if q.size == 0:
-        q = np.zeros(1, dtype=np.complex128)
-    q_sup = disk_sup_upper_bound(q)
+    series = _series(q_coeffs)
+    q = _disk_coeffs(series)
+    q_sup = disk_sup_upper_bound(series)
     if eta * q_sup >= 0.125 - ETA_MARGIN:
         raise ValueError(
             f"eta too large: eta * sup|Q| = {eta * q_sup:.6g} must stay below 1/8")
@@ -102,13 +124,13 @@ def build_function(q_coeffs, eta: float) -> ThinRectFunction:
     poly = certified(from_terms(2, terms))
     f0 = abs(0.25 + eta * q[0])
     return ThinRectFunction(
-        q_coeffs=q, eta=float(eta), poly=poly, f0_abs=float(f0))
+        q=series, eta=float(eta), poly=poly, f0_abs=float(f0))
 
 
 def eval_on_rectangle(f: ThinRectFunction, x1: np.ndarray,
                       x2: np.ndarray) -> np.ndarray:
     """|F| at real rectangle points, via the 1-D structure (fast path)."""
-    qv = npp.polyval(x1, f.q_coeffs)
+    qv = f.q(x1)
     return np.abs(f.eta * qv + 0.5 * x2 + 0.25)
 
 
@@ -136,7 +158,7 @@ def limit_moduli(f: ThinRectFunction, count: int, seed: int,
     def worker(chunk, size):
         rng = chunk_rng(seed, STREAM_LIMIT, chunk)
         t = RECT_X_MAX * rng.random(size)
-        return np.abs(f.eta * npp.polyval(t, f.q_coeffs))
+        return np.abs(f.eta * f.q(t))
 
     vals = map_chunks(count, worker, threads)
     vals.sort()
@@ -177,151 +199,126 @@ def required_exponent_from_summary(summary: DistributionSummary,
 
 
 # ----------------------------------------------------------------------
-# Quadrature oracle for the limit law (independent of the sampler).
+# Exact oracle for the limit law (independent of the sampler).
 
-def _grid_moduli(q: np.ndarray, eta: float):
-    """The oracle grid linspace(0, 1/4, ORACLE_GRID + 1) and |eta Q| on it."""
-    ts = np.linspace(0.0, RECT_X_MAX, ORACLE_GRID + 1)
-    return ts, np.abs(eta * npp.polyval(ts, q))
+class _LimitLaw:
+    """The law of |eta Q(t)|, t uniform on [0, 1/4], read from the crossings
+    of |eta Q| = s.
 
+    |eta Q| is |p| for the real series p = eta Q when Q is real, and sqrt(p)
+    for p = eta^2 |Q|^2 otherwise, so the crossings are real roots of
+    p - s and p + s, or of p - s^2.  `.roots()` finds them from the
+    companion matrix in the power basis and from the colleague matrix in
+    the Chebyshev basis.  Both matrices are real, so their real eigenvalues
+    come back with a zero imaginary part; a pair that rounding splits off
+    the axis is a tangency within rounding of s, whose gap is left out."""
 
-def _crossing_cells(s: float, ts: np.ndarray, moduli: np.ndarray):
-    """The grid cells where |eta Q| - s changes sign: whether each cell's
-    left grid point lies in the sublevel set, and the cells' ends."""
-    below = moduli <= s
-    flips = np.nonzero(below[:-1] != below[1:])[0]
-    return below[flips], ts[flips], ts[flips + 1]
+    def __init__(self, q_coeffs, eta: float):
+        q = self.q = _series(q_coeffs)
+        kind, domain, window = type(q), q.domain, q.window
+        self.eta = eta
+        self.squared = bool(np.any(q.coef.imag))
+        if self.squared:
+            square = q * kind(q.coef.conj(), domain, window)
+            self.p = (eta * eta) * kind(square.coef.real, domain, window)
+        else:
+            self.p = eta * kind(q.coef.real, domain, window)
+        self.dp = self.p.deriv()
+        # |eta Q| sorted on a grid: the first guess and upper end of a quantile
+        self.sample = np.sort(np.abs(eta * q(np.linspace(0.0, RECT_X_MAX, 4097))))
 
+    def sublevel(self, s: float):
+        """measure{t in [0, 1/4] : |eta Q(t)| <= s} and its derivative in s.
 
-def _bisect_cells(q: np.ndarray, eta: float, s: float, left_below: np.ndarray,
-                  lo: np.ndarray, hi: np.ndarray):
-    """One bisection step on every crossing cell at once."""
-    mid = 0.5 * (lo + hi)
-    mid_below = np.abs(eta * npp.polyval(mid, q)) <= s
-    # move the endpoint whose state matches the midpoint
-    same_as_left = mid_below == left_below
-    return np.where(same_as_left, mid, lo), np.where(same_as_left, hi, mid)
+        The crossings, each polished by Newton steps, cut [0, 1/4] into
+        segments, each inside or outside the sublevel set as its midpoint
+        is.  The derivative is the sum of 1 / |d|eta Q|/dt| over the
+        crossings between an inside and an outside segment, with the slope
+        of the last polishing step."""
+        levels = (s * s,) if self.squared else (s, -s)
+        roots = [(self.p - c).roots() for c in levels]
+        c = np.concatenate([np.full(r.size, c) for r, c in zip(roots, levels)])
+        t = np.concatenate(roots)
+        keep = (t.imag == 0) & (t.real >= 0.0) & (t.real <= RECT_X_MAX)
+        t, c = t.real[keep], c[keep]
+        for _ in range(POLISH_STEPS):
+            slope = self.dp(t)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = (self.p(t) - c) / slope
+            t = np.where(np.isfinite(step), t - step, t)
+        order = np.argsort(t)
+        cuts, rate = np.clip(t[order], 0.0, RECT_X_MAX), np.abs(slope[order])
+        edges = np.concatenate([[0.0], cuts, [RECT_X_MAX]])
+        inside = np.abs(self.eta * self.q(0.5 * (edges[:-1] + edges[1:]))) <= s
+        measure = float(np.sum(np.diff(edges)[inside]))
+        rate = rate[inside[:-1] != inside[1:]]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if self.squared:
+                rate = rate / (2.0 * s)
+            return measure, float(np.sum(1.0 / rate))
 
-
-def _measure(crossings: np.ndarray, start_below: bool) -> float:
-    """Total length of the segments of [0, 1/4] between consecutive
-    crossings that lie in the sublevel set; they alternate in/out, starting
-    from the state at t = 0."""
-    edges = np.concatenate([[0.0], crossings, [RECT_X_MAX]])
-    lengths = np.diff(edges)
-    return float(np.sum(lengths[(0 if start_below else 1)::2]))
-
-
-def _sublevel_measure(q: np.ndarray, eta: float, s: float, ts: np.ndarray,
-                      moduli: np.ndarray) -> float:
-    """sublevel_measure with the grid moduli |eta Q(ts)| already computed:
-    every crossing cell is bisected REFINE_ITERS times and each crossing is
-    taken at the midpoint of its last bracket."""
-    left_below, lo, hi = _crossing_cells(s, ts, moduli)
-    if lo.size:
-        for _ in range(REFINE_ITERS):
-            lo, hi = _bisect_cells(q, eta, s, left_below, lo, hi)
-    return _measure(0.5 * (lo + hi), bool(moduli[0] <= s))
-
-
-def _measure_below(q: np.ndarray, eta: float, s: float, ts: np.ndarray,
-                   moduli: np.ndarray, level: float) -> bool:
-    """_sublevel_measure(q, eta, s, ts, moduli) / RECT_X_MAX < level,
-    refining the crossings only until that comparison is decided.
-
-    The measure is linear in the crossings, each with coefficient +1 where
-    its cell's left grid point is in the sublevel set and -1 elsewhere.  So
-    with every crossing at the outer end of its current bracket (`hi` where
-    the left point is in, `lo` elsewhere) the measure is largest, and at the
-    inner end it is smallest.  Each later bracket, the REFINE_ITERS-step
-    midpoints included, lies inside the current one, so the refined measure
-    lies between the two.  Each computed measure is a sum of at most F + 1
-    nonnegative rounded differences, F crossing cells, with total at most
-    RECT_X_MAX, so it is within (F + 1) u RECT_X_MAX of the exact measure of
-    its crossings (u = eps / 2, up to a factor 1 + (F + 1) u).  The margin
-    2 (F + 2) eps RECT_X_MAX is at least twice the rounding of two such
-    sums and of the margin's own addition, so a decision made with it is
-    the one the full refinement makes, bit for bit.  If no bracket clears
-    the target by the margin, the full REFINE_ITERS-step measure decides."""
-    left_below, lo, hi = _crossing_cells(s, ts, moduli)
-    start_below = bool(moduli[0] <= s)
-    margin = 2.0 * (lo.size + 2) * np.finfo(float).eps * RECT_X_MAX
-    for _ in range(REFINE_ITERS):
-        outer = _measure(np.where(left_below, hi, lo), start_below)
-        if (outer + margin) / RECT_X_MAX < level:
-            return True
-        inner = _measure(np.where(left_below, lo, hi), start_below)
-        if (inner - margin) / RECT_X_MAX >= level:
-            return False
-        lo, hi = _bisect_cells(q, eta, s, left_below, lo, hi)
-    return _measure(0.5 * (lo + hi), start_below) / RECT_X_MAX < level
+    def quantile(self, level: float) -> float:
+        """s with measure{|eta Q| <= s} = level/4, and |eta q0| exactly for a
+        constant Q.  Newton steps in s, each kept inside a bracket [lo, hi]
+        with measure(lo) < level/4 <= measure(hi), and a bisection of the
+        bracket where a step would leave it.  They stop at a step below
+        rounding of s, or where rounding of the measure sets the steps.  The
+        sample gives the first guess and a first upper end, doubled until it
+        is one."""
+        if self.q.trim().degree() == 0:
+            return float(abs(self.eta * self.q.coef[0]))
+        target = level * RECT_X_MAX
+        lo, hi = 0.0, max(float(self.sample[-1]), np.finfo(float).tiny)
+        while self.sublevel(hi)[0] < target:
+            lo, hi = hi, 2.0 * hi
+        s = float(self.sample[round(level * (self.sample.size - 1))])
+        if not lo < s < hi:
+            s = 0.5 * (lo + hi)
+        eps = np.finfo(float).eps
+        for _ in range(MAX_STEPS):
+            measure, slope = self.sublevel(s)
+            if measure < target:
+                lo = s
+            else:
+                hi = s
+            step = (target - measure) / slope if 0.0 < slope < math.inf else math.nan
+            if abs(step) <= eps * s:
+                return s + step
+            if lo < s + step < hi:
+                s += step
+            elif abs(step) <= math.sqrt(eps) * s or hi - lo <= 2.0 * eps * hi:
+                # a step this small that leaves the bracket is set by the
+                # rounding of the measure (power coefficients of high
+                # degree), and the bracket holds the quantile
+                return 0.5 * (lo + hi)
+            else:
+                s = 0.5 * (lo + hi)
+        return s
 
 
 def sublevel_measure(q_coeffs, eta: float, s: float) -> float:
-    """measure{t in [0, 1/4] : |eta Q(t)| <= s}, by bracketing the crossings
-    of |eta Q| - s on the ORACLE_GRID + 1-point grid and bisecting all of
-    them in parallel, REFINE_ITERS steps each.
-
-    Each call evaluates |eta Q| on the whole grid and refines every crossing
-    in full.  `oracle_quantile` evaluates the grid once per polynomial and
-    needs only the side of its target that this measure falls on, so it
-    stops refining as soon as the side is decided and gets the same answer
-    as this function would give."""
+    """measure{t in [0, 1/4] : |eta Q(t)| <= s}, from the real roots of
+    |eta Q| = s (see `_LimitLaw`)."""
     if s < 0:
         raise ValueError("s must be nonnegative")
-    q = np.asarray(q_coeffs, dtype=np.complex128).reshape(-1)
-    ts, moduli = _grid_moduli(q, eta)
-    return _sublevel_measure(q, eta, s, ts, moduli)
-
-
-def _oracle_grid(q: np.ndarray, eta: float):
-    """What every quantile of one polynomial shares: an upper bound for
-    |eta Q| on [0, 1/4] from 4096 points, the oracle grid and |eta Q| on it."""
-    ts = np.linspace(0.0, RECT_X_MAX, 1 << 12)
-    hi = float(np.max(np.abs(eta * npp.polyval(ts, q)))) * (1.0 + 1e-9) + 1e-300
-    return (hi, *_grid_moduli(q, eta))
-
-
-def _oracle_quantile(q: np.ndarray, eta: float, level: float, grid) -> float:
-    """oracle_quantile on the grid that `_oracle_grid` built for q."""
-    hi, ts, moduli = grid
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _measure_below(q, eta, mid, ts, moduli, level):
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-13 * hi:
-            break
-    return 0.5 * (lo + hi)
+    return _LimitLaw(q_coeffs, eta).sublevel(s)[0]
 
 
 def oracle_quantile(q_coeffs, eta: float, level: float) -> float:
-    """s with measure{|eta Q| <= s}/(1/4) = level, by bisection in s.
-
-    Each bisection step asks only whether `sublevel_measure(q, eta, s)`
-    falls below level/4.  |eta Q| on the ORACLE_GRID + 1 grid points is
-    computed once per call, and the crossings are refined only until a
-    bracket on the measure, widened by a bound on its rounding, lies clear
-    of the target (see `_measure_below`); an undecided step refines in full.
-    Every step thus takes the branch that the full refinement takes, and
-    the result is the one a bisection over `sublevel_measure` returns."""
+    """s with measure{|eta Q| <= s}/(1/4) = level; |eta q0| exactly for a
+    constant Q."""
     if not (0.0 < level < 1.0):
         raise ValueError("level must lie in (0, 1)")
-    q = np.asarray(q_coeffs, dtype=np.complex128).reshape(-1)
-    return _oracle_quantile(q, eta, level, _oracle_grid(q, eta))
+    return _LimitLaw(q_coeffs, eta).quantile(level)
 
 
 def oracle_required_exponent(f: ThinRectFunction, lam: float) -> float:
-    """sigma_eff of the limit law from quadrature quantiles, both taken on
-    one oracle grid."""
+    """sigma_eff of the limit law from its exact quantiles."""
     if lam < MIN_LAMBDA:
         raise ValueError(f"lambda must be >= {MIN_LAMBDA}")
-    q = np.asarray(f.q_coeffs, dtype=np.complex128).reshape(-1)
-    grid = _oracle_grid(q, f.eta)
-    m = _oracle_quantile(q, f.eta, QUANTILE_LEVEL, grid)
-    t_star = _oracle_quantile(q, f.eta, 1.0 / lam, grid)
+    law = _LimitLaw(f.q, f.eta)
+    m = law.quantile(QUANTILE_LEVEL)
+    t_star = law.quantile(1.0 / lam)
     if t_star <= 0.0:
         raise ValueError("oracle low quantile is zero")
     return math.log(m / t_star) / math.log(8.0 * lam)
@@ -330,27 +327,31 @@ def oracle_required_exponent(f: ThinRectFunction, lam: float) -> float:
 # ----------------------------------------------------------------------
 # Canonical families.
 
-def chebyshev_on_quarter(degree: int) -> np.ndarray:
-    """Chebyshev polynomial of the given degree with its oscillation interval
-    mapped onto [0, 1/4] (power-basis coefficients in the disk variable)."""
+def chebyshev_series(degree: int) -> Chebyshev:
+    """T_degree(8t - 1): the Chebyshev polynomial of the given degree with
+    its oscillation interval mapped onto [0, 1/4], in its own basis."""
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    cheb = np.zeros(degree + 1)
-    cheb[degree] = 1.0
-    power = npc.cheb2poly(cheb)
-    comp = np.array([power[-1]], dtype=float)
-    for c in power[-2::-1]:
-        comp = npp.polyadd(npp.polymul(comp, np.array([-1.0, 8.0])), np.array([c]))
-    return np.asarray(comp, dtype=float)
+    return Chebyshev.basis(degree, domain=[0.0, RECT_X_MAX])
 
 
-def disk_normalized(q_coeffs) -> np.ndarray:
-    """Scale Q so its certified disk sup equals 1 (admissible with eta < 1/8)."""
-    q = np.asarray(q_coeffs, dtype=np.complex128).reshape(-1)
-    sup = disk_sup_upper_bound(q)
+def chebyshev_on_quarter(degree: int) -> np.ndarray:
+    """Power-basis coefficients of `chebyshev_series(degree)` in the disk
+    variable.  Only the benchmark reads T_m in this form (its `core_oracle`
+    inputs), until it builds T_m from its own arccos reference; the package
+    evaluates the family in its own basis."""
+    return chebyshev_series(degree).convert(kind=Polynomial).coef
+
+
+def disk_normalized(q_coeffs):
+    """Scale Q so its certified disk sup equals 1 (admissible with eta < 1/8):
+    a series stays a series, and an array gives complex coefficients."""
+    sup = disk_sup_upper_bound(q_coeffs)
     if sup == 0.0:
         raise ValueError("cannot normalize the zero polynomial")
-    return q / sup
+    if isinstance(q_coeffs, (Polynomial, Chebyshev)):
+        return q_coeffs / sup
+    return np.asarray(q_coeffs, dtype=np.complex128).reshape(-1) / sup
 
 
 def monomial_on_quarter(degree: int) -> np.ndarray:
@@ -374,25 +375,23 @@ class GrowthRow:
 @dataclass(frozen=True)
 class GrowthReport:
     rows: list[GrowthRow]
-    delta: float
-    count: int
     seed: int
     strictly_increasing: bool
     theorem_sigma_ratio: float
     passed: bool
-    extras: dict = field(default_factory=dict)
 
 
 def growth_experiment(family, eta: float, delta: float, lambdas, count: int,
                       seed: int, threads: int = 1) -> GrowthReport:
     """Required-exponent growth across a polynomial family.
 
-    family: iterable of coefficient arrays, each scaled by the same eta.
+    family: iterable of power-coefficient arrays or series, each scaled by
+    the same eta.
     Passing requires sigma_eff strictly increasing in degree at every lambda
     while the ball-theorem exponent varies by less than 2x across the
     family.  The ball-theorem exponent is taken at epsilon = THEOREM_EPSILON.
     """
-    family = [np.asarray(q, dtype=np.complex128).reshape(-1) for q in family]
+    family = [_series(q) for q in family]
     if not family:
         raise ValueError("family must be nonempty")
     lambdas = [float(l) for l in lambdas]
@@ -404,7 +403,7 @@ def growth_experiment(family, eta: float, delta: float, lambdas, count: int,
         sigma_theorem = sigma_exponent(f.poly, THEOREM_EPSILON)
         sigma_theorems.append(sigma_theorem)
         summary = rectangle_moduli(f, delta, count, seed + idx, threads)
-        degree = int(np.nonzero(q)[0][-1]) if np.any(q) else 0
+        degree = q.trim().degree()
         for lam in lambdas:
             est = required_exponent_from_summary(summary, lam)
             oracle = oracle_required_exponent(f, lam)
@@ -416,7 +415,6 @@ def growth_experiment(family, eta: float, delta: float, lambdas, count: int,
         for vals in per_lam.values())
     ratio = max(sigma_theorems) / min(sigma_theorems)
     return GrowthReport(
-        rows=rows, delta=delta, count=count, seed=seed,
+        rows=rows, seed=seed,
         strictly_increasing=increasing, theorem_sigma_ratio=float(ratio),
-        passed=bool(increasing and ratio < 2.0),
-        extras={"lambdas": lambdas, "epsilon": THEOREM_EPSILON})
+        passed=bool(increasing and ratio < 2.0))

@@ -24,7 +24,7 @@ remembered array is read-only; at the CLI's `samples` cap of 1e7 it holds
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -154,7 +154,6 @@ def quantile_with_se(summary: DistributionSummary,
 class QuantileEstimate:
     value: float
     std_err: float
-    count: int
     seed: int
 
 
@@ -164,7 +163,7 @@ def modulus_quantile(poly: MultiPoly, spec: BallSpec, count: int, seed: int,
     _require_usable(poly)
     summary = sample_moduli(poly, spec, count, seed, threads)
     q, se = quantile_with_se(summary, QUANTILE_LEVEL)
-    return QuantileEstimate(q, se, count, seed)
+    return QuantileEstimate(q, se, seed)
 
 
 def level_fraction(poly: MultiPoly, spec: BallSpec, threshold: float, side: str,
@@ -228,10 +227,8 @@ class QuantileBoundsReport:
     sigma: float
     quantile: float
     quantile_std_err: float
-    count: int
     seed: int
     all_pass: bool
-    extras: dict = field(default_factory=dict)
 
 
 def check_quantile_bounds(poly: MultiPoly, spec: BallSpec, lambdas,
@@ -266,8 +263,7 @@ def check_quantile_bounds(poly: MultiPoly, spec: BallSpec, lambdas,
                              small_se, tail_t, tail_frac, tail_bound, tail_se, ok))
     return QuantileBoundsReport(
         rows=rows, sigma=sigma, quantile=m, quantile_std_err=m_se,
-        count=count, seed=seed, all_pass=all(r.passed for r in rows),
-        extras={"epsilon": spec.epsilon, "dim": spec.dim})
+        seed=seed, all_pass=all(r.passed for r in rows))
 
 
 @dataclass(frozen=True)
@@ -284,8 +280,6 @@ class PowerBoundRow:
 class PowerBoundReport:
     rows: list[PowerBoundRow]
     sigma: float
-    c: float
-    count: int
     seed: int
     all_pass: bool
 
@@ -316,5 +310,4 @@ def check_superlevel_power_bound(poly: MultiPoly, spec: BallSpec, c: float,
         margin = 3.0 * math.hypot(lhs_se, rhs_se)
         rows.append(PowerBoundRow(lam, threshold_log, lhs, rhs, margin,
                                   lhs <= rhs + margin))
-    return PowerBoundReport(rows, sigma, c, count, seed,
-                            all(r.passed for r in rows))
+    return PowerBoundReport(rows, sigma, seed, all(r.passed for r in rows))

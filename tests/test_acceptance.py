@@ -23,7 +23,7 @@ from sublevel_lab.poly import from_terms, lift, normalize
 from sublevel_lab.remez import (classical_remez_check, factor_bounds,
                                 random_disk_function, remez_check)
 from sublevel_lab.sampling import ks_distance
-from sublevel_lab.thinrect import (build_function, chebyshev_on_quarter,
+from sublevel_lab.thinrect import (build_function, chebyshev_series,
                                    disk_normalized, limit_moduli,
                                    oracle_required_exponent,
                                    rectangle_moduli,
@@ -219,7 +219,7 @@ class TestCriterion5ThinRectangles:
         ok = True
         details = []
         for m in (4, 8, 16, 32):
-            q = disk_normalized(chebyshev_on_quarter(m))
+            q = disk_normalized(chebyshev_series(m))
             f = build_function(q, 0.1)
             summary = limit_moduli(f, 1_000_000, seed=600 + m, threads=2)
             est = required_exponent_from_summary(summary, 2.0)
@@ -242,7 +242,7 @@ class TestCriterion5ThinRectangles:
         sigmas = []
         theorem_sigmas = []
         for i, m in enumerate((4, 8, 16, 32)):
-            q = disk_normalized(chebyshev_on_quarter(m))
+            q = disk_normalized(chebyshev_series(m))
             f = build_function(q, 0.1)
             summary = rectangle_moduli(f, 1e-3, 1_000_000, seed=700 + i,
                                        threads=2)

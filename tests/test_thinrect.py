@@ -1,14 +1,15 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from sublevel_lab import thinrect
 from sublevel_lab.poly import certify_sup
 from sublevel_lab.sampling import ks_distance
 from sublevel_lab.thinrect import (RectangleSpec, build_function,
-                                   chebyshev_on_quarter, disk_normalized,
-                                   disk_sup_upper_bound, eval_on_rectangle,
+                                   chebyshev_on_quarter, chebyshev_series,
+                                   disk_normalized, disk_sup_upper_bound,
+                                   eval_on_rectangle,
                                    growth_experiment, limit_moduli,
                                    monomial_on_quarter,
                                    oracle_required_exponent, oracle_quantile,
@@ -25,46 +26,44 @@ def required_exponent(f, delta, lam, count, seed):
 LINEAR = np.array([0.0, 1.0])          # Q(z) = z
 CONSTANT = np.array([1.0])
 ZERO = np.array([0.0])
+QUANTILE_LEVELS = (1 - 1 / math.e, 0.5, 0.125)
 
 
-def bisect_over_sublevel_measure(q, eta, level):
-    """Reference: the bisection in s over the public `sublevel_measure`,
-    which rescans the whole grid at every step."""
-    ts = np.linspace(0.0, 0.25, 1 << 12)
-    q = np.asarray(q, dtype=np.complex128)
-    hi = float(np.max(np.abs(eta * np.polynomial.polynomial.polyval(ts, q))))
-    hi = hi * (1.0 + 1e-9) + 1e-300
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if sublevel_measure(q, eta, mid) / 0.25 < level:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-13 * hi:
-            break
-    return 0.5 * (lo + hi)
+def chebyshev_level(m, level):
+    """c with measure{w in [-1, 1] : |T_m(w)| <= c} / 2 = level, from the
+    arccos form: with w = cos(theta), |cos(m theta)| <= c on m theta-intervals
+    [(k pi + a)/m, (k pi + pi - a)/m], a = arccos(c); solved at 40 digits."""
+    def fraction(c):
+        a = mp.acos(c)
+        return sum(mp.cos((k * mp.pi + a) / m) - mp.cos((k * mp.pi + mp.pi - a) / m)
+                   for k in range(m)) / 2 - level
+
+    with mp.workdps(40):
+        return float(mp.findroot(fraction, (0, 1), solver="illinois"))
 
 
-def bisect_over_full_refinement(q, eta, level):
-    """Reference: the bisection in s over `thinrect._sublevel_measure`, which
-    refines every crossing REFINE_ITERS times at every step, on one grid."""
-    q = np.asarray(q, dtype=np.complex128)
-    ts = np.linspace(0.0, 0.25, 1 << 12)
-    hi = float(np.max(np.abs(eta * np.polynomial.polynomial.polyval(ts, q))))
-    hi = hi * (1.0 + 1e-9) + 1e-300
-    lo = 0.0
-    grid_ts, moduli = thinrect._grid_moduli(q, eta)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        measure = thinrect._sublevel_measure(q, eta, mid, grid_ts, moduli)
-        if measure / 0.25 < level:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-13 * hi:
-            break
-    return 0.5 * (lo + hi)
+def mp_sublevel_measure(q, eta, s):
+    """measure{t in [0, 1/4] : |eta Q(t)| <= s} at 50 digits: the real roots
+    of eta^2 |Q|^2 - s^2 cut [0, 1/4], and each piece is classified by its
+    midpoint."""
+    with mp.workdps(50):
+        a = [mp.mpc(complex(c)) for c in q]
+        square = [mp.mpf(0)] * (2 * len(a) - 1)
+        for j, aj in enumerate(a):
+            for k, ak in enumerate(a):
+                square[j + k] += mp.re(aj * mp.conj(ak))
+        coeffs = [eta * eta * c for c in square]
+        coeffs[0] -= mp.mpf(s) ** 2
+        roots = mp.polyroots(coeffs[::-1], maxsteps=200, extraprec=200)
+        cuts = sorted(mp.re(r) for r in roots
+                      if abs(mp.im(r)) < mp.mpf(10) ** -40 and 0 < mp.re(r) < 0.25)
+        edges = [mp.mpf(0)] + cuts + [mp.mpf(0.25)]
+        total = mp.mpf(0)
+        for lo, hi in zip(edges, edges[1:]):
+            mid = (lo + hi) / 2
+            if abs(eta * mp.polyval(a[::-1], mid)) <= s:
+                total += hi - lo
+        return total
 
 
 class TestRectangleSpec:
@@ -236,36 +235,65 @@ class TestOracle:
             got = oracle_quantile(LINEAR, 0.1, level)
             assert got == pytest.approx(0.025 * level, rel=1e-6)
 
-    def test_oracle_quantile_matches_public_bisection(self):
-        rng = np.random.default_rng(31)
-        cases = [(monomial_on_quarter(4), 0.1),
-                 (disk_normalized(chebyshev_on_quarter(4)), 0.1),
-                 (rng.standard_normal(7) + 1j * rng.standard_normal(7), 0.01)]
-        for q, eta in cases:
-            got = oracle_quantile(q, eta, 1 - 1 / math.e)
-            assert got == bisect_over_sublevel_measure(q, eta, 1 - 1 / math.e)
+    @pytest.mark.parametrize("m", range(1, 33))
+    def test_monomial_closed_forms(self, m):
+        # |0.1 t^m| <= s on [0, min(1/4, (10 s)^(1/m))]; level-L quantile 0.1 (L/4)^m
+        q = monomial_on_quarter(m)
+        for level in QUANTILE_LEVELS:
+            want = 0.1 * (level / 4) ** m
+            assert oracle_quantile(q, 0.1, level) == pytest.approx(want, rel=1e-12, abs=0)
+            assert sublevel_measure(q, 0.1, want) == pytest.approx(level / 4, rel=1e-12, abs=0)
+        assert sublevel_measure(q, 0.1, 0.2) == 0.25
+        lam = 2.0
+        want = m * math.log((1 - 1 / math.e) * lam) / math.log(8 * lam)
+        f = build_function(q, 0.1)
+        assert oracle_required_exponent(f, lam) == pytest.approx(want, rel=1e-12, abs=0)
 
-    def test_early_decision_matches_full_refinement_bit_for_bit(self):
-        # T32 in the power basis has about 1000 crossing cells at its median,
-        # so the margin's growth with the cell count is exercised
+    @pytest.mark.parametrize("m", range(1, 33))
+    def test_chebyshev_family_arccos_form(self, m):
+        # the family as the CLI builds it: T_m(8t - 1) in its own basis, over
+        # its certified disk sup
+        q = disk_normalized(chebyshev_series(m))
+        scale = 0.1 / disk_sup_upper_bound(chebyshev_series(m))
+        for level in QUANTILE_LEVELS:
+            want = scale * chebyshev_level(m, level)
+            assert oracle_quantile(q, 0.1, level) == pytest.approx(want, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("m", (4, 8))
+    def test_benchmark_power_basis_chebyshev(self, m):
+        # the benchmark passes T_m as power coefficients and reads kappa from
+        # the leading one, 2^(m-1) 8^m kappa
+        q = disk_normalized(chebyshev_on_quarter(m))
+        kappa = abs(q[-1]) / (2.0 ** (m - 1) * 8.0 ** m)
+        want = [0.1 * kappa * chebyshev_level(m, level)
+                for level in QUANTILE_LEVELS]
+        got = [oracle_quantile(q, 0.1, level) for level in QUANTILE_LEVELS]
+        # Horner on these coefficients errs by up to eps T_m(3) relative to
+        # max |T_m| = 1 on [0, 1/4], 7e-11 at m = 8
+        assert got == pytest.approx(want, rel=1e-10, abs=0)
+        sigma = math.log(want[0] / want[1]) / math.log(16.0)
+        f = build_function(q, 0.1)
+        assert oracle_required_exponent(f, 2.0) == pytest.approx(sigma, rel=1e-10, abs=0)
+
+    def test_complex_polynomial_against_mpmath(self):
         rng = np.random.default_rng(31)
-        cases = [(monomial_on_quarter(1), 0.1), (monomial_on_quarter(32), 0.1),
-                 (disk_normalized(chebyshev_on_quarter(4)), 0.1),
-                 (disk_normalized(chebyshev_on_quarter(8)), 0.1),
-                 (disk_normalized(chebyshev_on_quarter(32)), 0.1),
-                 (rng.standard_normal(7) + 1j * rng.standard_normal(7), 0.01),
-                 (CONSTANT, 0.1)]
-        levels = (1 - 1 / math.e, 0.5, 0.125)
-        for q, eta in cases:
-            want = {}
-            for level in levels:
-                want[level] = bisect_over_full_refinement(q, eta, level)
-                assert oracle_quantile(q, eta, level) == want[level]
-            f = build_function(q, eta)
-            for lam in (2.0, 8.0):
-                ref = (math.log(want[levels[0]] / want[1.0 / lam])
-                       / math.log(8.0 * lam))
-                assert oracle_required_exponent(f, lam) == ref
+        q = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+        eta = 0.01
+        for level in QUANTILE_LEVELS:
+            s = oracle_quantile(q, eta, level)
+            # the quantile lies within 1e-12 relative of s
+            assert mp_sublevel_measure(q, eta, s * (1 - 1e-12)) < level / 4
+            assert mp_sublevel_measure(q, eta, s * (1 + 1e-12)) >= level / 4
+            got = sublevel_measure(q, eta, s)
+            assert got == pytest.approx(float(mp_sublevel_measure(q, eta, s)),
+                                        rel=1e-12, abs=0)
+
+    def test_constant_is_exact(self):
+        for q in (CONSTANT, np.array([0.3 + 0.4j, 0.0]), ZERO):
+            want = abs(0.1 * complex(q[0]))
+            for level in QUANTILE_LEVELS:
+                assert oracle_quantile(q, 0.1, level) == want
+        assert oracle_required_exponent(build_function(CONSTANT, 0.1), 2.0) == 0.0
 
     def test_oracle_matches_monte_carlo(self):
         q = disk_normalized(chebyshev_on_quarter(4))
