@@ -14,8 +14,8 @@ from .kls import (LocalizationInstance, PiecewiseLogLinear, dense_core_1d,
 from .mobius import (MapParams, apply_map, check_curvature,
                      check_log_concavity, check_preimage_convexity,
                      check_radial_profile, jacobian, mobius_factor)
-from .poly import (LineSlice, MultiPoly, certify_sup, eval_many, from_terms,
-                   lift, normalize, parse_poly, restrict_to_line)
+from .poly import (MultiPoly, certify_sup, eval_many, from_terms, lift,
+                   normalize, parse_poly)
 from .remez import (DiskFunction, Factorization, classical_remez_check,
                     factor_bounds, log_abs_f, parse_disk_function,
                     remez_check, remez_exponent, split_zeros)
@@ -28,8 +28,8 @@ from .volume import (BallSpec, DistributionSummary, check_quantile_bounds,
 
 __all__ = [
     "BallSpec", "DiskFunction", "DistributionSummary", "Factorization",
-    "IntervalSet", "LineSlice", "LocalizationInstance", "MapParams",
-    "MultiPoly", "PiecewiseLogLinear", "RectangleSpec", "ThinRectFunction",
+    "IntervalSet", "LocalizationInstance", "MapParams", "MultiPoly",
+    "PiecewiseLogLinear", "RectangleSpec", "ThinRectFunction",
     "apply_map", "build_function", "certify_sup", "chebyshev_on_quarter",
     "chebyshev_series", "check_curvature", "check_log_concavity",
     "check_preimage_convexity", "check_quantile_bounds", "check_radial_profile",
@@ -39,5 +39,5 @@ __all__ = [
     "localization_check_1d", "log_abs_f", "min_interval_ratio",
     "mobius_factor", "modulus_quantile", "normalize", "parse_disk_function",
     "parse_poly", "rectangle_moduli", "remez_check", "remez_exponent",
-    "restrict_to_line", "sample_ball", "sigma_exponent", "split_zeros",
+    "sample_ball", "sigma_exponent", "split_zeros",
 ]

@@ -257,12 +257,16 @@ def _check_lemma_b(v: dict) -> None:
 
 
 def _check_counterexample(v: dict) -> None:
-    """eta is admissible for every family member and the KS member."""
-    members = _family(v)
-    if v["ks_delta"] is not None:
-        members.append(monomial_on_quarter(KS_DEGREE))
-    for q in members:
+    """eta is admissible for every family member and the KS member.  The
+    members, each scaled to disk sup 1, are kept in v: T_m as a Chebyshev
+    series on [0, 1/4], z^m as power coefficients."""
+    make = {"chebyshev": chebyshev_series,
+            "monomial": monomial_on_quarter}[v["family"]]
+    v["members"] = [disk_normalized(make(d)) for d in v["degrees"]]
+    for q in v["members"]:
         _check("eta", build_function, q, v["eta"])
+    if v["ks_delta"] is not None:
+        _check("eta", build_function, monomial_on_quarter(KS_DEGREE), v["eta"])
 
 
 _CHECKS = {"theorem": _check_theorem, "lemma-a": _check_lemma_a,
@@ -284,11 +288,11 @@ def load_config(path: str) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Subcommand runners.  Each returns its report rows: one dict per checked
-# inequality, with its `check` name first and its `pass` flag.
+# Subcommand runners.  Each takes its inputs as `_read_inputs` read them and
+# returns its report rows: one dict per checked inequality, with its `check`
+# name first and its `pass` flag.
 
-def _run_theorem(inputs: dict, seed: int, threads: int):
-    v = _read_inputs("theorem", inputs)
+def _run_theorem(v: dict, seed: int, threads: int):
     poly = normalize(v["poly"])
     spec, lambdas, samples = v["spec"], v["lambdas"], v["samples"]
 
@@ -311,8 +315,7 @@ def _run_theorem(inputs: dict, seed: int, threads: int):
                     "pass": r.passed} for r in sf.rows]
 
 
-def _run_lemma_a(inputs: dict, seed: int, threads: int):
-    v = _read_inputs("lemma-a", inputs)
+def _run_lemma_a(v: dict, seed: int, threads: int):
     named = []
     if v["instance"] is not None:
         named.append(("instance", v["instance"]))
@@ -328,8 +331,7 @@ def _run_lemma_a(inputs: dict, seed: int, threads: int):
     return rows
 
 
-def _run_lemma_b(inputs: dict, seed: int, threads: int):
-    v = _read_inputs("lemma-b", inputs)
+def _run_lemma_b(v: dict, seed: int, threads: int):
     rows = []
 
     def record(name, stat, bound, ok, **where):
@@ -372,23 +374,13 @@ def _run_lemma_b(inputs: dict, seed: int, threads: int):
     return rows
 
 
-def _run_lemma_c(inputs: dict, seed: int, threads: int):
-    v = _read_inputs("lemma-c", inputs)
+def _run_lemma_c(v: dict, seed: int, threads: int):
     return [r.to_row() for r in run_all_checks(v["delta"], v["n"])]
 
 
-def _family(v: dict):
-    """The growth family's members, each scaled to disk sup 1: T_m as a
-    Chebyshev series on [0, 1/4], z^m as power coefficients."""
-    make = {"chebyshev": chebyshev_series,
-            "monomial": monomial_on_quarter}[v["family"]]
-    return [disk_normalized(make(d)) for d in v["degrees"]]
-
-
-def _run_counterexample(inputs: dict, seed: int, threads: int):
-    v = _read_inputs("counterexample", inputs)
+def _run_counterexample(v: dict, seed: int, threads: int):
     eta, samples = v["eta"], v["samples"]
-    report = growth_experiment(_family(v), eta, v["delta"],
+    report = growth_experiment(v["members"], eta, v["delta"],
                                v["lambdas"], samples, seed, threads)
     rows = [{"check": "growth", "degQ": r.degree, "F0": r.f0_abs,
              "sigma_theorem": r.sigma_theorem, "lambda": r.lam,
@@ -446,17 +438,18 @@ def run(config: dict, out_dir: str, threads: int = 1) -> bool:
 
     if sub == "all":
         parts = _read_inputs("all", inputs)
-        configs = [{"subcommand": name, "seed": seed,
-                    "inputs": {**ALL_PRESET[name], **parts[name]}}
-                   for name in _RUNNERS]
-        for cfg in configs:
-            # reject every bad input before the first run writes anything
-            _read_inputs(cfg["subcommand"], cfg["inputs"])
-        rows = [{"check": cfg["subcommand"],
-                 "pass": run(cfg, out / cfg["subcommand"], threads)}
-                for cfg in configs]
+        configs = {name: {"subcommand": name, "seed": seed,
+                          "inputs": {**ALL_PRESET[name], **parts[name]}}
+                   for name in _RUNNERS}
+        # reject every bad input before the first run writes anything
+        values = {name: _read_inputs(name, cfg["inputs"])
+                  for name, cfg in configs.items()}
+        rows = [{"check": name,
+                 "pass": _write_report(out / name, cfg, _RUNNERS[name](
+                     values[name], seed, threads))}
+                for name, cfg in configs.items()]
     else:
-        rows = _RUNNERS[sub](inputs, seed, threads)
+        rows = _RUNNERS[sub](_read_inputs(sub, inputs), seed, threads)
     return _write_report(out, config, rows)
 
 

@@ -13,10 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.polynomial import polynomial as npp
-
-SLICE_MARGIN = 1e-12
-UNIT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -132,70 +128,6 @@ def normalize(p: MultiPoly) -> MultiPoly:
     coeffs = p.coeffs / s
     q = MultiPoly(p.dim, p.exponents.copy(), coeffs)
     return replace(q, sup_cert=certify_sup(q))
-
-
-def max_slice_halflength(base, direction) -> float:
-    """Largest halflength h so that {base + t*direction : |t| <= h} stays in
-    the open complex unit ball (base, direction real, |direction| = 1)."""
-    b = np.asarray(base, dtype=float)
-    d = np.asarray(direction, dtype=float)
-    bd = float(np.dot(b, d))
-    disc = 1.0 - float(np.dot(b, b)) + bd * bd
-    if disc <= 0.0:
-        return 0.0
-    return float(np.sqrt(disc) - abs(bd))
-
-
-@dataclass(frozen=True)
-class LineSlice:
-    """Univariate restriction t -> p(base + t*direction), |t| <= halflength.
-
-    Valid for complex t: the slice disk then stays inside the complex ball.
-    """
-
-    base: np.ndarray
-    direction: np.ndarray
-    halflength: float
-    coeffs: np.ndarray  # univariate complex coefficients, ascending powers
-
-    def eval(self, t) -> np.ndarray:
-        return npp.polyval(np.asarray(t, dtype=np.complex128), self.coeffs)
-
-    @property
-    def degree(self) -> int:
-        nz = np.nonzero(self.coeffs)[0]
-        return int(nz[-1]) if nz.size else 0
-
-
-def restrict_to_line(p: MultiPoly, base, direction, halflength: float) -> LineSlice:
-    """Restrict p to the segment/disk base + t*direction.
-
-    Rejects non-unit directions (tolerance 1e-12) and slices whose complex
-    disk of radius `halflength` leaves the unit ball (margin 1e-12).
-    """
-    b = np.asarray(base, dtype=float).reshape(-1)
-    d = np.asarray(direction, dtype=float).reshape(-1)
-    if b.size != p.dim or d.size != p.dim:
-        raise ValueError("base and direction must have the polynomial dimension")
-    if abs(np.linalg.norm(d) - 1.0) > UNIT_TOL:
-        raise ValueError("direction must be a unit vector")
-    if halflength <= 0:
-        raise ValueError("halflength must be positive")
-    limit = max_slice_halflength(b, d)
-    if halflength > limit - SLICE_MARGIN:
-        raise ValueError(
-            f"slice of halflength {halflength} exits the unit ball "
-            f"(limit {limit:.6g})")
-
-    coeffs = np.zeros(1, dtype=np.complex128)
-    for alpha, c in zip(p.exponents, p.coeffs):
-        term = np.array([c], dtype=np.complex128)
-        for j in range(p.dim):
-            a = int(alpha[j])
-            if a:
-                term = npp.polymul(term, npp.polypow([b[j], d[j]], a))
-        coeffs = npp.polyadd(coeffs, term)
-    return LineSlice(b, d, float(halflength), np.asarray(coeffs, np.complex128))
 
 
 # Text format: one term per line, "coeff_re coeff_im a_1 ... a_n".

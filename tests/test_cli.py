@@ -212,6 +212,22 @@ class TestValidation:
         assert not out.exists()
 
 
+def test_all_reads_each_input_once(tmp_path, monkeypatch):
+    # `all` reads its own inputs object, then each subcommand's inputs once;
+    # the runs take what was read
+    reads = []
+    read_inputs = cli._read_inputs
+
+    def counted(sub, inputs):
+        reads.append(sub)
+        return read_inputs(sub, inputs)
+
+    monkeypatch.setattr(cli, "_read_inputs", counted)
+    inputs = {sub: BASE_INPUTS[sub] for sub in cli._RUNNERS}
+    run({"subcommand": "all", "seed": 1, "inputs": inputs}, tmp_path / "out")
+    assert reads == ["all", *cli._RUNNERS]
+
+
 def strict_json(path: Path):
     def reject(token):
         raise ValueError(f"non-finite number {token} in {path}")

@@ -4,8 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sublevel_lab.poly import (MultiPoly, certify_sup, eval_many, from_terms,
-                               lift, max_slice_halflength, normalize,
-                               parse_poly, restrict_to_line)
+                               lift, normalize, parse_poly)
 
 
 def eval_poly(p: MultiPoly, z) -> complex:
@@ -141,50 +140,6 @@ class TestNormalize:
         for _ in range(200):
             p = random_poly(rng)
             assert certify_sup(normalize(p)) == pytest.approx(1.0, abs=1e-12)
-
-
-class TestRestrictToLine:
-    def test_identity_slice(self):
-        p = from_terms(1, {(1,): 1.0})
-        sl = restrict_to_line(p, [0.0], [1.0], 0.9)
-        np.testing.assert_allclose(sl.coeffs, [0.0, 1.0])
-
-    def test_product_slice_by_hand(self):
-        p = from_terms(2, {(1, 1): 1.0})
-        sl = restrict_to_line(p, [0.1, 0.2], [1.0, 0.0], 0.5)
-        np.testing.assert_allclose(sl.coeffs, [0.02, 0.2], atol=1e-15)
-
-    def test_slice_exits_ball(self):
-        p = from_terms(2, {(1, 0): 1.0})
-        with pytest.raises(ValueError, match="exits"):
-            restrict_to_line(p, [0.0, 0.0], [1.0, 0.0], 1.5)
-
-    def test_non_unit_direction(self):
-        p = from_terms(2, {(1, 0): 1.0})
-        with pytest.raises(ValueError, match="unit"):
-            restrict_to_line(p, [0.0, 0.0], [1.0, 1.0], 0.5)
-
-    def test_matches_direct_evaluation(self):
-        rng = np.random.default_rng(99)
-        for _ in range(100):
-            p = random_poly(rng, max_dim=5)
-            base = rng.standard_normal(p.dim)
-            base *= rng.random() * 0.6 / max(np.linalg.norm(base), 1e-9)
-            direction = rng.standard_normal(p.dim)
-            direction /= np.linalg.norm(direction)
-            limit = max_slice_halflength(base, direction)
-            half = 0.5 * limit
-            if half <= 1e-6:
-                continue
-            sl = restrict_to_line(p, base, direction, half)
-            ts = (rng.random(8) * 2 - 1) * half \
-                + 1j * (rng.random(8) * 2 - 1) * 0.0
-            ts = ts + 1j * (rng.random(8) * 2 - 1) * (half - np.abs(ts)) * 0.5
-            ts = ts[np.abs(ts) <= half]
-            for t in ts:
-                direct = eval_poly(p, base + t * direction)
-                sliced = complex(sl.eval(t))
-                assert abs(direct - sliced) <= 1e-10 * max(1.0, abs(direct))
 
 
 class TestTextFormat:

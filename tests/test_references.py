@@ -53,18 +53,7 @@ SCRIPT_DIRS = ("demos", "bench")
 UNKNOWN = True
 
 # Public names that no module calls, each with the reason it stays.
-ALLOWED = {
-    "poly.restrict_to_line":
-        "documented API: the README's poly bullet offers restriction to "
-        "real line segments whose complex disk stays inside the ball",
-    "poly.LineSlice.eval":
-        "documented API: evaluates the slice that poly.restrict_to_line "
-        "returns, the restriction the README's poly bullet offers",
-    **{f"poly.LineSlice.{name}":
-       "documented API: the segment of the slice that poly.restrict_to_line "
-       "returns, the restriction the README's poly bullet offers"
-       for name in ("base", "direction", "halflength")},
-}
+ALLOWED = {}
 
 DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 

@@ -96,6 +96,21 @@ class TestDiskSupBound:
                 np.exp(1j * theta), q.astype(complex)))
             assert upper >= np.max(vals) - 1e-12
 
+    def test_chebyshev_normalization(self):
+        # T_m(8z - 1) has power coefficients of alternating sign, so their l1
+        # norm is |T_m(-9)| = cosh(m arccosh 9), the disk sup itself
+        with mp.workdps(50):
+            for m in range(33):
+                exact = mp.cosh(m * mp.acosh(9))
+                bound = disk_sup_upper_bound(chebyshev_series(m))
+                assert abs(bound - exact) <= 1e-14 * exact, m
+        # for any coefficients the bound is their l1 norm
+        rng = np.random.default_rng(21)
+        for _ in range(50):
+            n = int(rng.integers(1, 40))
+            q = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            assert disk_sup_upper_bound(q) == np.sum(np.abs(q))
+
     def test_rescaled_chebyshev_growth(self):
         # the certified disk sup explodes with the degree, which is what
         # drives the admissibility ceiling for this family
