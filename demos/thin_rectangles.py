@@ -33,9 +33,8 @@ for delta in (1e-1, 1e-2, 1e-3, 1e-4):
     print(f"  delta = {delta:.0e}: {ks_distance(rect.sorted_moduli, lim.sorted_moduli):.4f}")
 
 # exponent growth for the flat (monomial) family
-fam = [monomial_on_quarter(m) for m in (1, 2, 4)]
-rep = growth_experiment(fam, 0.1, delta=1e-6, lambdas=[2.0], count=300_000,
-                        seed=3)
+fam = [build_function(monomial_on_quarter(m), 0.1) for m in (1, 2, 4)]
+rep = growth_experiment(fam, delta=1e-6, lambdas=[2.0], count=300_000, seed=3)
 print("\nrequired exponent for z^m on a delta = 1e-6 rectangle (lam = 2):")
 for row in rep.rows:
     print(f"  degree {row.degree}: sigma_eff = {row.sigma_eff:.4f} "

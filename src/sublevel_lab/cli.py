@@ -257,33 +257,28 @@ def _check_lemma_b(v: dict) -> None:
 
 
 def _check_counterexample(v: dict) -> None:
-    """eta is admissible for every family member and the KS member.  The
-    members, each scaled to disk sup 1, are kept in v: T_m as a Chebyshev
-    series on [0, 1/4], z^m as power coefficients."""
+    """eta is admissible for every family member and the KS member.  Their
+    functions are kept in v, each member scaled to disk sup 1: T_m as a
+    Chebyshev series on [0, 1/4], z^m as power coefficients."""
     make = {"chebyshev": chebyshev_series,
             "monomial": monomial_on_quarter}[v["family"]]
-    v["members"] = [disk_normalized(make(d)) for d in v["degrees"]]
-    for q in v["members"]:
-        _check("eta", build_function, q, v["eta"])
+    v["functions"] = [_check("eta", build_function, disk_normalized(make(d)),
+                             v["eta"]) for d in v["degrees"]]
     if v["ks_delta"] is not None:
-        _check("eta", build_function, monomial_on_quarter(KS_DEGREE), v["eta"])
+        v["ks_function"] = _check("eta", build_function,
+                                  monomial_on_quarter(KS_DEGREE), v["eta"])
 
 
 _CHECKS = {"theorem": _check_theorem, "lemma-a": _check_lemma_a,
            "lemma-b": _check_lemma_b, "counterexample": _check_counterexample}
 
 
-def load_config(path: str) -> dict:
+def load_config(path: str):
+    """The JSON document at `path`; a written manifest gives its config.
+    `run` checks what it holds."""
     doc = json.loads(Path(path).read_text())
-    # accept a previously written manifest as a config
     if isinstance(doc, dict) and "config" in doc and "subcommand" not in doc:
         doc = doc["config"]
-    _require(isinstance(doc, dict), "config must be a JSON object")
-    _require(doc.get("subcommand") in SUBCOMMANDS,
-             f"subcommand must be one of {SUBCOMMANDS}")
-    _require(isinstance(doc.get("output_dir", ""), str),
-             "output_dir must be a string")
-    doc.setdefault("inputs", {})
     return doc
 
 
@@ -339,14 +334,8 @@ def _run_lemma_b(v: dict, seed: int, threads: int):
                      "bound": bound, "pass": bool(ok)})
 
     def run_one(tag, f, a, interval, e):
-        fb = factor_bounds(f, a)
-        for part, stat, bound, ok in (
-                ("outer_min", fb.outer_min, fb.outer_min_bound, "outer_pass"),
-                ("b1_min", fb.b1_min, fb.b1_min_bound, "b1_pass"),
-                ("count", fb.n_b2, fb.n_b2_bound, "count_pass"),
-                ("denominator_ratio", fb.log_r_spread, fb.log_r_bound,
-                 "r_pass")):
-            record(f"{tag}_{part}", stat, bound, fb.extras[ok], a=a)
+        for name, c in factor_bounds(f, a).checks.items():
+            record(f"{tag}_{name}", c.statistic, c.bound, c.passed, a=a)
         rz = remez_check(f, a, interval, e)
         record(f"{tag}_remez", rz.log_max_i, rz.log_bound, rz.passed, a=a)
 
@@ -369,8 +358,7 @@ def _run_lemma_b(v: dict, seed: int, threads: int):
         lo, hi = -0.9, 0.9
         e = random_subset(rng, lo, hi, max_components=5, min_fraction=0.05)
         rep = classical_remez_check(coeffs, (lo, hi), e)
-        record(f"classical_{k}", rep.extras["log_lhs"], rep.extras["log_rhs"],
-               rep.passed)
+        record(f"classical_{k}", rep.log_lhs, rep.log_rhs, rep.passed)
     return rows
 
 
@@ -379,9 +367,9 @@ def _run_lemma_c(v: dict, seed: int, threads: int):
 
 
 def _run_counterexample(v: dict, seed: int, threads: int):
-    eta, samples = v["eta"], v["samples"]
-    report = growth_experiment(v["members"], eta, v["delta"],
-                               v["lambdas"], samples, seed, threads)
+    samples = v["samples"]
+    report = growth_experiment(v["functions"], v["delta"], v["lambdas"],
+                               samples, seed, threads)
     rows = [{"check": "growth", "degQ": r.degree, "F0": r.f0_abs,
              "sigma_theorem": r.sigma_theorem, "lambda": r.lam,
              "sigma_eff": r.sigma_eff, "sigma_eff_std_err": r.sigma_eff_std_err,
@@ -389,7 +377,7 @@ def _run_counterexample(v: dict, seed: int, threads: int):
             for r in report.rows]
 
     if v["ks_delta"] is not None:
-        f = build_function(monomial_on_quarter(KS_DEGREE), eta)
+        f = v["ks_function"]
         rect = rectangle_moduli(f, v["ks_delta"], samples, seed, threads)
         lim = limit_moduli(f, samples, seed + 1, threads)
         ks = ks_distance(rect.sorted_moduli, lim.sorted_moduli)
@@ -425,15 +413,22 @@ ALL_PRESET = {
 def run(config: dict, out_dir: str, threads: int = 1) -> bool:
     """Execute one experiment config; returns True when all rows pass.  Bad
     input raises ConfigError, naming the field, before the run writes its
-    report."""
+    report.  The config is echoed to manifest.json with its inputs, {} when
+    absent."""
+    _require(isinstance(config, dict), "config must be a JSON object")
     unknown = sorted(set(config) - {"subcommand", "seed", "inputs", "output_dir"})
     _require(not unknown, f"unknown config key(s): {', '.join(unknown)}")
-    sub = config["subcommand"]
+    sub = config.get("subcommand")
+    _require(sub in SUBCOMMANDS,
+             f"subcommand must be one of {SUBCOMMANDS}, got {sub!r}")
     seed = config.get("seed")
     _require(isinstance(seed, int) and not isinstance(seed, bool)
              and 0 <= seed < 1 << 64,
              f"seed must be an integer in [0, 2^64), got {seed!r}")
+    _require(isinstance(config.get("output_dir", ""), str),
+             f"output_dir must be a string, got {config.get('output_dir')!r}")
     inputs = config.get("inputs", {})
+    config = {**config, "inputs": inputs}
     out = Path(out_dir)
 
     if sub == "all":
@@ -537,8 +532,11 @@ def main(argv=None) -> int:
                       "inputs": {}}
         else:
             config = load_config(args.config)
-            _require(config["subcommand"] == args.subcommand,
-                     f"config subcommand {config['subcommand']!r} does not "
+            # run checks the config; matching it and overriding its seed
+            # need an object
+            _require(isinstance(config, dict), "config must be a JSON object")
+            _require(config.get("subcommand") == args.subcommand,
+                     f"config subcommand {config.get('subcommand')!r} does not "
                      f"match {args.subcommand!r}")
             if args.seed is not None:
                 config["seed"] = args.seed

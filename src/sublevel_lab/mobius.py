@@ -158,12 +158,7 @@ def check_radial_profile(params: MapParams, grid_points: int = 10_000) -> CheckR
     return CheckReport(
         check="radial_profile", delta=params.delta,
         statistic=min_slope, bound=0.0, passed=passed,
-        extras={
-            "image_radius": image_radius,
-            "image_radius_target": radius_target,
-            "max_logderiv_ratio": max_ratio,
-            "logderiv_ratio_bound": LOGDERIV_RATIO_BOUND,
-        })
+        extras={"image_radius": image_radius, "max_logderiv_ratio": max_ratio})
 
 
 def check_log_concavity(params: MapParams, n: int, trials: int = 0,
@@ -271,8 +266,7 @@ def check_preimage_convexity(params: MapParams, center_dist: float,
     bending = radius * kappa
     return CheckReport(
         check="preimage_convexity", delta=params.delta,
-        statistic=bending, bound=1.0, passed=g0 > 0.0 and bending < 1.0,
-        extras={"center_dist": center_dist, "radius": radius})
+        statistic=bending, bound=1.0, passed=g0 > 0.0 and bending < 1.0)
 
 
 def run_all_checks(deltas: list[float], ns: list[int]) -> list[CheckReport]:

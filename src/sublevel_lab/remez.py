@@ -161,10 +161,6 @@ class Extremum:
     attained: float
     segments: int
 
-    @property
-    def gap(self) -> float:
-        return self.upper - self.attained
-
 
 def _certified_max(enclose, pairs) -> Extremum:
     """Level-synchronous branch and bound.  `enclose(x0, x1)` returns, per
@@ -320,83 +316,75 @@ def _max_log_form(g: _LogForm, pairs) -> Extremum:
 
 
 @dataclass(frozen=True)
+class FactorEstimate:
+    """One factor estimate: `statistic` against `bound` and its verdict."""
+
+    statistic: float
+    bound: float
+    passed: bool
+
+
+@dataclass(frozen=True)
 class FactorBoundsReport:
-    outer_min: float
-    outer_min_bound: float
-    b1_min: float
-    b1_min_bound: float
-    n_b2: int
-    n_b2_bound: float
-    log_r_spread: float
-    log_r_bound: float
-    all_pass: bool
+    """The four factor estimates by name, in the order of the report rows;
+    extras["segments"] counts the segments bounded."""
+
+    checks: dict[str, FactorEstimate]
     extras: dict = field(default_factory=dict)
+
+    @property
+    def all_pass(self) -> bool:
+        return all(c.passed for c in self.checks.values())
 
 
 def factor_bounds(f: DiskFunction, a: float) -> FactorBoundsReport:
     """Verify the four factor estimates on [-a, a]:
 
-    outer factor:  min |U| >= |U(a)U(-a)|^(1/(1-a^2))
-    tame factor:   min |B1| >= |B1(a)B1(-a)|^(2/(1-a^2))
-    count:         #B2 <= 3/(1-a^2) * log 1/|B2(a)B2(-a)|
-    denominators:  max |reciprocal factor| <= (2/(1-a))^N * min of it,
-                   compared in log units (log_r_spread <= log_r_bound)
+    outer_min:          min |U| >= |U(a)U(-a)|^(1/(1-a^2))
+    b1_min:             min |B1| >= |B1(a)B1(-a)|^(2/(1-a^2))
+    count:              #B2 <= 3/(1-a^2) * log 1/|B2(a)B2(-a)|
+    denominator_ratio:  max |reciprocal factor| <= (2/(1-a))^N * min of it,
+                        compared in log units (log spread <= N log(2/(1-a)))
 
-    Both minima are certified lower bounds and the spread of the reciprocal
-    factor a certified upper bound, so each check can err only toward
-    failing.  extras["segments"] counts the segments bounded and
-    extras["gap"] is the largest certified-minus-attained gap.
+    Both minima are certified lower bounds, compared in logs, and the spread
+    of the reciprocal factor a certified upper bound, so each check can err
+    only toward failing.
     """
     if not (0.0 < a < 1.0):
         raise ValueError("a must lie in (0, 1)")
     span = [(-a, a)]
     fac = split_zeros(f.zeros, a)
-
     neg_u = _max_log_form(
         _log_form(-1.0, locs=f.atom_locs, weights=f.atom_weights), span)
-    log_u_a = float(outer_log_abs(f.atom_locs, f.atom_weights, np.array([a]))[0])
-    log_u_ma = float(outer_log_abs(f.atom_locs, f.atom_weights, np.array([-a]))[0])
-    min_log_u = -neg_u.upper
-    bound_log_u = (log_u_a + log_u_ma) / (1.0 - a * a)
-    ok_u = bound_log_u <= min_log_u
-
     neg_b1 = _max_log_form(_log_form(-1.0, fac.b1_zeros, fac.b1_zeros), span)
-    log_b1_a = float(blaschke_log_abs(fac.b1_zeros, np.array([a]))[0])
-    log_b1_ma = float(blaschke_log_abs(fac.b1_zeros, np.array([-a]))[0])
-    min_log_b1 = -neg_b1.upper
-    bound_log_b1 = 2.0 * (log_b1_a + log_b1_ma) / (1.0 - a * a)
-    ok_b1 = bound_log_b1 <= min_log_b1
-
-    log_b2_a = float(blaschke_log_abs(fac.b2_zeros, np.array([a]))[0])
-    log_b2_ma = float(blaschke_log_abs(fac.b2_zeros, np.array([-a]))[0])
-    n = fac.n_b2
-    n_bound = 3.0 / (1.0 - a * a) * (-(log_b2_a + log_b2_ma))
-    ok_n = n <= n_bound
-
     # log of the reciprocal factor 1/prod|1 - x conj(z)|: spread = max + max of -
     r_max = _max_log_form(_log_form(1.0, den_zeros=fac.b2_zeros), span)
     r_neg_max = _max_log_form(_log_form(-1.0, den_zeros=fac.b2_zeros), span)
+
+    # each factor's endpoint sum log|g(a)| + log|g(-a)|, from one call
+    ends = np.array([a, -a])
+    log_u = float(np.sum(outer_log_abs(f.atom_locs, f.atom_weights, ends)))
+    log_b1, log_b2 = (float(np.sum(blaschke_log_abs(z, ends)))
+                      for z in (fac.b1_zeros, fac.b2_zeros))
+    shrink = 1.0 - a * a
+
+    def minimum(neg_max: Extremum, bound_log: float) -> FactorEstimate:
+        # the certified minimum exp(-neg_max.upper), compared in logs
+        return FactorEstimate(float(np.exp(-neg_max.upper)), float(np.exp(bound_log)),
+                              bool(bound_log <= -neg_max.upper))
+
+    n = fac.n_b2
+    n_bound = 3.0 / shrink * -log_b2
     r_spread = r_max.upper + r_neg_max.upper
     r_bound = n * np.log(2.0 / (1.0 - a))
-    ok_r = r_spread <= r_bound
-
     return FactorBoundsReport(
-        outer_min=float(np.exp(min_log_u)),
-        outer_min_bound=float(np.exp(bound_log_u)),
-        b1_min=float(np.exp(min_log_b1)),
-        b1_min_bound=float(np.exp(bound_log_b1)),
-        n_b2=n,
-        n_b2_bound=float(n_bound),
-        log_r_spread=float(r_spread),
-        log_r_bound=float(r_bound),
-        all_pass=bool(ok_u and ok_b1 and ok_n and ok_r),
-        extras={
-            "outer_pass": ok_u, "b1_pass": ok_b1, "count_pass": ok_n,
-            "r_pass": ok_r,
-            "segments": neg_u.segments + neg_b1.segments + r_max.segments
-            + r_neg_max.segments,
-            "gap": max(neg_u.gap, neg_b1.gap, r_max.gap + r_neg_max.gap),
-        })
+        checks={"outer_min": minimum(neg_u, log_u / shrink),
+                "b1_min": minimum(neg_b1, 2.0 * log_b1 / shrink),
+                "count": FactorEstimate(n, float(n_bound), bool(n <= n_bound)),
+                "denominator_ratio": FactorEstimate(
+                    float(r_spread), float(r_bound), bool(r_spread <= r_bound))},
+        extras={"segments": neg_u.segments + neg_b1.segments + r_max.segments
+                + r_neg_max.segments})
 
 
 def max_log_abs_on_interval(f: DiskFunction, lo: float, hi: float) -> Extremum:
@@ -423,11 +411,10 @@ def remez_exponent(f: DiskFunction, a: float) -> float:
     the single-value form, which symmetric_exponent reports."""
     if not (0.0 < a < 1.0):
         raise ValueError("a must lie in (0, 1)")
-    log_fa = float(log_abs_f(f, np.array([a]))[0])
-    log_fma = float(log_abs_f(f, np.array([-a]))[0])
-    if not np.isfinite(log_fa) or not np.isfinite(log_fma):
+    log_ends = float(np.sum(log_abs_f(f, np.array([a, -a]))))
+    if not np.isfinite(log_ends):
         raise ValueError("f vanishes at an endpoint +-a")
-    return 3.0 / (1.0 - a) * (-(log_fa + log_fma))
+    return 3.0 / (1.0 - a) * -log_ends
 
 
 def symmetric_exponent(f: DiskFunction, a: float) -> float:
@@ -436,6 +423,19 @@ def symmetric_exponent(f: DiskFunction, a: float) -> float:
     if not np.isfinite(log_fa):
         raise ValueError("f vanishes at a")
     return 3.0 / (1.0 - a) * (-log_fa)
+
+
+def _remez_sides(interval: tuple[float, float], e: IntervalSet):
+    """(lo, hi, |I|/|E|) for the sides of a Remez comparison on I = [lo, hi]
+    and E, once I and E have positive length and E lies in I."""
+    lo, hi = float(interval[0]), float(interval[1])
+    if hi <= lo:
+        raise ValueError("interval I must have positive length")
+    if e.n_components == 0 or e.total_length == 0.0:
+        raise ValueError("set E must have positive length")
+    if not e.is_subset_of(IntervalSet.from_pairs([(lo, hi)]), tol=1e-12):
+        raise ValueError("E must be a subset of I")
+    return lo, hi, (hi - lo) / e.total_length
 
 
 @dataclass(frozen=True)
@@ -456,43 +456,29 @@ def remez_check(f: DiskFunction, a: float, interval: tuple[float, float],
 
     max_I is a certified upper bound and sup_E a value attained in E, so the
     check can err only toward failing.  extras["segments"] counts the
-    segments bounded and extras["gap"] is the larger certified-minus-attained
-    gap of the two.  `n_grid` and `per_component` are ignored; they stay
+    segments bounded.  `n_grid` and `per_component` are ignored; they stay
     because the benchmark (bench/workloads.py) passes them positionally."""
-    lo, hi = float(interval[0]), float(interval[1])
-    if hi <= lo:
-        raise ValueError("interval I must have positive length")
+    lo, hi, ratio = _remez_sides(interval, e)
     if lo < -a - 1e-15 or hi > a + 1e-15:
         raise ValueError("interval I must lie in [-a, a]")
-    if e.n_components == 0 or e.total_length == 0.0:
-        raise ValueError("set E must have positive length")
-    if not e.is_subset_of(IntervalSet.from_pairs([(lo, hi)]), tol=1e-12):
-        raise ValueError("E must be a subset of I")
     sigma = remez_exponent(f, a)
     max_i = max_log_abs_on_interval(f, lo, hi)
     sup_e = sup_log_abs_on_set(f, e)
-    log_max_i, log_sup_e = max_i.upper, sup_e.attained
-    ratio = REMEZ_CONSTANT * (hi - lo) / e.total_length
-    log_bound = sigma * np.log(ratio) + log_sup_e
-    passed = bool(log_max_i <= log_bound)
+    log_bound = float(sigma * np.log(REMEZ_CONSTANT * ratio) + sup_e.attained)
     return RemezReport(
-        max_i=float(np.exp(log_max_i)),
-        sup_e=float(np.exp(log_sup_e)),
-        sigma=sigma,
-        log_max_i=float(log_max_i),
-        log_bound=float(log_bound),
-        passed=passed,
-        extras={"a": a, "interval": (lo, hi), "set_length": e.total_length,
-                "log_sup_e": float(log_sup_e),
-                "segments": max_i.segments + sup_e.segments,
-                "gap": max(max_i.gap, sup_e.gap)})
+        max_i=float(np.exp(max_i.upper)), sup_e=float(np.exp(sup_e.attained)),
+        sigma=sigma, log_max_i=max_i.upper, log_bound=log_bound,
+        passed=bool(max_i.upper <= log_bound),
+        extras={"log_sup_e": sup_e.attained,
+                "segments": max_i.segments + sup_e.segments})
 
 
 @dataclass(frozen=True)
 class ClassicalRemezReport:
     lhs: float
     rhs: float
-    degree: int
+    log_lhs: float
+    log_rhs: float
     passed: bool
     extras: dict = field(default_factory=dict)
 
@@ -533,37 +519,23 @@ def classical_remez_check(coeffs, interval: tuple[float, float], e: IntervalSet,
     """Classical polynomial Remez bound max_I |P| <= (4|I|/|E|)^deg * sup_E |P|.
 
     max_I is a certified upper bound and sup_E a value attained in E;
-    extras["segments"] and extras["gap"] are as in remez_check.  `n_grid`
-    and `per_component` are ignored; they stay because the benchmark
-    (bench/workloads.py) passes them positionally."""
+    extras["segments"] is as in remez_check.  `n_grid` and `per_component`
+    are ignored; they stay because the benchmark (bench/workloads.py) passes
+    them positionally."""
     coeffs = np.asarray(coeffs, dtype=np.complex128).reshape(-1)
     nz = np.nonzero(coeffs)[0]
     if not nz.size:
         raise ValueError("P must not vanish identically")
     degree = int(nz[-1])
-    lo, hi = float(interval[0]), float(interval[1])
-    if hi <= lo:
-        raise ValueError("interval I must have positive length")
-    if e.n_components == 0 or e.total_length == 0.0:
-        raise ValueError("set E must have positive length")
-    if not e.is_subset_of(IntervalSet.from_pairs([(lo, hi)]), tol=1e-12):
-        raise ValueError("E must be a subset of I")
-
+    lo, hi, ratio = _remez_sides(interval, e)
     enclose = _poly_enclosure(coeffs[:degree + 1])
     max_i = _certified_max(enclose, [(lo, hi)])
     sup_e = _certified_max(enclose, e.pairs())
-    log_max_i, log_sup_e = max_i.upper, sup_e.attained
-    ratio = CLASSICAL_REMEZ_CONSTANT * (hi - lo) / e.total_length
-    log_rhs = degree * np.log(ratio) + log_sup_e
-    passed = bool(log_max_i <= log_rhs)
+    log_rhs = float(degree * np.log(CLASSICAL_REMEZ_CONSTANT * ratio) + sup_e.attained)
     return ClassicalRemezReport(
-        lhs=float(np.exp(log_max_i)),
-        rhs=float(np.exp(min(log_rhs, 700.0))),
-        degree=degree,
-        passed=passed,
-        extras={"log_lhs": float(log_max_i), "log_rhs": float(log_rhs),
-                "segments": max_i.segments + sup_e.segments,
-                "gap": max(max_i.gap, sup_e.gap)})
+        lhs=float(np.exp(max_i.upper)), rhs=float(np.exp(min(log_rhs, 700.0))),
+        log_lhs=max_i.upper, log_rhs=log_rhs, passed=bool(max_i.upper <= log_rhs),
+        extras={"segments": max_i.segments + sup_e.segments})
 
 
 # Text format: lines "zero re im" / "atom theta weight" / "const theta".

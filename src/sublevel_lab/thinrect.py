@@ -136,7 +136,7 @@ def rectangle_moduli(f: ThinRectFunction, delta: float, count: int, seed: int,
 
     vals = map_chunks(count, worker, threads)
     vals.sort()
-    return DistributionSummary(vals, seed)
+    return DistributionSummary(vals)
 
 
 def limit_moduli(f: ThinRectFunction, count: int, seed: int,
@@ -150,7 +150,7 @@ def limit_moduli(f: ThinRectFunction, count: int, seed: int,
 
     vals = map_chunks(count, worker, threads)
     vals.sort()
-    return DistributionSummary(vals, seed)
+    return DistributionSummary(vals)
 
 
 @dataclass(frozen=True)
@@ -363,35 +363,31 @@ class GrowthRow:
 @dataclass(frozen=True)
 class GrowthReport:
     rows: list[GrowthRow]
-    seed: int
     strictly_increasing: bool
     theorem_sigma_ratio: float
     passed: bool
 
 
-def growth_experiment(family, eta: float, delta: float, lambdas, count: int,
-                      seed: int, threads: int = 1) -> GrowthReport:
+def growth_experiment(functions: list[ThinRectFunction], delta: float, lambdas,
+                      count: int, seed: int, threads: int = 1) -> GrowthReport:
     """Required-exponent growth across a polynomial family.
 
-    family: iterable of power-coefficient arrays or series, each scaled by
-    the same eta.
+    functions: the family's test functions, as `build_function` makes them.
     Passing requires sigma_eff strictly increasing in degree at every lambda
     while the ball-theorem exponent varies by less than 2x across the
     family.  The ball-theorem exponent is taken at epsilon = THEOREM_EPSILON.
     """
-    family = [_series(q) for q in family]
-    if not family:
+    if not functions:
         raise ValueError("family must be nonempty")
     lambdas = [float(l) for l in lambdas]
     rows: list[GrowthRow] = []
     sigma_theorems = []
     per_lam: dict[float, list[float]] = {l: [] for l in lambdas}
-    for idx, q in enumerate(family):
-        f = build_function(q, eta)
+    for idx, f in enumerate(functions):
         sigma_theorem = sigma_exponent(f.poly, THEOREM_EPSILON)
         sigma_theorems.append(sigma_theorem)
         summary = rectangle_moduli(f, delta, count, seed + idx, threads)
-        degree = q.trim().degree()
+        degree = f.q.trim().degree()
         for lam in lambdas:
             est = required_exponent_from_summary(summary, lam)
             oracle = oracle_required_exponent(f, lam)
@@ -403,6 +399,6 @@ def growth_experiment(family, eta: float, delta: float, lambdas, count: int,
         for vals in per_lam.values())
     ratio = max(sigma_theorems) / min(sigma_theorems)
     return GrowthReport(
-        rows=rows, seed=seed,
+        rows=rows,
         strictly_increasing=increasing, theorem_sigma_ratio=float(ratio),
         passed=bool(increasing and ratio < 2.0))

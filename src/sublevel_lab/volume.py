@@ -65,7 +65,6 @@ class DistributionSummary:
     """Sorted sample of |F| values under the normalized ball volume."""
 
     sorted_moduli: np.ndarray
-    seed: int
 
     @property
     def count(self) -> int:
@@ -118,7 +117,7 @@ def sample_moduli(poly: MultiPoly, spec: BallSpec, count: int, seed: int,
     moduli = map_chunks(count, worker, threads)
     moduli.sort()
     moduli.flags.writeable = False
-    summary = DistributionSummary(moduli, seed)
+    summary = DistributionSummary(moduli)
     _last_moduli = (key, summary)
     return summary
 
@@ -154,7 +153,6 @@ def quantile_with_se(summary: DistributionSummary,
 class QuantileEstimate:
     value: float
     std_err: float
-    seed: int
 
 
 def modulus_quantile(poly: MultiPoly, spec: BallSpec, count: int, seed: int,
@@ -163,7 +161,7 @@ def modulus_quantile(poly: MultiPoly, spec: BallSpec, count: int, seed: int,
     _require_usable(poly)
     summary = sample_moduli(poly, spec, count, seed, threads)
     q, se = quantile_with_se(summary, QUANTILE_LEVEL)
-    return QuantileEstimate(q, se, seed)
+    return QuantileEstimate(q, se)
 
 
 def level_fraction(poly: MultiPoly, spec: BallSpec, threshold: float, side: str,
@@ -227,7 +225,6 @@ class QuantileBoundsReport:
     sigma: float
     quantile: float
     quantile_std_err: float
-    seed: int
     all_pass: bool
 
 
@@ -263,7 +260,7 @@ def check_quantile_bounds(poly: MultiPoly, spec: BallSpec, lambdas,
                              small_se, tail_t, tail_frac, tail_bound, tail_se, ok))
     return QuantileBoundsReport(
         rows=rows, sigma=sigma, quantile=m, quantile_std_err=m_se,
-        seed=seed, all_pass=all(r.passed for r in rows))
+        all_pass=all(r.passed for r in rows))
 
 
 @dataclass(frozen=True)
@@ -280,7 +277,6 @@ class PowerBoundRow:
 class PowerBoundReport:
     rows: list[PowerBoundRow]
     sigma: float
-    seed: int
     all_pass: bool
 
 
@@ -310,4 +306,4 @@ def check_superlevel_power_bound(poly: MultiPoly, spec: BallSpec, c: float,
         margin = 3.0 * math.hypot(lhs_se, rhs_se)
         rows.append(PowerBoundRow(lam, threshold_log, lhs, rhs, margin,
                                   lhs <= rhs + margin))
-    return PowerBoundReport(rows, sigma, seed, all(r.passed for r in rows))
+    return PowerBoundReport(rows, sigma, all(r.passed for r in rows))

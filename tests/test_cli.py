@@ -70,10 +70,14 @@ class TestValidation:
         assert "epsilon must be <= 0.25" in capsys.readouterr().err
 
     def test_unknown_subcommand_in_config(self, tmp_path):
+        # load_config only reads the file; run rejects the config before
+        # it writes
         path = tmp_path / "c.json"
-        path.write_text(json.dumps({"subcommand": "nope", "seed": 1}))
-        with pytest.raises(Exception):
-            load_config(str(path))
+        path.write_text(json.dumps({"subcommand": "bogus", "seed": 1}))
+        out = tmp_path / "out"
+        with pytest.raises(cli.ConfigError, match="subcommand"):
+            run(load_config(str(path)), str(out))
+        assert not out.exists()
 
     def test_subcommand_mismatch(self, tmp_path, capsys):
         rc = main(["lemma-a", "--config",

@@ -32,13 +32,18 @@ do not share their reads (`IntervalSet.empty` once hid behind
   known class;
 - a call of a package class, or of a function, method or property whose
   return annotation names a package class (`max_i = _certified_max(...)`
-  makes `max_i.gap` a read of `Extremum.gap`);
-- a field or property, annotated with a package class, of a known class.
+  makes `max_i.upper` a read of `Extremum.upper`);
+- a field or property, annotated with a package class, of a known class;
+- a parameter without annotation of a module-level function that its file
+  only calls by name, each call passing an argument of one known class
+  (`run_all(args)`).
 
-Where the class is unknown (a loop variable, a tuple target, a parameter
-without annotation, a numpy array), or where the known class has no member
-of that name, the read falls back to its bare name and counts for every
-class's member of that name.
+Where the class is unknown (a loop variable, a tuple target, any other
+parameter without annotation, a numpy array), or where the known class has
+no member of that name, the read falls back to its bare name and counts
+for every class's member of that name.  The one exception is the result of
+a `parse_args(...)` call: an argparse namespace is no package object, so a
+read such as `args.seed` counts for no member at all.
 """
 
 import ast
@@ -51,6 +56,8 @@ PACKAGE = ROOT / "src" / "sublevel_lab"
 SCRIPT_DIRS = ("demos", "bench")
 # the key of an attribute read whose receiver's class is unknown
 UNKNOWN = True
+# the class of a `parse_args(...)` result, whose reads count for nothing
+NAMESPACE = "argparse.Namespace"
 
 # Public names that no module calls, each with the reason it stays.
 ALLOWED = {}
@@ -170,6 +177,8 @@ class PackageTypes:
                     return func.id
                 return self.returns.get(func.id)
             if isinstance(func, ast.Attribute):
+                if func.attr == "parse_args":
+                    return NAMESPACE
                 if func.attr in self.names:
                     return func.attr
                 cls = self.of(func.value, scope)
@@ -192,9 +201,11 @@ def _own_nodes(body):
             yield from _own_nodes(ast.iter_child_nodes(node))
 
 
-def _local_classes(scope_node, types, outer, self_class, module=None):
+def _local_classes(scope_node, types, outer, self_class, module=None,
+                   inferred=None):
     """name -> package class (None where unknown) of each variable that one
-    function or `module` binds."""
+    function or `module` binds; `inferred` gives the class of unannotated
+    parameters."""
     local = {}
     scope = ChainMap(local, outer)
 
@@ -213,7 +224,8 @@ def _local_classes(scope_node, types, outer, self_class, module=None):
             if i == 0 and self_class and not static:
                 bind(arg.arg, self_class)
             else:
-                bind(arg.arg, types.annotation(arg.annotation))
+                bind(arg.arg, types.annotation(arg.annotation)
+                     or (inferred or {}).get(arg.arg))
         body = scope_node.body if isinstance(scope_node.body, list) else [scope_node.body]
     else:
         body = scope_node.body
@@ -240,6 +252,62 @@ def _local_classes(scope_node, types, outer, self_class, module=None):
     return local
 
 
+def _walk(tree, types, inferred):
+    """(node, enclosing definitions as node ids, variable classes) for each
+    node under `tree`, each node before its children; `inferred` maps the
+    id of a function to the classes of its unannotated parameters."""
+    module_scope = _local_classes(tree, types, {}, None, module=tree)
+    # (node, enclosing definitions, variable classes, class whose body it is)
+    stack = [(tree, (), ChainMap(module_scope), None)]
+    while stack:
+        node, owners, scope, class_body = stack.pop()
+        yield node, owners, scope
+        inner = owners + (id(node),)
+        child_scope, child_class = scope, None
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            child_scope = scope.new_child(_local_classes(
+                node, types, scope, class_body, inferred=inferred.get(id(node))))
+        elif isinstance(node, ast.ClassDef):
+            child_class = node.name
+        stack.extend((child, inner, child_scope, child_class)
+                     for child in ast.iter_child_nodes(node))
+
+
+def _parameter_classes(tree, types) -> dict:
+    """id(function) -> {parameter: class} for each module-level function of
+    `tree` that the file only calls by name, and each of its unannotated
+    parameters to which every call passes an argument of one known class."""
+    funcs = {node.name: node for node in tree.body
+             if isinstance(node, ast.FunctionDef)}
+    passed = {name: [] for name in funcs}   # per call: {parameter: class}
+    calls = set()
+    for node, _, scope in _walk(tree, types, {}):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in funcs and node.func.id not in scope):
+            calls.add(id(node.func))
+            args = funcs[node.func.id].args
+            names = [a.arg for a in args.posonlyargs + args.args]
+            if (any(isinstance(a, ast.Starred) for a in node.args)
+                    or any(kw.arg is None for kw in node.keywords)):
+                funcs.pop(node.func.id)
+                continue
+            values = [*zip(names, node.args),
+                      *((kw.arg, kw.value) for kw in node.keywords)]
+            passed[node.func.id].append(
+                {name: types.of(value, scope) for name, value in values})
+        elif (isinstance(node, ast.Name) and node.id in funcs
+              and id(node) not in calls and node.id not in scope):
+            funcs.pop(node.id)      # read as a value: its callers are unknown
+    out = {}
+    for name, node in funcs.items():
+        classes = out[id(node)] = {}
+        for arg in node.args.posonlyargs + node.args.args:
+            seen = {call.get(arg.arg) for call in passed[name]}
+            if arg.annotation is None and len(seen) == 1 and None not in seen:
+                classes[arg.arg] = seen.pop()
+    return out
+
+
 def references(tree, types, strings=False) -> dict:
     """(bare name, how it is read) -> the enclosing definitions (as node
     ids) of each place under `tree` that loads the name as a variable
@@ -252,17 +320,14 @@ def references(tree, types, strings=False) -> dict:
                   and node.body and isinstance(node.body[0], ast.Expr)
                   and isinstance(node.body[0].value, ast.Constant)}
     found = {}
-    module_scope = _local_classes(tree, types, {}, None, module=tree)
-    # (node, enclosing definitions, variable classes, class whose body it is)
-    stack = [(tree, (), ChainMap(module_scope), None)]
-    while stack:
-        node, owners, scope, class_body = stack.pop()
+    for node, owners, scope in _walk(tree, types, _parameter_classes(tree, types)):
         keys = ()
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             keys = ((node.id, False),)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             cls = types.of(node.value, scope)
-            keys = ((node.attr, (cls and types.owner(cls, node.attr)) or UNKNOWN),)
+            if cls != NAMESPACE:
+                keys = ((node.attr, (cls and types.owner(cls, node.attr)) or UNKNOWN),)
         elif (strings and isinstance(node, ast.Constant)
               and isinstance(node.value, str) and id(node) not in docstrings
               and DOTTED.fullmatch(node.value)):
@@ -275,15 +340,6 @@ def references(tree, types, strings=False) -> dict:
                 cls = owner and types.member_types[owner].get(part)
         for key in keys:
             found.setdefault(key, []).append(owners)
-        inner = owners + (id(node),)
-        child_scope, child_class = scope, None
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            child_scope = scope.new_child(
-                _local_classes(node, types, scope, class_body))
-        elif isinstance(node, ast.ClassDef):
-            child_class = node.name
-        stack.extend((child, inner, child_scope, child_class)
-                     for child in ast.iter_child_nodes(node))
     return found
 
 

@@ -128,26 +128,30 @@ class TestSplit:
 class TestFactorBounds:
     def test_atom_example(self):
         rep = factor_bounds(ATOM_F, 0.9)
-        assert rep.outer_min == pytest.approx(math.exp(-1.9), rel=1e-9)
-        assert rep.outer_min_bound == pytest.approx(
+        outer = rep.checks["outer_min"]
+        assert outer.statistic == pytest.approx(math.exp(-1.9), rel=1e-9)
+        assert outer.bound == pytest.approx(
             math.exp(-(1.9 + 0.1 / 19) / 0.19), rel=1e-6)
         assert rep.all_pass
 
     def test_single_zero_count_bound(self):
-        rep = factor_bounds(SINGLE_ZERO, 0.9)
-        assert rep.n_b2 == 1
-        assert rep.n_b2_bound == pytest.approx(3 / 0.19 * math.log(1 / 0.81),
-                                               rel=1e-9)
-        assert rep.all_pass
+        count = factor_bounds(SINGLE_ZERO, 0.9).checks["count"]
+        assert count.statistic == 1
+        assert count.bound == pytest.approx(3 / 0.19 * math.log(1 / 0.81),
+                                            rel=1e-9)
+        assert count.passed
 
     def test_trivial_function_equalities(self):
         # every factor is empty: each rule and the remez rule compare 0 with 0
         f = make_f(const=np.exp(0.3j))
         rep = factor_bounds(f, 0.7)
-        assert rep.outer_min == rep.outer_min_bound == 1.0
-        assert rep.b1_min == rep.b1_min_bound == 1.0
-        assert rep.n_b2 == rep.n_b2_bound == 0
-        assert rep.log_r_spread == rep.log_r_bound == 0.0
+        assert list(rep.checks) == ["outer_min", "b1_min", "count",
+                                    "denominator_ratio"]
+        for name, want in (("outer_min", 1.0), ("b1_min", 1.0), ("count", 0),
+                           ("denominator_ratio", 0.0)):
+            c = rep.checks[name]
+            assert c.statistic == c.bound == want, name
+            assert c.passed, name
         assert rep.all_pass
         e = IntervalSet.from_pairs([(-0.5, -0.4), (0.1, 0.2)])
         rz = remez_check(f, 0.7, (-0.6, 0.7), e)
@@ -260,10 +264,6 @@ class TestRemezCheck:
             rep = remez_check(f, a, (lo, hi), e, 20_001, 501)
             assert rep.passed
 
-    def test_empty_set_rejected(self):
-        with pytest.raises(ValueError):
-            remez_check(SINGLE_ZERO, 0.9, (0.0, 0.9), IntervalSet.from_pairs([]))
-
     def test_interval_outside_range_rejected(self):
         e = IntervalSet.from_pairs([(0.0, 0.1)])
         with pytest.raises(ValueError):
@@ -282,6 +282,27 @@ class TestRemezCheck:
         sup_small = sup_log_abs_on_set(f, e_small).attained
         sup_large = sup_log_abs_on_set(f, e_large).attained
         assert sup_large >= sup_small
+
+
+# Both Remez checks read I and E through one validation: each bad pair is
+# rejected by each check, with the message naming what is wrong.
+REMEZ_CHECKS = {
+    "remez_check": lambda interval, e: remez_check(SINGLE_ZERO, 0.9, interval, e),
+    "classical_remez_check": lambda interval, e: classical_remez_check(
+        np.array([1.0, -2.0, 0.5]), interval, e),
+}
+
+
+@pytest.mark.parametrize("check", REMEZ_CHECKS)
+@pytest.mark.parametrize("interval, pairs, message", [
+    ((0.3, 0.3), [(0.3, 0.3)], "interval I must have positive length"),
+    ((0.0, 0.9), [], "set E must have positive length"),
+    ((0.0, 0.9), [(0.2, 0.2)], "set E must have positive length"),
+    ((0.0, 0.5), [(0.4, 0.6)], "E must be a subset of I"),
+], ids=["zero-length-I", "empty-E", "zero-length-E", "E-outside-I"])
+def test_interval_and_set_rejected(check, interval, pairs, message):
+    with pytest.raises(ValueError, match=message):
+        REMEZ_CHECKS[check](interval, IntervalSet.from_pairs(pairs))
 
 
 class TestClassicalRemez:
@@ -307,15 +328,14 @@ class TestClassicalRemez:
         e = IntervalSet.from_pairs([(0.2, 0.3), (0.5, 0.55)])
         for const in (3.0, 1.0, 0.7j, -2.5 + 1e-3j, 1e-200):
             rep = classical_remez_check(np.array([const]), (0.0, 1.0), e)
-            assert rep.degree == 0
-            assert rep.extras["log_lhs"] == rep.extras["log_rhs"]
+            assert rep.log_lhs == rep.log_rhs
             assert rep.lhs == rep.rhs
             assert rep.passed
 
     def test_certified_max_one_ulp_above_bound_fails(self, monkeypatch):
         coeffs = np.array([1.0, -2.0, 0.5])
         interval, e = (-1.0, 1.0), IntervalSet.from_pairs([(0.2, 0.6)])
-        log_rhs = classical_remez_check(coeffs, interval, e).extras["log_rhs"]
+        log_rhs = classical_remez_check(coeffs, interval, e).log_rhs
         certified_max = remez._certified_max
 
         def one_ulp_over(enclose, pairs):
@@ -327,8 +347,8 @@ class TestClassicalRemez:
 
         monkeypatch.setattr(remez, "_certified_max", one_ulp_over)
         rep = classical_remez_check(coeffs, interval, e)
-        assert rep.extras["log_rhs"] == log_rhs
-        assert rep.extras["log_lhs"] == np.nextafter(log_rhs, np.inf)
+        assert rep.log_rhs == log_rhs
+        assert rep.log_lhs == np.nextafter(log_rhs, np.inf)
         assert not rep.passed
 
     def test_randomized(self):

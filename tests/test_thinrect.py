@@ -357,19 +357,22 @@ class TestKolmogorovDistance:
 
 class TestGrowthExperiment:
     def test_monomial_pair_passes(self):
-        fam = [np.array([0.0, 1.0]), np.array([0.0, 0.0, 1.0])]
-        rep = growth_experiment(fam, 0.1, 1e-5, [2.0], 150_000, seed=17)
+        fam = [build_function(q, 0.1)
+               for q in (np.array([0.0, 1.0]), np.array([0.0, 0.0, 1.0]))]
+        rep = growth_experiment(fam, 1e-5, [2.0], 150_000, seed=17)
         assert rep.strictly_increasing
         assert rep.theorem_sigma_ratio < 2.0
         assert rep.passed
 
     def test_single_member_vacuous(self):
-        rep = growth_experiment([CONSTANT], 0.1, 1e-3, [2.0], 20_000, seed=18)
+        rep = growth_experiment([build_function(CONSTANT, 0.1)], 1e-3, [2.0],
+                                20_000, seed=18)
         assert rep.strictly_increasing  # no adjacent pair to violate
         assert rep.passed
 
     def test_oracle_column_present(self):
-        rep = growth_experiment([LINEAR], 0.1, 1e-5, [2.0], 50_000, seed=20)
+        rep = growth_experiment([build_function(LINEAR, 0.1)], 1e-5, [2.0],
+                                50_000, seed=20)
         row = rep.rows[0]
         assert row.sigma_eff_oracle == pytest.approx(row.sigma_eff,
                                                      abs=4 * row.sigma_eff_std_err
