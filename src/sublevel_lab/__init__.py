@@ -19,7 +19,7 @@ from .poly import (MultiPoly, certify_sup, eval_many, from_terms, lift,
 from .remez import (DiskFunction, Factorization, classical_remez_check,
                     factor_bounds, log_abs_f, parse_disk_function,
                     remez_check, remez_exponent, split_zeros)
-from .thinrect import (RectangleSpec, ThinRectFunction, build_function,
+from .thinrect import (ThinRectFunction, build_function,
                        chebyshev_on_quarter, chebyshev_series,
                        growth_experiment, limit_moduli, rectangle_moduli)
 from .volume import (BallSpec, DistributionSummary, check_quantile_bounds,
@@ -29,7 +29,7 @@ from .volume import (BallSpec, DistributionSummary, check_quantile_bounds,
 __all__ = [
     "BallSpec", "DiskFunction", "DistributionSummary", "Factorization",
     "IntervalSet", "LocalizationInstance", "MapParams", "MultiPoly",
-    "PiecewiseLogLinear", "RectangleSpec", "ThinRectFunction",
+    "PiecewiseLogLinear", "ThinRectFunction",
     "apply_map", "build_function", "certify_sup", "chebyshev_on_quarter",
     "chebyshev_series", "check_curvature", "check_log_concavity",
     "check_preimage_convexity", "check_quantile_bounds", "check_radial_profile",

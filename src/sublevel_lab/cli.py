@@ -118,12 +118,6 @@ FIELDS = {
 FIELDS["all"] = {name: Field("object", {}) for name in FIELDS}
 SUBCOMMANDS = tuple(FIELDS)
 
-# Fields that only qualify another field: given without their partner they
-# would be read and then ignored.
-PARTNERS = {
-    "lemma-b": {"a": "function", "interval": "function", "set": "function"},
-}
-
 # The counterexample KS row compares the rectangle law with its thin limit
 # for Q(z) = z^KS_DEGREE = z, the member that criterion 5 states, whatever
 # the growth family, against criterion 5's bound KS_BOUND.
@@ -196,9 +190,6 @@ def _read_inputs(sub: str, inputs) -> dict:
         _require(raw is not _REQUIRED, f"{name} is required")
         values[name] = (None if raw is None and f.default is None
                         else _read_value(name, f, raw))
-    for name, partner in PARTNERS.get(sub, {}).items():
-        _require(inputs.get(name) is None or values[partner] is not None,
-                 f"{name} requires {partner}")
     if sub in _CHECKS:
         _CHECKS[sub](values)
     return values
@@ -234,8 +225,13 @@ def _check_lemma_a(v: dict) -> None:
 
 
 def _check_lemma_b(v: dict) -> None:
-    """The given function's interval lies in [-a, a] and its set in the
-    interval, and f does not vanish at +-a."""
+    """a, interval and set qualify the given function, so each requires it
+    (given alone it would be read and then ignored).  The function's
+    interval lies in [-a, a] and its set in the interval, and f does not
+    vanish at +-a."""
+    for name in ("a", "interval", "set"):
+        _require(v[name] is None or v["function"] is not None,
+                 f"{name} requires function")
     _require(v["function"] is not None or v["random_instances"] > 0
              or v["classical_instances"] > 0,
              "function, random_instances or classical_instances required")

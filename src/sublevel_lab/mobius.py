@@ -2,7 +2,7 @@
 
 The map sends z to m(sum z_j^2) * z where m is a Moebius factor with a real
 coefficient.  It fixes the origin's value pattern needed downstream: the
-real sphere of squared radius `zero_sphere_radius_sq` collapses to the
+real sphere of radius sqrt(`zero_sphere_radius_sq`) collapses to the
 origin, the map is injective on a smaller real ball, its Jacobian has a
 closed form that is log-concave there, and preimages of balls in the image
 are convex.  The check_* routines verify each property in closed form

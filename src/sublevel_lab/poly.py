@@ -115,11 +115,6 @@ def certify_sup(p: MultiPoly) -> float:
     return float(np.sum(np.abs(p.coeffs)))
 
 
-def certified(p: MultiPoly) -> MultiPoly:
-    """Copy of p with sup_cert stored."""
-    return replace(p, sup_cert=certify_sup(p))
-
-
 def normalize(p: MultiPoly) -> MultiPoly:
     """Scale p so the sup certificate equals 1."""
     s = certify_sup(p)

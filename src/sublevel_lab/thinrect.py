@@ -1,24 +1,28 @@
 """Thin-rectangle counterexample experiments.
 
-From a univariate polynomial Q and a small eta, build the two-variable
-function F(z1, z2) = (1/2) * (2 eta Q(z1) + z2 + 1/2) and study the law of
-|F| on thin rectangles V_delta = [0, 1/4] x [-1/2, -1/2 + delta].  As delta
+From a univariate polynomial Q and a small eta, take the two-variable
+function F(z1, z2) = eta Q(z1) + z2/2 + 1/4 and study the law of |F| on
+thin rectangles V_delta = [0, 1/4] x [-1/2, -1/2 + delta].  As delta
 shrinks this law approaches that of |eta Q(t)| on [0, 1/4]; the required
 Remez-type exponent sigma_eff extracted from the rectangle law can grow
 with the degree of Q while the ball-theorem exponent stays bounded, which
 is the failure mechanism for thin bodies.
 
-Admissibility: eta * (certified sup of |Q| over the complex unit disk)
-must stay below 1/8, so that the full two-variable function is bounded by
-one on the complex ball.  The certificate is the l1 norm of Q's power
-coefficients, as |z^k| <= 1 on the disk.  For the family T_m(8z - 1) it is
-the sup itself: the coefficients alternate in sign, so it equals |T_m(-9)|.
+F is carried as Q, eta and |F(0)|, which is all that the rectangle law,
+its thin limit and the ball-theorem exponent read.
+
+Admissibility: eta * l1 must stay below 1/8, where l1 is the l1 norm of
+Q's power coefficients, a certified sup of |Q| over the complex unit disk
+as |z^k| <= 1 there.  Then |F| <= eta * l1 + 3/4 < 7/8 on the complex
+ball.  For the family T_m(8z - 1) l1 is the sup itself: the coefficients
+alternate in sign, so it equals |T_m(-9)|.
 
 Q is carried as a numpy series on [0, 1/4], and its basis is data: an
 array of coefficients is a power-basis `Polynomial`, and the oscillating
 family is a `Chebyshev` series on [0, 1/4].  Every value on [0, 1/4] comes
-from the series itself; only the disk certificate and the two-variable
-`MultiPoly`, which live on the unit disk, read power coefficients.
+from the series itself; only the disk certificate, which lives on the
+unit disk, reads power coefficients.  The exact limit law takes a real Q;
+a complex Q is studied by Monte Carlo only.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import Chebyshev, Polynomial
 
-from .poly import MultiPoly, certified, from_terms
 from .sampling import (STREAM_LIMIT, STREAM_RECT, chunk_rng, map_chunks)
 from .volume import (QUANTILE_LEVEL, DistributionSummary, quantile_with_se,
                      sigma_exponent)
@@ -44,25 +47,6 @@ POLISH_STEPS = 2
 MAX_STEPS = 100
 # the ball theorem's epsilon at which growth_experiment reports its exponent
 THEOREM_EPSILON = 0.25
-
-
-@dataclass(frozen=True)
-class RectangleSpec:
-    """V_delta = {0 <= x1 <= 1/4, 0 <= x2 + 1/2 <= delta}, inside B(0, 3/4)."""
-
-    delta: float
-
-    def __post_init__(self):
-        if not (0.0 < self.delta <= 0.5):
-            raise ValueError("delta must lie in (0, 1/2]")
-
-    @property
-    def low(self) -> np.ndarray:
-        return np.array([0.0, -0.5])
-
-    @property
-    def high(self) -> np.ndarray:
-        return np.array([RECT_X_MAX, -0.5 + self.delta])
 
 
 def _series(q_coeffs):
@@ -87,16 +71,15 @@ def disk_sup_upper_bound(q_coeffs) -> float:
 
 @dataclass(frozen=True)
 class ThinRectFunction:
-    """The two-variable test function together with its certificates."""
+    """F = eta Q(z1) + z2/2 + 1/4 as Q, eta and |F(0)|."""
 
     q: Polynomial | Chebyshev
     eta: float
-    poly: MultiPoly
     f0_abs: float
 
 
 def build_function(q_coeffs, eta: float) -> ThinRectFunction:
-    """Construct F = eta*Q(z1) + z2/2 + 1/4 and certify its hypotheses."""
+    """F = eta*Q(z1) + z2/2 + 1/4, once eta is certified admissible."""
     if eta <= 0:
         raise ValueError("eta must be positive")
     series = _series(q_coeffs)
@@ -105,28 +88,24 @@ def build_function(q_coeffs, eta: float) -> ThinRectFunction:
     if eta * q_sup >= 0.125 - ETA_MARGIN:
         raise ValueError(
             f"eta too large: eta * sup|Q| = {eta * q_sup:.6g} must stay below 1/8")
-    terms = {(0, 1): 0.5 + 0.0j, (0, 0): 0.25 + eta * q[0]}
-    for k in range(1, q.size):
-        if q[k] != 0:
-            terms[(k, 0)] = eta * q[k]
-    poly = certified(from_terms(2, terms))
     f0 = abs(0.25 + eta * q[0])
-    return ThinRectFunction(
-        q=series, eta=float(eta), poly=poly, f0_abs=float(f0))
+    return ThinRectFunction(q=series, eta=float(eta), f0_abs=float(f0))
 
 
 def eval_on_rectangle(f: ThinRectFunction, x1: np.ndarray,
                       x2: np.ndarray) -> np.ndarray:
-    """|F| at real rectangle points, via the 1-D structure (fast path)."""
+    """|F| at real rectangle points, from Q on the first coordinate."""
     qv = f.q(x1)
     return np.abs(f.eta * qv + 0.5 * x2 + 0.25)
 
 
 def rectangle_moduli(f: ThinRectFunction, delta: float, count: int, seed: int,
                      threads: int = 1) -> DistributionSummary:
-    """Sorted |F| sample under the normalized area of V_delta."""
-    spec = RectangleSpec(delta)
-    lo, hi = spec.low, spec.high
+    """Sorted |F| sample under the normalized area of V_delta =
+    {0 <= x1 <= 1/4, 0 <= x2 + 1/2 <= delta}, inside B(0, 3/4)."""
+    if not (0.0 < delta <= 0.5):
+        raise ValueError("delta must lie in (0, 1/2]")
+    lo, hi = np.array([0.0, -0.5]), np.array([RECT_X_MAX, -0.5 + delta])
 
     def worker(chunk, size):
         rng = chunk_rng(seed, STREAM_RECT, chunk)
@@ -157,8 +136,6 @@ def limit_moduli(f: ThinRectFunction, count: int, seed: int,
 class RequiredExponent:
     sigma_eff: float
     std_err: float
-    quantile: float
-    lam: float
 
 
 def required_exponent_from_summary(summary: DistributionSummary,
@@ -183,34 +160,29 @@ def required_exponent_from_summary(summary: DistributionSummary,
     sigma_eff = math.log(m / t_star) / denom
     rel = math.hypot(m_se / m if m > 0 else 0.0,
                      t_se / t_star if t_star > 0 else 0.0)
-    return RequiredExponent(sigma_eff, rel / denom, m, lam)
+    return RequiredExponent(sigma_eff, rel / denom)
 
 
 # ----------------------------------------------------------------------
 # Exact oracle for the limit law (independent of the sampler).
 
 class _LimitLaw:
-    """The law of |eta Q(t)|, t uniform on [0, 1/4], read from the crossings
-    of |eta Q| = s.
+    """The law of |eta Q(t)|, t uniform on [0, 1/4], for a real Q, read from
+    the crossings of |eta Q| = s.
 
-    |eta Q| is |p| for the real series p = eta Q when Q is real, and sqrt(p)
-    for p = eta^2 |Q|^2 otherwise, so the crossings are real roots of
-    p - s and p + s, or of p - s^2.  `.roots()` finds them from the
-    companion matrix in the power basis and from the colleague matrix in
-    the Chebyshev basis.  Both matrices are real, so their real eigenvalues
+    |eta Q| is |p| for the real series p = eta Q, so the crossings are real
+    roots of p - s and p + s.  `.roots()` finds them from the companion
+    matrix in the power basis and from the colleague matrix in the
+    Chebyshev basis.  Both matrices are real, so their real eigenvalues
     come back with a zero imaginary part; a pair that rounding splits off
     the axis is a tangency within rounding of s, whose gap is left out."""
 
     def __init__(self, q_coeffs, eta: float):
         q = self.q = _series(q_coeffs)
-        kind, domain, window = type(q), q.domain, q.window
+        if np.any(q.coef.imag):
+            raise ValueError("the oracle takes a real Q; sample a complex Q")
         self.eta = eta
-        self.squared = bool(np.any(q.coef.imag))
-        if self.squared:
-            square = q * kind(q.coef.conj(), domain, window)
-            self.p = (eta * eta) * kind(square.coef.real, domain, window)
-        else:
-            self.p = eta * kind(q.coef.real, domain, window)
+        self.p = eta * type(q)(q.coef.real, q.domain, q.window)
         self.dp = self.p.deriv()
         # |eta Q| sorted on a grid: the first guess and upper end of a quantile
         self.sample = np.sort(np.abs(eta * q(np.linspace(0.0, RECT_X_MAX, 4097))))
@@ -223,7 +195,7 @@ class _LimitLaw:
         is.  The derivative is the sum of 1 / |d|eta Q|/dt| over the
         crossings between an inside and an outside segment, with the slope
         of the last polishing step."""
-        levels = (s * s,) if self.squared else (s, -s)
+        levels = (s, -s)
         roots = [(self.p - c).roots() for c in levels]
         c = np.concatenate([np.full(r.size, c) for r, c in zip(roots, levels)])
         t = np.concatenate(roots)
@@ -241,8 +213,6 @@ class _LimitLaw:
         measure = float(np.sum(np.diff(edges)[inside]))
         rate = rate[inside[:-1] != inside[1:]]
         with np.errstate(divide="ignore", invalid="ignore"):
-            if self.squared:
-                rate = rate / (2.0 * s)
             return measure, float(np.sum(1.0 / rate))
 
     def quantile(self, level: float) -> float:
@@ -384,7 +354,7 @@ def growth_experiment(functions: list[ThinRectFunction], delta: float, lambdas,
     sigma_theorems = []
     per_lam: dict[float, list[float]] = {l: [] for l in lambdas}
     for idx, f in enumerate(functions):
-        sigma_theorem = sigma_exponent(f.poly, THEOREM_EPSILON)
+        sigma_theorem = sigma_exponent(f.f0_abs, THEOREM_EPSILON)
         sigma_theorems.append(sigma_theorem)
         summary = rectangle_moduli(f, delta, count, seed + idx, threads)
         degree = f.q.trim().degree()

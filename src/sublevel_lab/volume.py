@@ -184,9 +184,8 @@ def level_fraction(poly: MultiPoly, spec: BallSpec, threshold: float, side: str,
     return p, math.sqrt(p * (1.0 - p) / count)
 
 
-def sigma_exponent(poly: MultiPoly, epsilon: float) -> float:
-    """48 * eps^-3 * log(1/|F(0)|); rejects |F(0)| in {0} or [1, inf)."""
-    f0 = abs(poly.constant_term())
+def sigma_exponent(f0: float, epsilon: float) -> float:
+    """48 * eps^-3 * log(1/f0) for f0 = |F(0)|; rejects f0 in {0} or [1, inf)."""
     if f0 == 0.0:
         raise ValueError("F(0) = 0: the exponent is undefined")
     if f0 >= 1.0:
@@ -233,7 +232,7 @@ def check_quantile_bounds(poly: MultiPoly, spec: BallSpec, lambdas,
                           threads: int = 1) -> QuantileBoundsReport:
     """Small-set and tail bounds at each lambda, from one shared sample."""
     _require_usable(poly)
-    sigma = sigma_exponent(poly, spec.epsilon)
+    sigma = sigma_exponent(abs(poly.constant_term()), spec.epsilon)
     summary = sample_moduli(poly, spec, count, seed, threads)
     logs = summary.log_moduli()
     m, m_se = quantile_with_se(summary, QUANTILE_LEVEL)
@@ -287,7 +286,7 @@ def check_superlevel_power_bound(poly: MultiPoly, spec: BallSpec, c: float,
     _require_usable(poly)
     if c <= 0:
         raise ValueError("c must be positive")
-    sigma = sigma_exponent(poly, spec.epsilon)
+    sigma = sigma_exponent(abs(poly.constant_term()), spec.epsilon)
     summary = sample_moduli(poly, spec, count, seed, threads)
     logs = summary.log_moduli()
     log_c = math.log(c)

@@ -249,7 +249,7 @@ class TestCriterion5ThinRectangles:
             est = required_exponent_from_summary(summary, 2.0)
             sigmas.append(est.sigma_eff)
             theorem_sigmas.append(
-                sigma_exponent(f.poly, 0.25))
+                sigma_exponent(f.f0_abs, 0.25))
         ratios = [b / a for a, b in zip(sigmas, sigmas[1:])]
         theorem_ratio = max(theorem_sigmas) / min(theorem_sigmas)
         increasing = all(b > a for a, b in zip(sigmas, sigmas[1:]))

@@ -4,9 +4,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from sublevel_lab.poly import certify_sup
+from sublevel_lab.poly import certify_sup, eval_many, from_terms
 from sublevel_lab.sampling import ks_distance
-from sublevel_lab.thinrect import (RectangleSpec, build_function,
+from sublevel_lab.thinrect import (build_function,
                                    chebyshev_on_quarter, chebyshev_series,
                                    disk_normalized, disk_sup_upper_bound,
                                    eval_on_rectangle,
@@ -16,6 +16,14 @@ from sublevel_lab.thinrect import (RectangleSpec, build_function,
                                    rectangle_moduli,
                                    required_exponent_from_summary,
                                    sublevel_measure)
+
+def two_variable_poly(f):
+    """F = eta Q(z1) + z2/2 + 1/4 as a two-variable polynomial: the
+    reference for the rectangle values and the sup bound on the ball."""
+    q = f.q.convert(kind=np.polynomial.Polynomial).coef
+    return from_terms(2, [((k, 0), f.eta * c) for k, c in enumerate(q)]
+                      + [((0, 0), 0.25), ((0, 1), 0.5)])
+
 
 def required_exponent(f, delta, lam, count, seed):
     """sigma_eff of the rectangle law of width `delta`, from one sample."""
@@ -40,46 +48,6 @@ def chebyshev_level(m, level):
 
     with mp.workdps(40):
         return float(mp.findroot(fraction, (0, 1), solver="illinois"))
-
-
-def mp_sublevel_measure(q, eta, s):
-    """measure{t in [0, 1/4] : |eta Q(t)| <= s} at 50 digits: the real roots
-    of eta^2 |Q|^2 - s^2 cut [0, 1/4], and each piece is classified by its
-    midpoint."""
-    with mp.workdps(50):
-        a = [mp.mpc(complex(c)) for c in q]
-        square = [mp.mpf(0)] * (2 * len(a) - 1)
-        for j, aj in enumerate(a):
-            for k, ak in enumerate(a):
-                square[j + k] += mp.re(aj * mp.conj(ak))
-        coeffs = [eta * eta * c for c in square]
-        coeffs[0] -= mp.mpf(s) ** 2
-        roots = mp.polyroots(coeffs[::-1], maxsteps=200, extraprec=200)
-        cuts = sorted(mp.re(r) for r in roots
-                      if abs(mp.im(r)) < mp.mpf(10) ** -40 and 0 < mp.re(r) < 0.25)
-        edges = [mp.mpf(0)] + cuts + [mp.mpf(0.25)]
-        total = mp.mpf(0)
-        for lo, hi in zip(edges, edges[1:]):
-            mid = (lo + hi) / 2
-            if abs(eta * mp.polyval(a[::-1], mid)) <= s:
-                total += hi - lo
-        return total
-
-
-class TestRectangleSpec:
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            RectangleSpec(0.0)
-        with pytest.raises(ValueError):
-            RectangleSpec(0.6)
-
-    def test_box(self):
-        spec = RectangleSpec(0.25)
-        assert np.allclose(spec.low, [0.0, -0.5])
-        assert np.allclose(spec.high, [0.25, -0.25])
-        # contained in the centered 3/4 ball
-        corners = np.array([[0.25, -0.5], [0.25, -0.25]])
-        assert np.all(np.linalg.norm(corners, axis=1) < 0.75)
 
 
 class TestDiskSupBound:
@@ -123,7 +91,6 @@ class TestBuildFunction:
     def test_constant_q(self):
         f = build_function(CONSTANT, 0.1)
         assert f.f0_abs == pytest.approx(0.35)
-        assert f.poly.dim == 2
 
     def test_zero_q(self):
         f = build_function(ZERO, 0.1)
@@ -143,7 +110,7 @@ class TestBuildFunction:
                    disk_normalized(chebyshev_on_quarter(8))]
         for q in members:
             f = build_function(q, 0.1)
-            assert certify_sup(f.poly) <= 0.875 + 1e-12
+            assert certify_sup(two_variable_poly(f)) <= 0.875 + 1e-12
 
     def test_f0_lower_bound_guarantee(self):
         rng = np.random.default_rng(14)
@@ -155,6 +122,12 @@ class TestBuildFunction:
 
 
 class TestDistributions:
+    @pytest.mark.parametrize("delta", (0.0, 0.6))
+    def test_delta_domain(self, delta):
+        f = build_function(ZERO, 0.1)
+        with pytest.raises(ValueError, match="delta"):
+            rectangle_moduli(f, delta, 1000, seed=3)
+
     def test_zero_q_uniform_range(self):
         f = build_function(ZERO, 0.1)
         summary = rectangle_moduli(f, 0.5, 50_000, seed=3)
@@ -191,9 +164,8 @@ class TestDistributions:
         f = build_function(q, 0.1)
         x1 = np.array([0.0, 0.1, 0.2])
         x2 = np.array([-0.5, -0.45, -0.4])
-        from sublevel_lab.poly import eval_many
         pts = np.stack([x1, x2], axis=1).astype(complex)
-        direct = np.abs(eval_many(f.poly, pts))
+        direct = np.abs(eval_many(two_variable_poly(f), pts))
         np.testing.assert_allclose(eval_on_rectangle(f, x1, x2), direct,
                                    rtol=1e-12)
 
@@ -290,21 +262,24 @@ class TestOracle:
         f = build_function(q, 0.1)
         assert oracle_required_exponent(f, 2.0) == pytest.approx(sigma, rel=1e-10, abs=0)
 
-    def test_complex_polynomial_against_mpmath(self):
-        rng = np.random.default_rng(31)
-        q = rng.standard_normal(7) + 1j * rng.standard_normal(7)
-        eta = 0.01
-        for level in QUANTILE_LEVELS:
-            s = oracle_quantile(q, eta, level)
-            # the quantile lies within 1e-12 relative of s
-            assert mp_sublevel_measure(q, eta, s * (1 - 1e-12)) < level / 4
-            assert mp_sublevel_measure(q, eta, s * (1 + 1e-12)) >= level / 4
-            got = sublevel_measure(q, eta, s)
-            assert got == pytest.approx(float(mp_sublevel_measure(q, eta, s)),
-                                        rel=1e-12, abs=0)
+    def test_complex_q_rejected(self):
+        # the exact law takes a real Q; a complex one is sampled instead
+        q = np.array([0.1, 0.5j])
+        f = build_function(q, 0.1)
+        with pytest.raises(ValueError, match="real Q"):
+            oracle_quantile(q, 0.1, 0.5)
+        with pytest.raises(ValueError, match="real Q"):
+            sublevel_measure(q, 0.1, 0.01)
+        with pytest.raises(ValueError, match="real Q"):
+            oracle_required_exponent(f, 2.0)
+        with pytest.raises(ValueError, match="real Q"):
+            growth_experiment([f], 1e-3, [2.0], 1000, seed=19)
+        # a complex dtype with zero imaginary parts is a real Q
+        assert oracle_quantile(LINEAR.astype(complex), 0.1, 0.5) == \
+            oracle_quantile(LINEAR, 0.1, 0.5)
 
     def test_constant_is_exact(self):
-        for q in (CONSTANT, np.array([0.3 + 0.4j, 0.0]), ZERO):
+        for q in (CONSTANT, ZERO):
             want = abs(0.1 * complex(q[0]))
             for level in QUANTILE_LEVELS:
                 assert oracle_quantile(q, 0.1, level) == want

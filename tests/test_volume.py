@@ -108,25 +108,30 @@ class TestLevelFraction:
         assert abs(frac - 1 / math.e) <= 3 * (se + est.std_err)
 
 
+def f0_abs(p):
+    """|F(0)|, as the ball checks pass it to sigma_exponent."""
+    return abs(p.constant_term())
+
+
 class TestSigma:
     def test_half_shift_value(self):
-        sigma = sigma_exponent(HALF_SHIFT, 0.25)
+        sigma = sigma_exponent(f0_abs(HALF_SHIFT), 0.25)
         assert sigma == pytest.approx(3072 * math.log(2.0), rel=1e-12)
         assert sigma == pytest.approx(2129.35, abs=0.01)
 
     def test_zero_constant_term_rejected(self):
         with pytest.raises(ValueError, match="undefined"):
-            sigma_exponent(IDENTITY_1D, 0.25)
+            sigma_exponent(f0_abs(IDENTITY_1D), 0.25)
 
     def test_unimodular_constant_rejected(self):
         p = normalize(from_terms(1, {(0,): 1.0}))
         with pytest.raises(ValueError):
-            sigma_exponent(p, 0.25)
+            sigma_exponent(f0_abs(p), 0.25)
 
     def test_dimension_free(self):
-        sig1 = sigma_exponent(HALF_SHIFT, 0.25)
+        sig1 = sigma_exponent(f0_abs(HALF_SHIFT), 0.25)
         for n in (2, 4, 8, 16):
-            assert sigma_exponent(lift(HALF_SHIFT, n), 0.25) == sig1
+            assert sigma_exponent(f0_abs(lift(HALF_SHIFT, n)), 0.25) == sig1
 
 
 class TestQuantileBounds:
