@@ -63,18 +63,29 @@ def map_chunks(count: int, worker, threads: int = 1) -> np.ndarray:
     return np.concatenate(parts, axis=0)
 
 
-def ball_points(rng: np.random.Generator, size: int, dim: int,
-                radius: float) -> np.ndarray:
-    """`size` uniform points of the origin-centred ball of `radius` in R^dim.
+def ball_draws(rng: np.random.Generator, size: int, dim: int,
+               radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """The normals `x` (size, dim) and per-point factors `f` (size,) whose
+    product `x * f[:, None]` is `size` uniform points of the origin-centred
+    ball of `radius` in R^dim.
 
     Draws the normals first, then the uniforms: each caller's byte stream
-    depends on that order.  Callers add the centre.
+    depends on that order.  A caller that reads only some coordinates scales
+    only those columns, with the same product per entry.
     """
     x = rng.standard_normal((size, dim))
     u = rng.random(size)
     norms = np.linalg.norm(x, axis=1)
     norms[norms == 0.0] = 1.0
-    x *= (radius * u ** (1.0 / dim) / norms)[:, None]
+    return x, radius * u ** (1.0 / dim) / norms
+
+
+def ball_points(rng: np.random.Generator, size: int, dim: int,
+                radius: float) -> np.ndarray:
+    """`size` uniform points of the origin-centred ball of `radius` in R^dim,
+    from `ball_draws`.  Callers add the centre."""
+    x, f = ball_draws(rng, size, dim, radius)
+    x *= f[:, None]
     return x
 
 
@@ -87,15 +98,22 @@ def _ascending(x: np.ndarray) -> np.ndarray:
 def ks_distance(sample_a: np.ndarray, sample_b: np.ndarray) -> float:
     """Two-sample Kolmogorov-Smirnov statistic sup |F_a - F_b|.
 
-    Both empirical CDFs step only at sample points, so the supremum is taken
-    over the points of `a` and the points of `b`, each set searched on its own.
-    A sample that is already ascending, such as `sorted_moduli`, is not
-    sorted again.
+    Both empirical CDFs step only at sample points, so the supremum is read
+    at the end of each tie group of the two samples merged in one stable
+    pass: there the cumulative counts i_a and i_b give |i_a/n_a - i_b/n_b|.
+    NaNs sort last and form one tie group, as `np.searchsorted` orders
+    them.  A sample that is already ascending, such as `sorted_moduli`, is
+    not sorted again.
     """
     a, b = (_ascending(np.asarray(s, dtype=float)) for s in (sample_a, sample_b))
     if a.size == 0 or b.size == 0:
         raise ValueError("samples must be nonempty")
-    gaps = [np.max(np.abs(np.searchsorted(a, x, side="right") / a.size
-                          - np.searchsorted(b, x, side="right") / b.size))
-            for x in (a, b)]
-    return float(max(gaps))
+    merged = np.concatenate([a, b])
+    # two ascending runs: the stable sort (timsort) merges them in one pass
+    order = np.argsort(merged, kind="stable")
+    merged = merged[order]
+    i_a = np.cumsum(order < a.size)
+    i_b = np.arange(1, merged.size + 1) - i_a
+    nan = np.isnan(merged)
+    ends = np.append((merged[1:] != merged[:-1]) & ~(nan[1:] & nan[:-1]), True)
+    return float(np.max(np.abs(i_a[ends] / a.size - i_b[ends] / b.size)))

@@ -166,6 +166,14 @@ def required_exponent_from_summary(summary: DistributionSummary,
 # ----------------------------------------------------------------------
 # Exact oracle for the limit law (independent of the sampler).
 
+def _real_series(q_coeffs):
+    """`_series(q_coeffs)`, rejected unless its coefficients are real."""
+    q = _series(q_coeffs)
+    if np.any(q.coef.imag):
+        raise ValueError("the oracle takes a real Q; sample a complex Q")
+    return q
+
+
 class _LimitLaw:
     """The law of |eta Q(t)|, t uniform on [0, 1/4], for a real Q, read from
     the crossings of |eta Q| = s.
@@ -178,9 +186,7 @@ class _LimitLaw:
     the axis is a tangency within rounding of s, whose gap is left out."""
 
     def __init__(self, q_coeffs, eta: float):
-        q = self.q = _series(q_coeffs)
-        if np.any(q.coef.imag):
-            raise ValueError("the oracle takes a real Q; sample a complex Q")
+        q = self.q = _real_series(q_coeffs)
         self.eta = eta
         self.p = eta * type(q)(q.coef.real, q.domain, q.window)
         self.dp = self.p.deriv()
@@ -349,6 +355,8 @@ def growth_experiment(functions: list[ThinRectFunction], delta: float, lambdas,
     """
     if not functions:
         raise ValueError("family must be nonempty")
+    for f in functions:  # the oracle column needs a real Q: fail before sampling
+        _real_series(f.q)
     lambdas = [float(l) for l in lambdas]
     rows: list[GrowthRow] = []
     sigma_theorems = []

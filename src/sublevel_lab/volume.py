@@ -19,6 +19,12 @@ arguments draw and sort the sample once.  Keying on `threads` keeps every
 comparison across thread counts a comparison of two computations.  The
 remembered array is read-only; at the CLI's `samples` cap of 1e7 it holds
 80 MB until the next call with other arguments replaces it.
+
+`sample_moduli` and `level_fraction` share one chunk worker.  It draws the
+ball's normals and radial factors as `sample_ball` does, but builds only the
+coordinates F reads (a lifted one-variable template reads x1 of n) with the
+same product and sum per entry, so every |F| is bit-identical to |F| at the
+`sample_ball` points.
 """
 
 from __future__ import annotations
@@ -30,8 +36,8 @@ from functools import partial
 import numpy as np
 
 from .poly import MultiPoly, eval_many
-from .sampling import (STREAM_BALL, STREAM_LEVEL, ball_points, chunk_rng,
-                       map_chunks)
+from .sampling import (STREAM_BALL, STREAM_LEVEL, ball_draws, ball_points,
+                       chunk_rng, map_chunks)
 
 THEOREM_CONSTANT = 8.0
 QUANTILE_LEVEL = 1.0 - 1.0 / math.e
@@ -89,6 +95,26 @@ def sample_ball(spec: BallSpec, count: int, seed: int, threads: int = 1) -> np.n
     return map_chunks(count, partial(_ball_chunk, spec, seed, STREAM_BALL), threads)
 
 
+def _moduli_worker(poly: MultiPoly, spec: BallSpec, seed: int, stream: int):
+    """``worker(chunk, size)``: |F| at the chunk's ball points, as
+    ``np.abs(eval_many(poly, _ball_chunk(...)))`` gives it bit for bit.
+
+    Only the coordinates F reads are built: each is ``centre + x * f`` from
+    `ball_draws`, the product and sum that `_ball_chunk` forms, and F is
+    evaluated on them with its unread variables dropped (same terms, same
+    order).  A constant F keeps x1, so the points stay a matrix.
+    """
+    used = [0] if poly.is_constant() else np.flatnonzero(poly.exponents.any(axis=0))
+    f_used = MultiPoly(len(used), poly.exponents[:, used], poly.coeffs)
+    center = spec.center[used]
+
+    def worker(chunk, size):
+        x, f = ball_draws(chunk_rng(seed, stream, chunk), size, spec.dim, spec.radius)
+        return np.abs(eval_many(f_used, center + x[:, used] * f[:, None]))
+
+    return worker
+
+
 # The last sample_moduli call: (key, summary), or None before the first.
 # Read and replaced as one tuple, so a concurrent caller sees a whole entry;
 # a lost race costs a recomputation, never a wrong sample.
@@ -110,11 +136,7 @@ def sample_moduli(poly: MultiPoly, spec: BallSpec, count: int, seed: int,
     last = _last_moduli
     if last is not None and last[0] == key:
         return last[1]
-
-    def worker(chunk, size):
-        return np.abs(eval_many(poly, _ball_chunk(spec, seed, STREAM_BALL, chunk, size)))
-
-    moduli = map_chunks(count, worker, threads)
+    moduli = map_chunks(count, _moduli_worker(poly, spec, seed, STREAM_BALL), threads)
     moduli.sort()
     moduli.flags.writeable = False
     summary = DistributionSummary(moduli)
@@ -174,8 +196,10 @@ def level_fraction(poly: MultiPoly, spec: BallSpec, threshold: float, side: str,
     if poly.dim != spec.dim:
         raise ValueError("polynomial and ball dimensions differ")
 
+    moduli = _moduli_worker(poly, spec, seed, STREAM_LEVEL)
+
     def worker(chunk, size):
-        vals = np.abs(eval_many(poly, _ball_chunk(spec, seed, STREAM_LEVEL, chunk, size)))
+        vals = moduli(chunk, size)
         hits = vals <= threshold if side == "le" else vals >= threshold
         return np.array([np.count_nonzero(hits)], dtype=np.int64)
 

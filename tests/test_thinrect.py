@@ -4,6 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from sublevel_lab import thinrect
 from sublevel_lab.poly import certify_sup, eval_many, from_terms
 from sublevel_lab.sampling import ks_distance
 from sublevel_lab.thinrect import (build_function,
@@ -262,7 +263,7 @@ class TestOracle:
         f = build_function(q, 0.1)
         assert oracle_required_exponent(f, 2.0) == pytest.approx(sigma, rel=1e-10, abs=0)
 
-    def test_complex_q_rejected(self):
+    def test_complex_q_rejected(self, monkeypatch):
         # the exact law takes a real Q; a complex one is sampled instead
         q = np.array([0.1, 0.5j])
         f = build_function(q, 0.1)
@@ -272,8 +273,15 @@ class TestOracle:
             sublevel_measure(q, 0.1, 0.01)
         with pytest.raises(ValueError, match="real Q"):
             oracle_required_exponent(f, 2.0)
-        with pytest.raises(ValueError, match="real Q"):
-            growth_experiment([f], 1e-3, [2.0], 1000, seed=19)
+        # the family is rejected before any rectangle is sampled, even when
+        # only a later member has a complex Q
+        def no_sample(*args, **kwargs):
+            raise AssertionError("rectangle sampled")
+
+        monkeypatch.setattr(thinrect, "rectangle_moduli", no_sample)
+        for family in ([f], [build_function(LINEAR, 0.1), f]):
+            with pytest.raises(ValueError, match="real Q"):
+                growth_experiment(family, 1e-3, [2.0], 1000, seed=19)
         # a complex dtype with zero imaginary parts is a real Q
         assert oracle_quantile(LINEAR.astype(complex), 0.1, 0.5) == \
             oracle_quantile(LINEAR, 0.1, 0.5)
@@ -299,18 +307,40 @@ class TestKolmogorovDistance:
         a = np.linspace(0, 1, 1000)
         assert ks_distance(a, a) == 0.0
 
+    @staticmethod
+    def union_grid(a, b):
+        """sup |F_a - F_b| over every point of both samples, by search."""
+        sa, sb = np.sort(a), np.sort(b)
+        grid = np.sort(np.concatenate([sa, sb]))
+        return float(np.max(np.abs(np.searchsorted(sa, grid, side="right") / sa.size
+                                   - np.searchsorted(sb, grid, side="right") / sb.size)))
+
     @pytest.mark.parametrize("seed", range(5))
     def test_tied_unequal_samples_match_union_grid(self, seed):
         # integer draws tie within and across samples; sizes differ
         rng = np.random.default_rng(seed)
         a = rng.integers(0, 12, 1000).astype(float)
         b = rng.integers(2, 15, 1537).astype(float)
-        sa, sb = np.sort(a), np.sort(b)
-        grid = np.sort(np.concatenate([sa, sb]))
-        ref = np.max(np.abs(np.searchsorted(sa, grid, side="right") / sa.size
-                            - np.searchsorted(sb, grid, side="right") / sb.size))
-        assert ks_distance(a, b).hex() == float(ref).hex()
-        assert ks_distance(b, a).hex() == float(ref).hex()
+        ref = self.union_grid(a, b)
+        assert ks_distance(a, b).hex() == ref.hex()
+        assert ks_distance(b, a).hex() == ref.hex()
+
+    def test_nan_samples_match_union_grid(self):
+        # NaNs sort last and tie with one another, infinities tie below them
+        rng = np.random.default_rng(20)
+        pairs = [(np.array([np.nan]), np.array([np.nan, np.nan])),
+                 (np.array([np.nan, 1.0]), np.array([np.inf, np.nan]))]
+        for _ in range(200):
+            a, b = (rng.integers(0, 6, rng.integers(1, 30)).astype(float)
+                    for _ in range(2))
+            for x in (a, b):
+                x[rng.random(x.size) < 0.25] = np.nan
+                x[rng.random(x.size) < 0.05] = np.inf
+            pairs.append((a, b))
+        for a, b in pairs:
+            ref = self.union_grid(a, b)
+            assert ks_distance(a, b).hex() == ref.hex()
+            assert ks_distance(b, a).hex() == ref.hex()
 
     def test_rect_vs_limit_linear_small_delta(self):
         f = build_function(LINEAR, 0.1)

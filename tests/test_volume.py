@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from sublevel_lab import volume
-from sublevel_lab.poly import from_terms, lift, normalize
+from sublevel_lab.poly import eval_many, from_terms, lift, normalize
+from sublevel_lab.sampling import (CHUNK_SIZE, STREAM_LEVEL, ball_points,
+                                   chunk_rng, chunk_sizes)
 from sublevel_lab.volume import (BallSpec, check_quantile_bounds,
                                  check_superlevel_power_bound, level_fraction,
                                  modulus_quantile, sample_ball, sample_moduli,
@@ -281,3 +283,94 @@ class TestSampleMemo:
             sys.setswitchinterval(old)
         for s, summary in got:
             np.testing.assert_array_equal(summary.sorted_moduli, refs[s])
+
+
+def _random_cubic():
+    rng = np.random.default_rng(90)
+    return normalize(from_terms(1, {(k,): complex(*rng.standard_normal(2))
+                                    for k in range(4)}))
+
+
+def _reads_all_eight():
+    terms = {(0,) * 8: 0.3, (1,) + (0,) * 6 + (1,): 0.2j}
+    for j in range(8):
+        alpha = [0] * 8
+        alpha[j] = 1 + j % 3
+        terms[tuple(alpha)] = 0.1 * (j + 1) - 0.05j
+    return normalize(from_terms(8, terms))
+
+
+CENTRE_8 = 0.3 * np.cos(np.arange(8.0)) / np.linalg.norm(np.cos(np.arange(8.0)))
+# (name, F, ball): lifted one-variable templates at n = 1, 2 and 8, then
+# F reading all 8 coordinates, 2 of 8, one of 8 plus a constant, and none
+IDENTITY_CASES = [
+    *[(f"{name}/n={n}", lift(p, n), BallSpec(np.zeros(n), 0.7, 0.25))
+      for name, p in (("half_shift", HALF_SHIFT), ("cubic", _random_cubic()))
+      for n in (1, 2, 8)],
+    ("all_of_8", _reads_all_eight(), BallSpec(CENTRE_8, 0.4, 0.25)),
+    ("2_of_8", normalize(from_terms(8, {(0,) * 8: 0.2, (0, 0, 2, 0, 0, 0, 0, 0): 0.5,
+                                        (0, 0, 1, 0, 0, 1, 0, 0): -0.3j})),
+     BallSpec(CENTRE_8, 0.4, 0.25)),
+    ("const_plus_x6", normalize(from_terms(8, {(0,) * 8: 0.5,
+                                               (0, 0, 0, 0, 0, 1, 0, 0): 0.5})),
+     BallSpec(CENTRE_8, 0.4, 0.25)),
+    ("constant", from_terms(8, {(0,) * 8: 0.5}), BallSpec(CENTRE_8, 0.4, 0.25)),
+]
+IDENTITY_COUNT = CHUNK_SIZE + 4_000  # a full chunk and a partial one
+
+
+def full_point_moduli(p, spec, count, seed, stream):
+    """|F| at every ball point built in all n coordinates, chunk by chunk."""
+    pts = np.concatenate([
+        spec.center + ball_points(chunk_rng(seed, stream, i), size, spec.dim, spec.radius)
+        for i, size in enumerate(chunk_sizes(count))])
+    return np.abs(eval_many(p, pts))
+
+
+class TestUsedCoordinates:
+    """The ball worker builds only the coordinates F reads; every |F| is
+    bit-identical to the one from the full points."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("name,p,spec", IDENTITY_CASES,
+                             ids=[c[0] for c in IDENTITY_CASES])
+    def test_sample_moduli_matches_full_points(self, name, p, spec, threads):
+        got = sample_moduli(p, spec, IDENTITY_COUNT, seed=91, threads=threads)
+        want = np.sort(np.abs(eval_many(p, sample_ball(spec, IDENTITY_COUNT, seed=91))))
+        assert np.array_equal(got.sorted_moduli, want)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("name,p,spec", IDENTITY_CASES,
+                             ids=[c[0] for c in IDENTITY_CASES])
+    def test_level_fraction_matches_full_points(self, name, p, spec, threads):
+        vals = full_point_moduli(p, spec, IDENTITY_COUNT, 92, STREAM_LEVEL)
+        t = float(np.median(vals))
+        for side, hits in (("le", vals <= t), ("ge", vals >= t)):
+            frac, _ = level_fraction(p, spec, t, side, IDENTITY_COUNT, seed=92,
+                                     threads=threads)
+            assert frac == np.count_nonzero(hits) / IDENTITY_COUNT
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_eval_many_sees_every_ball_point(monkeypatch, threads):
+    # the benchmark counts points x terms in volume.eval_many and compares
+    # sample_moduli against eval_many on sample_ball: one call per chunk,
+    # carrying every point of it
+    monkeypatch.setattr(volume, "_last_moduli", None)
+    calls = []
+    inner = volume.eval_many
+
+    def counting(p, points):
+        calls.append((len(points), p.n_terms))
+        return inner(p, points)
+
+    monkeypatch.setattr(volume, "eval_many", counting)
+    _, p, spec = next(c for c in IDENTITY_CASES if c[0] == "cubic/n=8")
+    count = 2 * CHUNK_SIZE + 1234
+    for run in (lambda: sample_moduli(p, spec, count, seed=93, threads=threads),
+                lambda: level_fraction(p, spec, 0.5, "ge", count, seed=93,
+                                       threads=threads)):
+        calls.clear()
+        run()
+        assert sorted(size for size, _ in calls) == sorted(chunk_sizes(count))
+        assert sum(size * terms for size, terms in calls) == count * p.n_terms
