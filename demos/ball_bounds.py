@@ -19,8 +19,7 @@ import numpy as np
 
 from sublevel_lab.poly import from_terms, lift, normalize
 from sublevel_lab.volume import (BallSpec, check_quantile_bounds,
-                                 check_superlevel_power_bound, level_fraction,
-                                 modulus_quantile)
+                                 check_superlevel_power_bound, level_fraction)
 
 base = normalize(from_terms(1, {(0,): 0.5, (1,): 0.5}))  # (z1 + 1)/2
 lambdas = [1.5, 2.0, 4.0, 8.0]
@@ -35,13 +34,13 @@ for n in (1, 2, 4, 8):
 poly = lift(base, 2)
 spec = BallSpec(np.zeros(2), 0.7, 0.25)
 
-est = modulus_quantile(poly, spec, 200_000, seed=6)
-frac, se = level_fraction(poly, spec, est.value, "ge", 200_000, seed=7)
-print(f"\nM = {est.value:.5f} (standard error {est.std_err:.1e})")
+rep = check_quantile_bounds(poly, spec, lambdas, 200_000, seed=6)
+frac, se = level_fraction(poly, spec, rep.quantile, "ge", 200_000, seed=7)
+print(f"\nM = {rep.quantile:.5f} (standard error {rep.quantile_std_err:.1e})")
 print(f"self-consistency: frac{{|F| >= M}} = {frac:.5f} "
       f"vs 1/e = {1 / math.e:.5f} (+- {3 * se:.5f})")
 
-sf = check_superlevel_power_bound(poly, spec, est.value, lambdas, 200_000,
+sf = check_superlevel_power_bound(poly, spec, rep.quantile, lambdas, 200_000,
                                   seed=6)
 print("\nsuperlevel power bound, c = M:")
 for row in sf.rows:

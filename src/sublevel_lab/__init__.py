@@ -24,7 +24,7 @@ from .thinrect import (ThinRectFunction, build_function,
                        growth_experiment, limit_moduli, rectangle_moduli)
 from .volume import (BallSpec, DistributionSummary, check_quantile_bounds,
                      check_superlevel_power_bound, level_fraction,
-                     modulus_quantile, sample_ball, sigma_exponent)
+                     sample_ball, sigma_exponent)
 
 __all__ = [
     "BallSpec", "DiskFunction", "DistributionSummary", "Factorization",
@@ -37,7 +37,7 @@ __all__ = [
     "eval_many", "factor_bounds", "from_terms", "growth_experiment",
     "jacobian", "level_fraction", "lift", "limit_moduli",
     "localization_check_1d", "log_abs_f", "min_interval_ratio",
-    "mobius_factor", "modulus_quantile", "normalize", "parse_disk_function",
+    "mobius_factor", "normalize", "parse_disk_function",
     "parse_poly", "rectangle_moduli", "remez_check", "remez_exponent",
     "sample_ball", "sigma_exponent", "split_zeros",
 ]

@@ -10,7 +10,7 @@ wherever a point is expected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,14 +19,13 @@ import numpy as np
 class MultiPoly:
     """Polynomial sum_a c_a z^a in n complex variables.
 
-    sup_cert, when set, is the coefficient l1 norm: a certified upper bound
-    for sup |p| over the closed complex unit ball (|z^a| <= 1 there).
+    It carries no sup bound: a check that needs sup |p| <= 1 computes
+    `certify_sup` from the coefficients it is given.
     """
 
     dim: int
     exponents: np.ndarray  # (nterms, dim) int64, lexicographically sorted
     coeffs: np.ndarray     # (nterms,) complex128
-    sup_cert: float | None = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -87,8 +86,7 @@ def lift(p: MultiPoly, dim: int) -> MultiPoly:
     if dim == p.dim:
         return p
     pad = np.zeros((p.n_terms, dim - p.dim), dtype=np.int64)
-    return MultiPoly(dim, np.hstack([p.exponents, pad]), p.coeffs.copy(),
-                     sup_cert=p.sup_cert)
+    return MultiPoly(dim, np.hstack([p.exponents, pad]), p.coeffs.copy())
 
 
 def eval_many(p: MultiPoly, points: np.ndarray) -> np.ndarray:
@@ -120,9 +118,7 @@ def normalize(p: MultiPoly) -> MultiPoly:
     s = certify_sup(p)
     if s == 0.0:
         raise ValueError("cannot normalize the zero polynomial")
-    coeffs = p.coeffs / s
-    q = MultiPoly(p.dim, p.exponents.copy(), coeffs)
-    return replace(q, sup_cert=certify_sup(q))
+    return MultiPoly(p.dim, p.exponents.copy(), p.coeffs / s)
 
 
 # Text format: one term per line, "coeff_re coeff_im a_1 ... a_n".

@@ -17,12 +17,12 @@ as |z^k| <= 1 there.  Then |F| <= eta * l1 + 3/4 < 7/8 on the complex
 ball.  For the family T_m(8z - 1) l1 is the sup itself: the coefficients
 alternate in sign, so it equals |T_m(-9)|.
 
-Q is carried as a numpy series on [0, 1/4], and its basis is data: an
-array of coefficients is a power-basis `Polynomial`, and the oscillating
-family is a `Chebyshev` series on [0, 1/4].  Every value on [0, 1/4] comes
-from the series itself; only the disk certificate, which lives on the
-unit disk, reads power coefficients.  The exact limit law takes a real Q;
-a complex Q is studied by Monte Carlo only.
+Q is a real polynomial, carried as a numpy series on [0, 1/4], and its
+basis is data: an array of coefficients is a power-basis `Polynomial`, and
+the oscillating family is a `Chebyshev` series on [0, 1/4].  Every value on
+[0, 1/4] comes from the series itself; only the disk certificate, which
+lives on the unit disk, reads power coefficients.  `_series` is the one
+place a Q enters: it rejects a nonzero imaginary part.
 """
 
 from __future__ import annotations
@@ -50,17 +50,24 @@ THEOREM_EPSILON = 0.25
 
 
 def _series(q_coeffs):
-    """Q as a numpy series: a `Polynomial` or `Chebyshev` series as given,
-    and an array as the power-basis `Polynomial` of its complex entries."""
-    if isinstance(q_coeffs, (Polynomial, Chebyshev)):
-        return q_coeffs
-    q = np.asarray(q_coeffs, dtype=np.complex128).reshape(-1)
-    return Polynomial(q if q.size else np.zeros(1, dtype=np.complex128))
+    """Q as a real numpy series: a `Polynomial` or `Chebyshev` series in its
+    own basis, and an array as the power-basis `Polynomial` of its entries.
+    A complex dtype counts as real when every imaginary part is zero."""
+    q = q_coeffs
+    if not isinstance(q, (Polynomial, Chebyshev)):
+        coef = np.asarray(q).reshape(-1)
+        q = Polynomial(coef if coef.size else np.zeros(1))
+    if np.iscomplexobj(q.coef):
+        if np.any(q.coef.imag):
+            raise ValueError("F takes a real Q: a coefficient of Q has a "
+                             "nonzero imaginary part")
+        q = type(q)(q.coef.real, q.domain, q.window)
+    return q
 
 
 def _disk_coeffs(q) -> np.ndarray:
-    """Complex power coefficients of the series q in the disk variable z."""
-    return np.asarray(q.convert(kind=Polynomial).coef, dtype=np.complex128)
+    """Power coefficients of the series q in the disk variable z."""
+    return q.convert(kind=Polynomial).coef
 
 
 def disk_sup_upper_bound(q_coeffs) -> float:
@@ -132,6 +139,18 @@ def limit_moduli(f: ThinRectFunction, count: int, seed: int,
     return DistributionSummary(vals)
 
 
+def _required_exponent(m: float, low_quantile, lam: float) -> tuple[float, float]:
+    """t* = low_quantile(lam), the 1/lam quantile, and sigma_eff =
+    log(M/t*) / log(8 lam).  lam < MIN_LAMBDA is rejected before t* is
+    taken, and t* <= 0 after."""
+    if lam < MIN_LAMBDA:
+        raise ValueError(f"lambda must be >= {MIN_LAMBDA}")
+    t_star = low_quantile(lam)
+    if t_star <= 0.0:
+        raise ValueError("low quantile t* is zero")
+    return t_star, math.log(m / t_star) / math.log(8.0 * lam)
+
+
 @dataclass(frozen=True)
 class RequiredExponent:
     sigma_eff: float
@@ -146,36 +165,21 @@ def required_exponent_from_summary(summary: DistributionSummary,
     value whose sublevel fraction stays at or below 1/lam (the 1/lam
     quantile); then s = log(M/t*) / log(8 lam).
     """
-    if lam < MIN_LAMBDA:
-        raise ValueError(f"lambda must be >= {MIN_LAMBDA}")
     n = summary.count
     vals = summary.sorted_moduli
     m, m_se = quantile_with_se(summary, QUANTILE_LEVEL)
-    k = max(int(math.floor(n / lam)), 1)
-    t_star = float(vals[k - 1])
+    t_star, sigma_eff = _required_exponent(
+        m, lambda lam: float(vals[max(int(math.floor(n / lam)), 1) - 1]), lam)
     _, t_se = quantile_with_se(summary, 1.0 / lam)
-    if t_star <= 0.0:
-        raise ValueError("low quantile is zero; increase the sample size")
-    denom = math.log(8.0 * lam)
-    sigma_eff = math.log(m / t_star) / denom
-    rel = math.hypot(m_se / m if m > 0 else 0.0,
-                     t_se / t_star if t_star > 0 else 0.0)
-    return RequiredExponent(sigma_eff, rel / denom)
+    rel = math.hypot(m_se / m, t_se / t_star)
+    return RequiredExponent(sigma_eff, rel / math.log(8.0 * lam))
 
 
 # ----------------------------------------------------------------------
 # Exact oracle for the limit law (independent of the sampler).
 
-def _real_series(q_coeffs):
-    """`_series(q_coeffs)`, rejected unless its coefficients are real."""
-    q = _series(q_coeffs)
-    if np.any(q.coef.imag):
-        raise ValueError("the oracle takes a real Q; sample a complex Q")
-    return q
-
-
 class _LimitLaw:
-    """The law of |eta Q(t)|, t uniform on [0, 1/4], for a real Q, read from
+    """The law of |eta Q(t)|, t uniform on [0, 1/4], read from
     the crossings of |eta Q| = s.
 
     |eta Q| is |p| for the real series p = eta Q, so the crossings are real
@@ -186,9 +190,9 @@ class _LimitLaw:
     the axis is a tangency within rounding of s, whose gap is left out."""
 
     def __init__(self, q_coeffs, eta: float):
-        q = self.q = _real_series(q_coeffs)
+        q = self.q = _series(q_coeffs)
         self.eta = eta
-        self.p = eta * type(q)(q.coef.real, q.domain, q.window)
+        self.p = eta * q
         self.dp = self.p.deriv()
         # |eta Q| sorted on a grid: the first guess and upper end of a quantile
         self.sample = np.sort(np.abs(eta * q(np.linspace(0.0, RECT_X_MAX, 4097))))
@@ -278,14 +282,9 @@ def oracle_quantile(q_coeffs, eta: float, level: float) -> float:
 
 def oracle_required_exponent(f: ThinRectFunction, lam: float) -> float:
     """sigma_eff of the limit law from its exact quantiles."""
-    if lam < MIN_LAMBDA:
-        raise ValueError(f"lambda must be >= {MIN_LAMBDA}")
     law = _LimitLaw(f.q, f.eta)
     m = law.quantile(QUANTILE_LEVEL)
-    t_star = law.quantile(1.0 / lam)
-    if t_star <= 0.0:
-        raise ValueError("oracle low quantile is zero")
-    return math.log(m / t_star) / math.log(8.0 * lam)
+    return _required_exponent(m, lambda lam: law.quantile(1.0 / lam), lam)[1]
 
 
 # ----------------------------------------------------------------------
@@ -309,13 +308,14 @@ def chebyshev_on_quarter(degree: int) -> np.ndarray:
 
 def disk_normalized(q_coeffs):
     """Scale Q so its certified disk sup equals 1 (admissible with eta < 1/8):
-    a series stays a series, and an array gives complex coefficients."""
-    sup = disk_sup_upper_bound(q_coeffs)
+    a series stays a series in its basis, and an array gives a real array."""
+    q = _series(q_coeffs)
+    sup = disk_sup_upper_bound(q)
     if sup == 0.0:
         raise ValueError("cannot normalize the zero polynomial")
     if isinstance(q_coeffs, (Polynomial, Chebyshev)):
-        return q_coeffs / sup
-    return np.asarray(q_coeffs, dtype=np.complex128).reshape(-1) / sup
+        return q / sup
+    return q.coef / sup
 
 
 def monomial_on_quarter(degree: int) -> np.ndarray:
@@ -355,8 +355,6 @@ def growth_experiment(functions: list[ThinRectFunction], delta: float, lambdas,
     """
     if not functions:
         raise ValueError("family must be nonempty")
-    for f in functions:  # the oracle column needs a real Q: fail before sampling
-        _real_series(f.q)
     lambdas = [float(l) for l in lambdas]
     rows: list[GrowthRow] = []
     sigma_theorems = []

@@ -35,7 +35,7 @@ from functools import partial
 
 import numpy as np
 
-from .poly import MultiPoly, eval_many
+from .poly import MultiPoly, certify_sup, eval_many
 from .sampling import (STREAM_BALL, STREAM_LEVEL, ball_draws, ball_points,
                        chunk_rng, map_chunks)
 
@@ -147,8 +147,9 @@ def sample_moduli(poly: MultiPoly, spec: BallSpec, count: int, seed: int,
 def _require_usable(poly: MultiPoly):
     if poly.is_constant():
         raise ValueError("polynomial is constant; quantile checks are degenerate")
-    if poly.sup_cert is None or poly.sup_cert > 1.0 + 1e-12:
-        raise ValueError("polynomial must carry a sup certificate <= 1")
+    if certify_sup(poly) > 1.0 + 1e-12:
+        raise ValueError("polynomial needs a sup certificate <= 1: its "
+                         "coefficient l1 norm exceeds 1")
 
 
 def quantile_index(count: int, level: float) -> int:
@@ -169,21 +170,6 @@ def quantile_with_se(summary: DistributionSummary,
     lo = vals[quantile_index(n, max(level - se_level, 0.0))]
     hi = vals[quantile_index(n, min(level + se_level, 1.0))]
     return q, float((hi - lo) / 2.0)
-
-
-@dataclass(frozen=True)
-class QuantileEstimate:
-    value: float
-    std_err: float
-
-
-def modulus_quantile(poly: MultiPoly, spec: BallSpec, count: int, seed: int,
-                     threads: int = 1) -> QuantileEstimate:
-    """The reference quantile M: frac{|F| >= M} = 1/e (QUANTILE_LEVEL)."""
-    _require_usable(poly)
-    summary = sample_moduli(poly, spec, count, seed, threads)
-    q, se = quantile_with_se(summary, QUANTILE_LEVEL)
-    return QuantileEstimate(q, se)
 
 
 def level_fraction(poly: MultiPoly, spec: BallSpec, threshold: float, side: str,

@@ -3,11 +3,11 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from numpy.polynomial import Chebyshev, Polynomial
 
-from sublevel_lab import thinrect
 from sublevel_lab.poly import certify_sup, eval_many, from_terms
 from sublevel_lab.sampling import ks_distance
-from sublevel_lab.thinrect import (build_function,
+from sublevel_lab.thinrect import (ThinRectFunction, build_function,
                                    chebyshev_on_quarter, chebyshev_series,
                                    disk_normalized, disk_sup_upper_bound,
                                    eval_on_rectangle,
@@ -32,6 +32,7 @@ def required_exponent(f, delta, lam, count, seed):
         rectangle_moduli(f, delta, count, seed), lam)
 
 
+COMPLEX_Q = "F takes a real Q: a coefficient of Q has a nonzero imaginary part"
 LINEAR = np.array([0.0, 1.0])          # Q(z) = z
 CONSTANT = np.array([1.0])
 ZERO = np.array([0.0])
@@ -77,7 +78,7 @@ class TestDiskSupBound:
         rng = np.random.default_rng(21)
         for _ in range(50):
             n = int(rng.integers(1, 40))
-            q = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            q = rng.standard_normal(n)
             assert disk_sup_upper_bound(q) == np.sum(np.abs(q))
 
     def test_rescaled_chebyshev_growth(self):
@@ -169,6 +170,34 @@ class TestDistributions:
         direct = np.abs(eval_many(two_variable_poly(f), pts))
         np.testing.assert_allclose(eval_on_rectangle(f, x1, x2), direct,
                                    rtol=1e-12)
+
+
+class TestRealQ:
+    """|F| from a real Q is bit for bit |F| from complex arithmetic on the
+    same coefficients: each imaginary part there is +-0, and abs of such a
+    number is abs of its real part."""
+
+    @staticmethod
+    def complex_reference(f):
+        """f with Q's power coefficients held as complex numbers, so every
+        value of Q and F is computed in complex arithmetic."""
+        return ThinRectFunction(Polynomial(f.q.coef.astype(complex)), f.eta, f.f0_abs)
+
+    @pytest.mark.parametrize("q", [
+        LINEAR, monomial_on_quarter(7), disk_normalized(chebyshev_on_quarter(6)),
+        disk_normalized(np.random.default_rng(31).standard_normal(9))])
+    def test_matches_complex_arithmetic(self, q):
+        f = build_function(q, 0.1)
+        ref = self.complex_reference(f)
+        rng = np.random.default_rng(32)
+        x1, x2 = 0.25 * rng.random(1000), -0.5 + 1e-2 * rng.random(1000)
+        assert f.q(x1).dtype == float
+        assert np.array_equal(eval_on_rectangle(f, x1, x2),
+                              eval_on_rectangle(ref, x1, x2))
+        assert np.array_equal(rectangle_moduli(f, 1e-3, 50_000, 33, 2).sorted_moduli,
+                              rectangle_moduli(ref, 1e-3, 50_000, 33, 2).sorted_moduli)
+        assert np.array_equal(limit_moduli(f, 50_000, 34, 2).sorted_moduli,
+                              limit_moduli(ref, 50_000, 34, 2).sorted_moduli)
 
 
 class TestRequiredExponent:
@@ -263,28 +292,32 @@ class TestOracle:
         f = build_function(q, 0.1)
         assert oracle_required_exponent(f, 2.0) == pytest.approx(sigma, rel=1e-10, abs=0)
 
-    def test_complex_q_rejected(self, monkeypatch):
-        # the exact law takes a real Q; a complex one is sampled instead
-        q = np.array([0.1, 0.5j])
-        f = build_function(q, 0.1)
-        with pytest.raises(ValueError, match="real Q"):
-            oracle_quantile(q, 0.1, 0.5)
-        with pytest.raises(ValueError, match="real Q"):
-            sublevel_measure(q, 0.1, 0.01)
-        with pytest.raises(ValueError, match="real Q"):
-            oracle_required_exponent(f, 2.0)
-        # the family is rejected before any rectangle is sampled, even when
-        # only a later member has a complex Q
-        def no_sample(*args, **kwargs):
-            raise AssertionError("rectangle sampled")
-
-        monkeypatch.setattr(thinrect, "rectangle_moduli", no_sample)
-        for family in ([f], [build_function(LINEAR, 0.1), f]):
-            with pytest.raises(ValueError, match="real Q"):
-                growth_experiment(family, 1e-3, [2.0], 1000, seed=19)
-        # a complex dtype with zero imaginary parts is a real Q
-        assert oracle_quantile(LINEAR.astype(complex), 0.1, 0.5) == \
-            oracle_quantile(LINEAR, 0.1, 0.5)
+    def test_complex_q_rejected(self):
+        # Q is real: every entry point rejects a nonzero imaginary part with
+        # the one message, in an array and in a series alike
+        calls = (lambda q: build_function(q, 0.1), disk_sup_upper_bound,
+                 disk_normalized, lambda q: oracle_quantile(q, 0.1, 0.5),
+                 lambda q: sublevel_measure(q, 0.1, 0.01))
+        for q in (np.array([0.1, 0.5j]), Polynomial([0.1, 0.5j]),
+                  Chebyshev([0.1, 1e-20j], domain=[0.0, 0.25])):
+            for call in calls:
+                with pytest.raises(ValueError, match=COMPLEX_Q):
+                    call(q)
+        # a complex dtype with zero imaginary parts is its real twin, bit for bit
+        for real in (disk_normalized(chebyshev_on_quarter(5)),
+                     disk_normalized(chebyshev_series(5))):
+            twin = (real.astype(complex) if isinstance(real, np.ndarray)
+                    else Chebyshev(real.coef.astype(complex), real.domain))
+            f = build_function(twin, 0.1)
+            assert f == build_function(real, 0.1) and f.q.coef.dtype == float
+            assert disk_sup_upper_bound(twin) == disk_sup_upper_bound(real)
+            norm_twin, norm_real = disk_normalized(twin), disk_normalized(real)
+            assert np.array_equal(getattr(norm_twin, "coef", norm_twin),
+                                  getattr(norm_real, "coef", norm_real))
+            assert sublevel_measure(twin, 0.1, 0.01) == sublevel_measure(real, 0.1, 0.01)
+            for level in QUANTILE_LEVELS:
+                assert oracle_quantile(twin, 0.1, level) == \
+                    oracle_quantile(real, 0.1, level)
 
     def test_constant_is_exact(self):
         for q in (CONSTANT, ZERO):

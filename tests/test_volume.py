@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from sublevel_lab import volume
-from sublevel_lab.poly import eval_many, from_terms, lift, normalize
+from sublevel_lab.poly import MultiPoly, eval_many, from_terms, lift, normalize
 from sublevel_lab.sampling import (CHUNK_SIZE, STREAM_LEVEL, ball_points,
                                    chunk_rng, chunk_sizes)
 from sublevel_lab.volume import (BallSpec, check_quantile_bounds,
                                  check_superlevel_power_bound, level_fraction,
-                                 modulus_quantile, sample_ball, sample_moduli,
-                                 sigma_exponent)
+                                 sample_ball, sample_moduli, sigma_exponent)
 
 HALF_SHIFT = normalize(from_terms(1, {(0,): 0.5, (1,): 0.5}))
 IDENTITY_1D = normalize(from_terms(1, {(1,): 1.0}))
@@ -64,27 +63,56 @@ class TestSampleBall:
         np.testing.assert_array_equal(a, b)
 
 
+def reference_quantile(poly, count, seed):
+    """M and its standard error on [-1/2, 1/2], read as `check_quantile_bounds`
+    reads them: these polynomials vanish at 0, which its exponent rejects."""
+    summary = sample_moduli(poly, INTERVAL_HALF, count, seed)
+    return volume.quantile_with_se(summary, volume.QUANTILE_LEVEL)
+
+
 class TestQuantile:
     def test_identity_closed_form(self):
-        est = modulus_quantile(IDENTITY_1D, INTERVAL_HALF, 200_000, seed=11)
+        m, se = reference_quantile(IDENTITY_1D, 200_000, seed=11)
         expected = (1 - 1 / math.e) / 2
-        assert abs(est.value - expected) <= 4 * est.std_err
+        assert abs(m - expected) <= 4 * se
 
     def test_square_closed_form(self):
-        est = modulus_quantile(SQUARE_1D, INTERVAL_HALF, 200_000, seed=12)
+        m, se = reference_quantile(SQUARE_1D, 200_000, seed=12)
         expected = ((1 - 1 / math.e) / 2) ** 2
-        assert abs(est.value - expected) <= 4 * est.std_err
-        assert est.value == pytest.approx(0.09990, abs=2e-3)
+        assert abs(m - expected) <= 4 * se
+        assert m == pytest.approx(0.09990, abs=2e-3)
+
+    def test_check_reports_this_estimator(self):
+        rep = check_quantile_bounds(HALF_SHIFT, INTERVAL_HALF, [2.0], 50_000, seed=13)
+        assert (rep.quantile, rep.quantile_std_err) == \
+            reference_quantile(HALF_SHIFT, 50_000, seed=13)
 
     def test_constant_rejected(self):
         const = normalize(from_terms(1, {(0,): 1.0}))
         with pytest.raises(ValueError, match="constant"):
-            modulus_quantile(const, INTERVAL_HALF, 1000, seed=1)
+            check_quantile_bounds(const, INTERVAL_HALF, [2.0], 1000, seed=1)
 
     def test_missing_certificate_rejected(self):
-        p = from_terms(1, {(1,): 1.0})
+        p = from_terms(1, {(1,): 2.0})
         with pytest.raises(ValueError, match="certificate"):
-            modulus_quantile(p, INTERVAL_HALF, 1000, seed=1)
+            check_quantile_bounds(p, INTERVAL_HALF, [2.0], 1000, seed=1)
+
+    def test_forged_certificate_rejected(self):
+        # sup |F| = 5.5 on the ball: both ball checks compute the
+        # certificate from the coefficients, so no caller can vouch for it
+        forged = MultiPoly(1, [[0], [1]], [0.5, 5.0])
+        with pytest.raises(ValueError, match="certificate"):
+            check_quantile_bounds(forged, INTERVAL_HALF, [2.0], 1000, seed=1)
+        with pytest.raises(ValueError, match="certificate"):
+            check_superlevel_power_bound(forged, INTERVAL_HALF, 0.5, [2.0],
+                                         1000, seed=1)
+
+    def test_unnormalized_certified_polynomial_accepted(self):
+        # 0.5 + 0.25 z has l1 norm 3/4: certified without `normalize`
+        p = from_terms(1, {(0,): 0.5, (1,): 0.25})
+        assert check_quantile_bounds(p, INTERVAL_HALF, [2.0], 1000, seed=1).all_pass
+        assert check_superlevel_power_bound(p, INTERVAL_HALF, 0.5, [2.0],
+                                            1000, seed=1).all_pass
 
 
 class TestLevelFraction:
@@ -104,10 +132,10 @@ class TestLevelFraction:
         assert abs(frac - 0.5) <= 4 * se
 
     def test_quantile_self_consistency(self):
-        est = modulus_quantile(IDENTITY_1D, INTERVAL_HALF, 100_000, seed=21)
-        frac, se = level_fraction(IDENTITY_1D, INTERVAL_HALF, est.value, "ge",
+        m, m_se = reference_quantile(IDENTITY_1D, 100_000, seed=21)
+        frac, se = level_fraction(IDENTITY_1D, INTERVAL_HALF, m, "ge",
                                   100_000, seed=22)
-        assert abs(frac - 1 / math.e) <= 3 * (se + est.std_err)
+        assert abs(frac - 1 / math.e) <= 3 * (se + m_se)
 
 
 def f0_abs(p):
