@@ -243,7 +243,10 @@ def parse_instance(text: str) -> LocalizationInstance:
         kind, *fields = line.split()
         if len(fields) != {"phi": 2, "S": 2, "E": 2, "lambda": 1}.get(kind):
             raise ValueError(f"line {lineno}: unrecognized instance record")
-        nums = [float(x) for x in fields]
+        try:
+            nums = [float(x) for x in fields]
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
         if not np.all(np.isfinite(nums)):
             raise ValueError(f"line {lineno}: numbers must be finite")
         if kind == "phi":

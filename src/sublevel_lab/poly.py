@@ -134,10 +134,15 @@ def parse_poly(text: str) -> MultiPoly:
         fields = line.split()
         if len(fields) < 3:
             raise ValueError(f"line {lineno}: expected 're im a_1 ... a_n'")
-        re_c, im_c = float(fields[0]), float(fields[1])
+        try:
+            re_c, im_c = float(fields[0]), float(fields[1])
+            alpha = tuple(int(f) for f in fields[2:])
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
         if not (np.isfinite(re_c) and np.isfinite(im_c)):
             raise ValueError(f"line {lineno}: coefficients must be finite")
-        alpha = tuple(int(f) for f in fields[2:])
+        if not all(0 <= a < 1 << 63 for a in alpha):  # stored as int64
+            raise ValueError(f"line {lineno}: exponents must lie in [0, 2^63)")
         if dim is None:
             dim = len(alpha)
         elif len(alpha) != dim:

@@ -552,7 +552,10 @@ def parse_disk_function(text: str) -> DiskFunction:
         kind, *fields = line.split()
         if len(fields) != {"zero": 2, "atom": 2, "const": 1}.get(kind):
             raise ValueError(f"line {lineno}: unrecognized disk-function record")
-        nums = [float(x) for x in fields]
+        try:
+            nums = [float(x) for x in fields]
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
         if not np.all(np.isfinite(nums)):
             raise ValueError(f"line {lineno}: numbers must be finite")
         if kind == "zero":

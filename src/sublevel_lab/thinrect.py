@@ -78,11 +78,14 @@ def disk_sup_upper_bound(q_coeffs) -> float:
 
 @dataclass(frozen=True)
 class ThinRectFunction:
-    """F = eta Q(z1) + z2/2 + 1/4 as Q, eta and |F(0)|."""
+    """F = eta Q(z1) + z2/2 + 1/4 as Q (read by `_series`), eta and |F(0)|."""
 
     q: Polynomial | Chebyshev
     eta: float
     f0_abs: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "q", _series(self.q))
 
 
 def build_function(q_coeffs, eta: float) -> ThinRectFunction:
@@ -137,6 +140,24 @@ def limit_moduli(f: ThinRectFunction, count: int, seed: int,
     vals = map_chunks(count, worker, threads)
     vals.sort()
     return DistributionSummary(vals)
+
+
+def ks_to_thin_limit(eta: float, delta: float) -> float:
+    """Kolmogorov distance between the law of |F| on V_delta and its thin
+    limit for Q(z) = z, eta admissible: |F| = Y + w, Y = eta t uniform on
+    [0, a = eta/4] and w = (x2 + 1/2)/2 uniform on [0, b = delta/2].  Y + w
+    dominates Y, so the distance is sup (G - H), G(s) = s/a the CDF of Y and
+    H the trapezoid CDF of Y + w.  G - H = s/a - s^2/(2ab) rises on
+    [0, min(a, b)].  If b <= a it reaches b/(2a) = delta/eta, keeps it on
+    [b, a] (H = (s - b/2)/a) and falls after.  If b > a it reaches
+    1 - a/(2b) = 1 - eta/(4 delta) at a, and falls after (G - H =
+    1 - (s - a/2)/b on [a, b]).  Both read 1/2 at delta = eta/2."""
+    if not (0.0 < delta <= 0.5):
+        raise ValueError("delta must lie in (0, 1/2]")
+    build_function(monomial_on_quarter(1), eta)
+    if delta <= 0.5 * eta:
+        return delta / eta
+    return 1.0 - eta / (4.0 * delta)
 
 
 def _required_exponent(m: float, low_quantile, lam: float) -> tuple[float, float]:

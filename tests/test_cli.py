@@ -16,6 +16,7 @@ from sublevel_lab import cli
 from sublevel_lab.cli import FIELDS, SUBCOMMANDS, load_config, main, run
 from sublevel_lab.mobius import CheckReport
 from sublevel_lab.reports import format_cell
+from sublevel_lab.thinrect import ks_to_thin_limit
 
 THEOREM_CONFIG = {
     "subcommand": "theorem",
@@ -214,6 +215,55 @@ class TestValidation:
         assert rc == 2
         assert field in capsys.readouterr().err
         assert not out.exists()
+
+
+# A literal one line past its cap, and one that sets a dimension past
+# center's cap.  Each is rejected before any work.
+OVER_CAP = [
+    ("theorem", "poly", "0.5 0 0\n" * 1025,
+     "poly must hold at most 1024 lines, got 1025"),
+    ("theorem", "poly", "0.5 0" + " 0" * 2000,
+     "poly must have dimension <= 1024, got 2000"),
+    ("lemma-b", "function", "zero 0.5 0\n" * 513,
+     "function must hold at most 512 lines, got 513"),
+    ("lemma-a", "instance", "E 0 0.5\n" * 1025,
+     "instance must hold at most 1024 lines, got 1025"),
+]
+
+
+@pytest.mark.parametrize("sub, field, literal, message", OVER_CAP,
+                         ids=["poly-lines", "poly-dim", "function-lines",
+                              "instance-lines"])
+def test_literal_past_its_cap_exits_2(tmp_path, capsys, sub, field, literal,
+                                      message):
+    inputs = {**BASE_INPUTS[sub], field: literal}
+    if field == "poly":
+        del inputs["center"]
+    if field == "function":
+        inputs["a"] = 0.9
+    cfg = {"subcommand": sub, "seed": 1, "inputs": inputs}
+    out = tmp_path / "out"
+    assert main([sub, "--config", str(write_config(tmp_path, cfg)),
+                 "--out", str(out)]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_literals_at_their_caps_are_read():
+    # the same literals one line or one dimension shorter
+    theorem = {**BASE_INPUTS["theorem"], "center": None, "samples": 1000,
+               "lambdas": [2.0]}
+    poly = cli._read_inputs("theorem", {**theorem,
+                                         "poly": "0.5 0 0\n" * 1024})["poly"]
+    assert poly.dim == 1 and poly.coeffs.tolist() == [512.0]
+    wide = cli._read_inputs("theorem", {**theorem,
+                                         "poly": "0.5 0" + " 0" * 1024})
+    assert wide["poly"].dim == wide["spec"].dim == 1024
+    zeros = "zero 0.5 0\n" * 512
+    f = cli._read_inputs("lemma-b", {"function": zeros, "a": 0.9})["function"]
+    assert f.zeros.size == 512
+    instance = "phi 0 0\nphi 1 0\nS 0 1\nlambda 2\n" + "E 0 0.5\n" * 1020
+    assert cli._read_inputs("lemma-a", {"instance": instance})["instance"].lam == 2
 
 
 def test_all_reads_each_input_once(tmp_path, monkeypatch):
@@ -442,6 +492,23 @@ class TestOtherSubcommands:
             assert csv[-1].startswith("ks_limit,")
         assert len(ks["chebyshev"]) == 1
         assert ks["chebyshev"] == ks["monomial"]
+
+    @pytest.mark.parametrize("seed", [78, 99, 184])
+    def test_ks_cell_is_the_closed_form(self, tmp_path, seed):
+        # at the seeds where the sampled statistic once crossed the bound,
+        # at one and two threads, the cell is delta/eta = 1e-3 exactly
+        inputs = cli.ALL_PRESET["counterexample"]
+        want = ks_to_thin_limit(inputs["eta"], inputs["ks_delta"])
+        assert want == 1e-3
+        for threads in (1, 2):
+            out = tmp_path / f"t{threads}"
+            assert run({"subcommand": "counterexample", "seed": seed,
+                        "inputs": inputs}, str(out), threads) is True
+            row = strict_json(out / "report.json")["rows"][-1]
+            assert row == {"check": "ks_limit", "delta": inputs["ks_delta"],
+                           "ks": want, "bound": cli.KS_BOUND, "pass": True}
+            assert (out / "report.csv").read_text().splitlines()[-1] == \
+                "ks_limit,,,,,,,,0.0001,0.001,0.01,true"
 
     def test_run_function_returns_pass_flag(self, tmp_path):
         ok = run(THEOREM_CONFIG, str(tmp_path / "out"), threads=1)

@@ -373,3 +373,8 @@ class TestTextFormat:
     def test_incomplete_instance_rejected(self):
         with pytest.raises(ValueError):
             parse_instance("phi 0 0\nphi 1 0\nS 0 1\n")
+
+    def test_bad_number_names_its_line(self):
+        with pytest.raises(ValueError, match="^line 2: could not convert "
+                                             "string to float: 'x'"):
+            parse_instance("phi 0 0\nphi 1 x\nS 0 1\nE 0 0.5\nlambda 2\n")

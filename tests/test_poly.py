@@ -159,6 +159,15 @@ class TestTextFormat:
         with pytest.raises(ValueError, match="line 1"):
             parse_poly("0.5 0\n")
 
+    @pytest.mark.parametrize("line, message", [
+        ("0.5 0 1.5", r"invalid literal for int\(\)"),
+        ("0.5 abc 1", "could not convert string to float: 'abc'"),
+        ("0.5 0 -1", "exponents must lie in"),
+        ("0.5 0 9223372036854775808", "exponents must lie in")])
+    def test_bad_number_names_its_line(self, line, message):
+        with pytest.raises(ValueError, match=f"^line 3: {message}"):
+            parse_poly(f"0.5 0 0\n# comment\n{line}\n")
+
     @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
                     min_size=1, max_size=6))
     def test_round_trip_structure(self, alphas):

@@ -435,6 +435,11 @@ class TestTextFormat:
         with pytest.raises(ValueError, match="line 1"):
             parse_disk_function("pole 0.5 0.5\n")
 
+    def test_bad_number_names_its_line(self):
+        with pytest.raises(ValueError, match="^line 3: could not convert "
+                                             "string to float: 'abc'"):
+            parse_disk_function("zero 0.5 0\n\nzero 0.1 abc\n")
+
 
 class TestImportPath:
     def test_cli_import_leaves_scipy_out(self):

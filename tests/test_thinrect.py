@@ -1,17 +1,19 @@
 import math
+from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
 import pytest
 from numpy.polynomial import Chebyshev, Polynomial
 
+from sublevel_lab import thinrect
 from sublevel_lab.poly import certify_sup, eval_many, from_terms
 from sublevel_lab.sampling import ks_distance
 from sublevel_lab.thinrect import (ThinRectFunction, build_function,
                                    chebyshev_on_quarter, chebyshev_series,
                                    disk_normalized, disk_sup_upper_bound,
-                                   eval_on_rectangle,
-                                   growth_experiment, limit_moduli,
+                                   eval_on_rectangle, growth_experiment,
+                                   ks_to_thin_limit, limit_moduli,
                                    monomial_on_quarter,
                                    oracle_required_exponent, oracle_quantile,
                                    rectangle_moduli,
@@ -107,6 +109,18 @@ class TestBuildFunction:
         with pytest.raises(ValueError, match="eta too large"):
             build_function(chebyshev_on_quarter(10), 0.1)
 
+    def test_hand_built_complex_q_draws_no_sample(self, monkeypatch):
+        # a ThinRectFunction made without build_function still takes its Q
+        # through the one real-Q check, before growth_experiment samples it
+        drawn = []
+        monkeypatch.setattr(thinrect, "chunk_rng",
+                            lambda *cell: drawn.append(cell))
+        for q in (Polynomial([0.1, 0.5j]), np.array([0.1, 0.5j])):
+            with pytest.raises(ValueError, match=COMPLEX_Q):
+                growth_experiment([ThinRectFunction(q, 0.1, 0.25)], 1e-3,
+                                  [2.0], 2000, seed=1)
+        assert drawn == []
+
     def test_certificate_bound_for_admissible_families(self):
         members = [ZERO, CONSTANT, LINEAR, monomial_on_quarter(5),
                    disk_normalized(chebyshev_on_quarter(8))]
@@ -180,8 +194,10 @@ class TestRealQ:
     @staticmethod
     def complex_reference(f):
         """f with Q's power coefficients held as complex numbers, so every
-        value of Q and F is computed in complex arithmetic."""
-        return ThinRectFunction(Polynomial(f.q.coef.astype(complex)), f.eta, f.f0_abs)
+        value of Q and F is computed in complex arithmetic.  It stands in for
+        a `ThinRectFunction`, which would make Q real."""
+        return SimpleNamespace(q=Polynomial(f.q.coef.astype(complex)),
+                               eta=f.eta, f0_abs=f.f0_abs)
 
     @pytest.mark.parametrize("q", [
         LINEAR, monomial_on_quarter(7), disk_normalized(chebyshev_on_quarter(6)),
@@ -391,6 +407,71 @@ class TestKolmogorovDistance:
             dists.append(ks_distance(rect.sorted_moduli, lim.sorted_moduli))
         for a, b in zip(dists, dists[1:]):
             assert b <= a + noise
+
+
+def convolution_ks(eta, delta):
+    """sup_s (G(s) - H(s)) at 30 digits, where G is the CDF of Y uniform on
+    [0, eta/4] and H(s) = (1/b) int_0^b G(s - w) dw that of Y + w, w uniform
+    on [0, b = delta/2], by quadrature split at the integrand's kinks.  The
+    grid holds the kinks a and b of G - H among 65 points of [0, a + b];
+    G - H is quadratic between kinks, so a peak inside a piece that the grid
+    missed would read low and fail the comparison, not pass it."""
+    with mp.workdps(30):
+        a, b = mp.mpf(eta) / 4, mp.mpf(delta) / 2
+
+        def g(x):
+            return min(max(x / a, mp.mpf(0)), mp.mpf(1))
+
+        def h(s):
+            cuts = sorted({mp.mpf(0), b, *(c for c in (s - a, s) if 0 < c < b)})
+            return mp.quad(lambda w: g(s - w), cuts) / b
+
+        grid = {a, b} | {(a + b) * k / 64 for k in range(65)}
+        return float(max(g(s) - h(s) for s in grid))
+
+
+class TestThinLimitDistance:
+    """`ks_to_thin_limit`: the Kolmogorov distance between the rectangle law
+    of |F| for Q(z) = z and its thin limit, in closed form."""
+
+    @pytest.mark.parametrize("eta, delta", [
+        (0.1, 1e-4), (0.1, 1e-2), (0.05, 0.01), (0.1, 0.0625), (0.1, 0.5),
+        (0.003, 0.2)])
+    def test_matches_convolution_quadrature(self, eta, delta):
+        # the first three take delta/eta, the last three 1 - eta/(4 delta)
+        assert ks_to_thin_limit(eta, delta) == pytest.approx(
+            convolution_ks(eta, delta), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("eta", [0.1, 0.02, 0.12])
+    def test_branches_meet_at_half(self, eta):
+        # delta/eta at delta = eta/2, and 1 - eta/(4 delta) just above it
+        assert ks_to_thin_limit(eta, eta / 2) == 0.5
+        above = np.nextafter(eta / 2, 1.0)
+        assert ks_to_thin_limit(eta, above) == pytest.approx(0.5, rel=1e-15)
+
+    @pytest.mark.parametrize("delta", [0.0, -1e-3, 0.51, math.nan])
+    def test_delta_out_of_range(self, delta):
+        with pytest.raises(ValueError, match="delta must lie"):
+            ks_to_thin_limit(0.1, delta)
+
+    @pytest.mark.parametrize("eta, match", [
+        (0.125, "eta too large"), (0.0, "eta must be positive")])
+    def test_eta_not_admissible(self, eta, match):
+        with pytest.raises(ValueError, match=match):
+            ks_to_thin_limit(eta, 1e-4)
+
+    @pytest.mark.parametrize("seed", [78, 99, 184])
+    def test_sampled_statistic_is_near_exact(self, seed):
+        # the two-sample statistic that the counterexample KS row once
+        # reported (5e4 + 5e4 points).  It misses the exact distance by more
+        # than 0.02 only if one empirical CDF is off by more than 0.01; by the
+        # DKW inequality that has probability at most 4 exp(-2 * 5e4 * 1e-4)
+        # = 1.8e-4 per seed for a correct program
+        f = build_function(LINEAR, 0.1)
+        rect = rectangle_moduli(f, 1e-4, 50_000, seed)
+        lim = limit_moduli(f, 50_000, seed + 1)
+        sampled = ks_distance(rect.sorted_moduli, lim.sorted_moduli)
+        assert abs(sampled - ks_to_thin_limit(0.1, 1e-4)) <= 0.02
 
 
 class TestGrowthExperiment:
