@@ -15,7 +15,7 @@ import numpy as np
 from sublevel_lab.intervals import IntervalSet
 from sublevel_lab.remez import (DiskFunction, classical_remez_check,
                                 factor_bounds, remez_check, remez_exponent,
-                                split_zeros, symmetric_exponent)
+                                split_zeros)
 
 rng = np.random.default_rng(7)
 n_zeros = 12
@@ -43,7 +43,6 @@ print(f"all factor bounds pass: {fb.all_pass} "
 
 sigma = remez_exponent(f, a)
 print(f"\nexponent (product form)    = {sigma:.3f}")
-print(f"exponent (symmetric form)  = {symmetric_exponent(f, a):.3f}")
 
 interval = (-0.6, 0.8)
 e = IntervalSet.from_pairs([(-0.5, -0.2), (0.1, 0.15), (0.4, 0.45)])

@@ -11,13 +11,14 @@ import numpy as np
 from sublevel_lab.intervals import IntervalSet
 from sublevel_lab.kls import (LocalizationInstance, PiecewiseLogLinear,
                               dense_core_1d, localization_check_1d,
-                              min_interval_ratio)
+                              min_interval_ratio_many)
 
 # the closed-form warm-up: uniform weight, E = [0, 0.9] inside S = [0, 1]
 uniform = PiecewiseLogLinear(np.array([0.0, 1.0]), np.array([0.0, 0.0]))
 e = IntervalSet.from_pairs([(0.0, 0.9)])
 print("interval density at x = 0.5:",
-      min_interval_ratio(0.5, e, (0.0, 1.0)), "(the minimizer is [x, 1])")
+      min_interval_ratio_many([0.5], e, (0.0, 1.0))[0],
+      "(the minimizer is [x, 1])")
 
 core = dense_core_1d(e, (0.0, 1.0), lam=2.0)
 print("dense core of [0, 0.9] at lam=2:", core.inner.pairs(),

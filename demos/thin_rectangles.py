@@ -19,13 +19,13 @@ the monomial family, whose disk sup is exactly 1.
 import numpy as np
 
 from sublevel_lab.sampling import ks_distance
-from sublevel_lab.thinrect import (build_function, chebyshev_series,
+from sublevel_lab.thinrect import (ThinRectFunction, chebyshev_series,
                                    disk_normalized, disk_sup_upper_bound,
                                    growth_experiment, limit_moduli,
                                    monomial_on_quarter, rectangle_moduli)
 
 # thin-limit indistinguishability for a first-degree instance
-f = build_function(np.array([0.0, 1.0]), 0.1)
+f = ThinRectFunction(np.array([0.0, 1.0]), 0.1)
 lim = limit_moduli(f, 200_000, seed=1)
 print("Kolmogorov distance of the V_delta law to the thin limit (Q = z):")
 for delta in (1e-1, 1e-2, 1e-3, 1e-4):
@@ -33,7 +33,7 @@ for delta in (1e-1, 1e-2, 1e-3, 1e-4):
     print(f"  delta = {delta:.0e}: {ks_distance(rect.sorted_moduli, lim.sorted_moduli):.4f}")
 
 # exponent growth for the flat (monomial) family
-fam = [build_function(monomial_on_quarter(m), 0.1) for m in (1, 2, 4)]
+fam = [ThinRectFunction(monomial_on_quarter(m), 0.1) for m in (1, 2, 4)]
 rep = growth_experiment(fam, delta=1e-6, lambdas=[2.0], count=300_000, seed=3)
 print("\nrequired exponent for z^m on a delta = 1e-6 rectangle (lam = 2):")
 for row in rep.rows:
@@ -53,7 +53,7 @@ print("(all far below a 1e-3 rectangle thickness: at fixed delta their "
       "rectangle law is the smear law, and no exponent growth is visible)")
 
 q16 = disk_normalized(chebyshev_series(16))
-f16 = build_function(q16, 0.1)
+f16 = ThinRectFunction(q16, 0.1)
 rect = rectangle_moduli(f16, 1e-4, 100_000, seed=4)
 lim16 = limit_moduli(f16, 100_000, seed=5)
 print(f"\ndegree-16 member at delta = 1e-4: KS distance to its thin limit "

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import operator
 import platform
 import sys
@@ -42,9 +41,10 @@ from .remez import (classical_remez_check, factor_bounds, parse_disk_function,
                     remez_exponent)
 from .reports import dumps_json, write_csv, write_json
 from .sampling import STREAM_SUITE, chunk_rng
-from .thinrect import (build_function, chebyshev_series, disk_normalized,
-                       growth_experiment, ks_to_thin_limit, monomial_on_quarter)
-from .volume import (BallSpec, check_quantile_bounds,
+from .thinrect import (MIN_LAMBDA, ThinRectFunction, chebyshev_series,
+                       check_degrees, disk_normalized, growth_experiment,
+                       ks_to_thin_limit, monomial_on_quarter)
+from .volume import (BallSpec, check_lambdas, check_quantile_bounds,
                      check_superlevel_power_bound)
 
 _REQUIRED = object()
@@ -78,15 +78,16 @@ class Field:
 # memory.  Degrees stop at 32 for run time only: the Chebyshev family is
 # evaluated in its own basis, so its values on [0, 1/4] stay exact there.
 # `center`'s cap also caps the dimension `poly` sets.  Line caps bound a
-# literal's records: lemma-b's enclosures hold 4096 x 3 floats per term, and
-# lemma-a's memory grows with the square of the E lines.
+# literal's records: each lemma-b enclosure call holds at most 4096 x 128
+# segment-terms of 3 floats (fewer segments past 128 terms), and lemma-a's
+# memory grows with the square of the E lines.
 FIELDS = {
     "theorem": {
         "poly": Field("str", parse=parse_poly, max_len=1024),
         "epsilon": Field("float", gt=0.0, le=0.25),
         "radius": Field("float", ge=0.0),
         "center": Field("floats", None, max_len=1024),
-        "lambdas": Field("floats", [1.5, 2.0, 4.0, 8.0], gt=1.0, min_len=1),
+        "lambdas": Field("floats", [1.5, 2.0, 4.0, 8.0], min_len=1),
         "samples": Field("int", 100_000, ge=1000, le=10**7),
         "strong_form_c": Field("float", None, gt=0.0),
     },
@@ -112,7 +113,7 @@ FIELDS = {
         "degrees": Field("ints", [4, 8, 16, 32], ge=0, le=32, min_len=2),
         "eta": Field("float", 0.1, gt=0.0),
         "delta": Field("float", 1e-3, gt=0.0, le=0.5),
-        "lambdas": Field("floats", [2.0], ge=1.1, min_len=1),
+        "lambdas": Field("floats", [2.0], ge=MIN_LAMBDA, min_len=1),
         "samples": Field("int", 100_000, ge=1000, le=10**7),
         "ks_delta": Field("float", None, gt=0.0, le=0.5),
     },
@@ -217,13 +218,7 @@ def _check_theorem(v: dict) -> None:
     center = v["center"] if v["center"] is not None else [0.0] * dim
     v["spec"] = _check("radius", BallSpec, np.asarray(center), v["radius"],
                        v["epsilon"])
-    samples = v["samples"]
-    for i, lam in enumerate(v["lambdas"]):
-        # a tail bound exp(-lambda) under one sample's worth of mass passes
-        # on an empty tail whatever the function does
-        _require(samples * math.exp(-lam) >= 1.0,
-                 f"lambdas[{i}] must have samples * exp(-lambda) >= 1, "
-                 f"got {lam!r} at {samples} samples")
+    _check("lambdas", check_lambdas, v["lambdas"], v["samples"])
 
 
 def _check_lemma_a(v: dict) -> None:
@@ -260,12 +255,14 @@ def _check_lemma_b(v: dict) -> None:
 
 
 def _check_counterexample(v: dict) -> None:
-    """eta is admissible for every family member and the KS member.  v keeps
-    the KS distance and the members' functions, each scaled to disk sup 1:
-    T_m as a Chebyshev series on [0, 1/4], z^m as power coefficients."""
+    """The degrees strictly increase, and eta is admissible for every family
+    member and the KS member.  v keeps the KS distance and the members'
+    functions, each scaled to disk sup 1: T_m as a Chebyshev series on
+    [0, 1/4], z^m as power coefficients."""
+    _check("degrees", check_degrees, v["degrees"])
     make = {"chebyshev": chebyshev_series,
             "monomial": monomial_on_quarter}[v["family"]]
-    v["functions"] = [_check("eta", build_function, disk_normalized(make(d)),
+    v["functions"] = [_check("eta", ThinRectFunction, disk_normalized(make(d)),
                              v["eta"]) for d in v["degrees"]]
     if v["ks_delta"] is not None:
         v["ks"] = _check("eta", ks_to_thin_limit, v["eta"], v["ks_delta"])
@@ -413,7 +410,7 @@ def run(config: dict, out_dir: str, threads: int = 1) -> bool:
     report.  The config is echoed to manifest.json with its inputs, {} when
     absent."""
     _require(isinstance(config, dict), "config must be a JSON object")
-    unknown = sorted(set(config) - {"subcommand", "seed", "inputs", "output_dir"})
+    unknown = sorted(set(config) - {"subcommand", "seed", "inputs"})
     _require(not unknown, f"unknown config key(s): {', '.join(unknown)}")
     sub = config.get("subcommand")
     _require(sub in SUBCOMMANDS,
@@ -422,8 +419,6 @@ def run(config: dict, out_dir: str, threads: int = 1) -> bool:
     _require(isinstance(seed, int) and not isinstance(seed, bool)
              and 0 <= seed < 1 << 64,
              f"seed must be an integer in [0, 2^64), got {seed!r}")
-    _require(isinstance(config.get("output_dir", ""), str),
-             f"output_dir must be a string, got {config.get('output_dir')!r}")
     inputs = config.get("inputs", {})
     config = {**config, "inputs": inputs}
     out = Path(out_dir)
@@ -537,7 +532,7 @@ def main(argv=None) -> int:
                      f"match {args.subcommand!r}")
             if args.seed is not None:
                 config["seed"] = args.seed
-        out = args.out or config.get("output_dir") or f"out-{args.subcommand}"
+        out = args.out or f"out-{args.subcommand}"
         return 0 if run(config, out, args.threads) else 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -124,10 +124,6 @@ def min_interval_ratio_many(xs: np.ndarray, e: IntervalSet,
     return np.clip(r.min(axis=1), 0.0, 1.0)
 
 
-def min_interval_ratio(x: float, e: IntervalSet, s: tuple[float, float]) -> float:
-    return float(min_interval_ratio_many(np.array([float(x)]), e, s)[0])
-
-
 @dataclass(frozen=True)
 class DenseCore:
     """The dense core of E (`inner`, exact up to rounding) and the same core
@@ -139,8 +135,8 @@ class DenseCore:
 
 def dense_core_1d(e: IntervalSet, s: tuple[float, float],
                   lam: float) -> DenseCore:
-    """{x in E : min_interval_ratio(x) >= theta}, theta = (lam-1)/lam, in
-    closed form.
+    """{x in E : |E ∩ J| >= theta |J| for every interval J in S holding x},
+    theta = (lam-1)/lam, in closed form.
 
     On a component [l, u] of E, W(x) = |E ∩ (-inf, x]| rises with slope 1,
     so for each candidate c outside [l, u] the condition on the interval

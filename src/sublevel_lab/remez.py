@@ -144,7 +144,8 @@ def split_zeros(zeros, a: float) -> Factorization:
 
 BNB_PIECES = 64             # initial segments per component
 BNB_SPLIT = 8               # children of each open segment per level
-BNB_CHUNK = 4096            # segments bounded per enclosure call (memory)
+BNB_CHUNK = 4096            # segments bounded per enclosure call (memory),
+BNB_CHUNK_TERMS = 128       # up to this many terms; fewer past it
 BNB_MAX_SEGMENTS = 1 << 20  # open segments at which the search gives up
 BNB_GAP = 2e-13             # relative gap at which a segment is settled
 ENCLOSURE_PAD = 1e-13       # relative pad added to every upper bound
@@ -162,25 +163,28 @@ class Extremum:
     segments: int
 
 
-def _certified_max(enclose, pairs) -> Extremum:
+def _certified_max(enclose, pairs, terms: int) -> Extremum:
     """Level-synchronous branch and bound.  `enclose(x0, x1)` returns, per
     segment, an upper bound of the function on [x0, x1] (padded), its value
-    at a point of the segment and the pad.  Every open segment is split
-    BNB_SPLIT ways per level; a segment is settled once its bound is within
-    BNB_GAP * max(1, |best|) + 4 * pad of the best value attained, which
-    also prunes every segment whose bound lies below that value."""
+    at a point of the segment and the pad; a call holds `terms` temporaries
+    per segment for at most BNB_CHUNK * BNB_CHUNK_TERMS of them, each
+    segment on its own row.  Every open segment is split BNB_SPLIT ways per
+    level; a segment is settled once its bound is within BNB_GAP *
+    max(1, |best|) + 4 * pad of the best value attained, which also prunes
+    every segment whose bound lies below that value."""
     edges = [np.linspace(lo, hi, BNB_PIECES + 1) for lo, hi in pairs]
     x0 = np.concatenate([e[:-1] for e in edges])
     x1 = np.concatenate([e[1:] for e in edges])
     t = np.arange(1, BNB_SPLIT) / BNB_SPLIT
+    chunk = max(1, min(BNB_CHUNK, BNB_CHUNK * BNB_CHUNK_TERMS // terms))
     best = settled = -np.inf
     segments = 0
     while x0.size:
         if x0.size > BNB_MAX_SEGMENTS:
             raise RuntimeError("branch and bound did not converge: "
                                f"{x0.size} open segments")
-        parts = [enclose(x0[k:k + BNB_CHUNK], x1[k:k + BNB_CHUNK])
-                 for k in range(0, x0.size, BNB_CHUNK)]
+        parts = [enclose(x0[k:k + chunk], x1[k:k + chunk])
+                 for k in range(0, x0.size, chunk)]
         upper, value, pad = (np.concatenate(z) for z in zip(*parts))
         segments += x0.size
         best = max(best, float(np.max(value)))
@@ -312,7 +316,7 @@ def _max_log_form(g: _LogForm, pairs) -> Extremum:
         raise ValueError("segments [lo, hi] must satisfy -1 < lo <= hi < 1")
     if g.empty:
         return Extremum(0.0, 0.0, 0)
-    return _certified_max(_log_form_enclosure(g), pairs)
+    return _certified_max(_log_form_enclosure(g), pairs, g.half.size + g.v.size)
 
 
 @dataclass(frozen=True)
@@ -407,22 +411,13 @@ def sup_log_abs_on_set(f: DiskFunction, e: IntervalSet) -> Extremum:
 
 def remez_exponent(f: DiskFunction, a: float) -> float:
     """3/(1-a) * log 1/(|f(a)||f(-a)|), the exponent the factorization proof
-    delivers.  Under the symmetric hypothesis |f(a)| = |f(-a)| this is twice
-    the single-value form, which symmetric_exponent reports."""
+    delivers."""
     if not (0.0 < a < 1.0):
         raise ValueError("a must lie in (0, 1)")
     log_ends = float(np.sum(log_abs_f(f, np.array([a, -a]))))
     if not np.isfinite(log_ends):
         raise ValueError("f vanishes at an endpoint +-a")
     return 3.0 / (1.0 - a) * -log_ends
-
-
-def symmetric_exponent(f: DiskFunction, a: float) -> float:
-    """3/(1-a) * log 1/|f(a)|, the exponent as stated for symmetric values."""
-    log_fa = float(log_abs_f(f, np.array([a]))[0])
-    if not np.isfinite(log_fa):
-        raise ValueError("f vanishes at a")
-    return 3.0 / (1.0 - a) * (-log_fa)
 
 
 def _remez_sides(interval: tuple[float, float], e: IntervalSet):
@@ -529,8 +524,8 @@ def classical_remez_check(coeffs, interval: tuple[float, float], e: IntervalSet,
     degree = int(nz[-1])
     lo, hi, ratio = _remez_sides(interval, e)
     enclose = _poly_enclosure(coeffs[:degree + 1])
-    max_i = _certified_max(enclose, [(lo, hi)])
-    sup_e = _certified_max(enclose, e.pairs())
+    max_i = _certified_max(enclose, [(lo, hi)], degree + 1)
+    sup_e = _certified_max(enclose, e.pairs(), degree + 1)
     log_rhs = float(degree * np.log(CLASSICAL_REMEZ_CONSTANT * ratio) + sup_e.attained)
     return ClassicalRemezReport(
         lhs=float(np.exp(max_i.upper)), rhs=float(np.exp(min(log_rhs, 700.0))),

@@ -8,8 +8,8 @@ Remez-type exponent sigma_eff extracted from the rectangle law can grow
 with the degree of Q while the ball-theorem exponent stays bounded, which
 is the failure mechanism for thin bodies.
 
-F is carried as Q, eta and |F(0)|, which is all that the rectangle law,
-its thin limit and the ball-theorem exponent read.
+F is carried as Q, a certified eta and the |F(0)| they give, which is all
+that the rectangle law, its thin limit and the ball-theorem exponent read.
 
 Admissibility: eta * l1 must stay below 1/8, where l1 is the l1 norm of
 Q's power coefficients, a certified sup of |Q| over the complex unit disk
@@ -28,14 +28,14 @@ place a Q enters: it rejects a nonzero imaginary part.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import Chebyshev, Polynomial
 
-from .sampling import (STREAM_LIMIT, STREAM_RECT, chunk_rng, map_chunks)
+from .sampling import STREAM_LIMIT, STREAM_RECT, chunk_rng
 from .volume import (QUANTILE_LEVEL, DistributionSummary, quantile_with_se,
-                     sigma_exponent)
+                     sigma_exponent, sorted_sample)
 
 ETA_MARGIN = 1e-9
 MIN_LAMBDA = 1.1
@@ -78,28 +78,28 @@ def disk_sup_upper_bound(q_coeffs) -> float:
 
 @dataclass(frozen=True)
 class ThinRectFunction:
-    """F = eta Q(z1) + z2/2 + 1/4 as Q (read by `_series`), eta and |F(0)|."""
+    """F = eta Q(z1) + z2/2 + 1/4 from Q (read by `_series`) and admissible eta."""
 
     q: Polynomial | Chebyshev
     eta: float
-    f0_abs: float
+    f0_abs: float = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "q", _series(self.q))
+        if not self.eta > 0:
+            raise ValueError("eta must be positive")
+        series = _series(self.q)
+        q = _disk_coeffs(series)
+        q_sup = float(np.sum(np.abs(q)))  # disk_sup_upper_bound, converting once
+        if not self.eta * q_sup < 0.125 - ETA_MARGIN:
+            raise ValueError(f"eta too large: eta * sup|Q| = {self.eta * q_sup:.6g} "
+                             "must stay below 1/8")
+        object.__setattr__(self, "q", series)
+        object.__setattr__(self, "eta", float(self.eta))
+        object.__setattr__(self, "f0_abs", float(abs(0.25 + self.eta * q[0])))
 
 
-def build_function(q_coeffs, eta: float) -> ThinRectFunction:
-    """F = eta*Q(z1) + z2/2 + 1/4, once eta is certified admissible."""
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    series = _series(q_coeffs)
-    q = _disk_coeffs(series)
-    q_sup = float(np.sum(np.abs(q)))  # disk_sup_upper_bound, converting once
-    if eta * q_sup >= 0.125 - ETA_MARGIN:
-        raise ValueError(
-            f"eta too large: eta * sup|Q| = {eta * q_sup:.6g} must stay below 1/8")
-    f0 = abs(0.25 + eta * q[0])
-    return ThinRectFunction(q=series, eta=float(eta), f0_abs=float(f0))
+# the benchmark (bench/workloads.py) builds F under this name
+build_function = ThinRectFunction
 
 
 def eval_on_rectangle(f: ThinRectFunction, x1: np.ndarray,
@@ -123,9 +123,7 @@ def rectangle_moduli(f: ThinRectFunction, delta: float, count: int, seed: int,
         pts = lo + u * (hi - lo)
         return eval_on_rectangle(f, pts[:, 0], pts[:, 1])
 
-    vals = map_chunks(count, worker, threads)
-    vals.sort()
-    return DistributionSummary(vals)
+    return sorted_sample(count, worker, threads)
 
 
 def limit_moduli(f: ThinRectFunction, count: int, seed: int,
@@ -137,9 +135,7 @@ def limit_moduli(f: ThinRectFunction, count: int, seed: int,
         t = RECT_X_MAX * rng.random(size)
         return np.abs(f.eta * f.q(t))
 
-    vals = map_chunks(count, worker, threads)
-    vals.sort()
-    return DistributionSummary(vals)
+    return sorted_sample(count, worker, threads)
 
 
 def ks_to_thin_limit(eta: float, delta: float) -> float:
@@ -154,7 +150,7 @@ def ks_to_thin_limit(eta: float, delta: float) -> float:
     1 - (s - a/2)/b on [a, b]).  Both read 1/2 at delta = eta/2."""
     if not (0.0 < delta <= 0.5):
         raise ValueError("delta must lie in (0, 1/2]")
-    build_function(monomial_on_quarter(1), eta)
+    ThinRectFunction(monomial_on_quarter(1), eta)
     if delta <= 0.5 * eta:
         return delta / eta
     return 1.0 - eta / (4.0 * delta)
@@ -285,14 +281,6 @@ class _LimitLaw:
         return s
 
 
-def sublevel_measure(q_coeffs, eta: float, s: float) -> float:
-    """measure{t in [0, 1/4] : |eta Q(t)| <= s}, from the real roots of
-    |eta Q| = s (see `_LimitLaw`)."""
-    if s < 0:
-        raise ValueError("s must be nonnegative")
-    return _LimitLaw(q_coeffs, eta).sublevel(s)[0]
-
-
 def oracle_quantile(q_coeffs, eta: float, level: float) -> float:
     """s with measure{|eta Q| <= s}/(1/4) = level; |eta q0| exactly for a
     constant Q."""
@@ -365,26 +353,34 @@ class GrowthReport:
     passed: bool
 
 
+def check_degrees(degrees) -> None:
+    """A family to compare: two or more members, in strictly increasing degree."""
+    if len(degrees) < 2:
+        raise ValueError(f"a family needs at least two members, got {len(degrees)}")
+    if any(b <= a for a, b in zip(degrees, degrees[1:])):
+        raise ValueError(f"degrees must strictly increase, got {list(degrees)}")
+
+
 def growth_experiment(functions: list[ThinRectFunction], delta: float, lambdas,
                       count: int, seed: int, threads: int = 1) -> GrowthReport:
     """Required-exponent growth across a polynomial family.
 
-    functions: the family's test functions, as `build_function` makes them.
-    Passing requires sigma_eff strictly increasing in degree at every lambda
-    while the ball-theorem exponent varies by less than 2x across the
-    family.  The ball-theorem exponent is taken at epsilon = THEOREM_EPSILON.
+    functions: the family's test functions, in strictly increasing degree
+    (`check_degrees`).  Passing requires sigma_eff strictly increasing
+    along the family at every lambda while the ball-theorem exponent varies
+    by less than 2x across it.  The ball-theorem exponent is taken at
+    epsilon = THEOREM_EPSILON.
     """
-    if not functions:
-        raise ValueError("family must be nonempty")
+    degrees = [f.q.trim().degree() for f in functions]
+    check_degrees(degrees)
     lambdas = [float(l) for l in lambdas]
     rows: list[GrowthRow] = []
     sigma_theorems = []
     per_lam: dict[float, list[float]] = {l: [] for l in lambdas}
-    for idx, f in enumerate(functions):
+    for idx, (f, degree) in enumerate(zip(functions, degrees)):
         sigma_theorem = sigma_exponent(f.f0_abs, THEOREM_EPSILON)
         sigma_theorems.append(sigma_theorem)
         summary = rectangle_moduli(f, delta, count, seed + idx, threads)
-        degree = f.q.trim().degree()
         for lam in lambdas:
             est = required_exponent_from_summary(summary, lam)
             oracle = oracle_required_exponent(f, lam)

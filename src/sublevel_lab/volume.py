@@ -136,12 +136,18 @@ def sample_moduli(poly: MultiPoly, spec: BallSpec, count: int, seed: int,
     last = _last_moduli
     if last is not None and last[0] == key:
         return last[1]
-    moduli = map_chunks(count, _moduli_worker(poly, spec, seed, STREAM_BALL), threads)
-    moduli.sort()
-    moduli.flags.writeable = False
-    summary = DistributionSummary(moduli)
+    summary = sorted_sample(count, _moduli_worker(poly, spec, seed, STREAM_BALL),
+                            threads)
     _last_moduli = (key, summary)
     return summary
+
+
+def sorted_sample(count: int, worker, threads: int = 1) -> DistributionSummary:
+    """``worker(chunk, size)`` mapped over the chunks of `count`, sorted, read-only."""
+    vals = map_chunks(count, worker, threads)
+    vals.sort()
+    vals.flags.writeable = False
+    return DistributionSummary(vals)
 
 
 def _require_usable(poly: MultiPoly):
@@ -150,6 +156,19 @@ def _require_usable(poly: MultiPoly):
     if certify_sup(poly) > 1.0 + 1e-12:
         raise ValueError("polynomial needs a sup certificate <= 1: its "
                          "coefficient l1 norm exceeds 1")
+
+
+def check_lambdas(lambdas, count: int) -> list[float]:
+    """The lambdas as floats, each > 1 with count * exp(-lambda) >= 1: a tail
+    bound under one sample's mass passes on an empty tail whatever F does."""
+    lambdas = [float(lam) for lam in lambdas]
+    for i, lam in enumerate(lambdas):
+        if not lam > 1.0:
+            raise ValueError(f"lambdas[{i}] must be > 1, got {lam!r}")
+        if count * math.exp(-lam) < 1.0:
+            raise ValueError(f"lambdas[{i}] must have samples * exp(-lambda) "
+                             f">= 1, got {lam!r} at {count} samples")
+    return lambdas
 
 
 def quantile_index(count: int, level: float) -> int:
@@ -242,6 +261,7 @@ def check_quantile_bounds(poly: MultiPoly, spec: BallSpec, lambdas,
                           threads: int = 1) -> QuantileBoundsReport:
     """Small-set and tail bounds at each lambda, from one shared sample."""
     _require_usable(poly)
+    lambdas = check_lambdas(lambdas, count)
     sigma = sigma_exponent(abs(poly.constant_term()), spec.epsilon)
     summary = sample_moduli(poly, spec, count, seed, threads)
     logs = summary.log_moduli()
@@ -251,9 +271,6 @@ def check_quantile_bounds(poly: MultiPoly, spec: BallSpec, lambdas,
     log_m = math.log(m)
     rows = []
     for lam in lambdas:
-        lam = float(lam)
-        if lam < 1.0:
-            raise ValueError("every lambda must be >= 1")
         shift = sigma * math.log(THEOREM_CONSTANT * lam)
         small_t = log_m - shift
         tail_t = log_m + shift
@@ -296,6 +313,7 @@ def check_superlevel_power_bound(poly: MultiPoly, spec: BallSpec, c: float,
     _require_usable(poly)
     if c <= 0:
         raise ValueError("c must be positive")
+    lambdas = check_lambdas(lambdas, count)
     sigma = sigma_exponent(abs(poly.constant_term()), spec.epsilon)
     summary = sample_moduli(poly, spec, count, seed, threads)
     logs = summary.log_moduli()
@@ -304,9 +322,6 @@ def check_superlevel_power_bound(poly: MultiPoly, spec: BallSpec, c: float,
     base_se = math.sqrt(base * (1.0 - base) / count)
     rows = []
     for lam in lambdas:
-        lam = float(lam)
-        if lam < 1.0:
-            raise ValueError("every lambda must be >= 1")
         threshold_log = log_c + sigma * math.log(THEOREM_CONSTANT * lam)
         lhs = _fraction_ge_log(logs, threshold_log)
         rhs = base ** lam

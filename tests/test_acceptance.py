@@ -23,7 +23,7 @@ from sublevel_lab.poly import from_terms, lift, normalize
 from sublevel_lab.remez import (classical_remez_check, factor_bounds,
                                 random_disk_function, remez_check)
 from sublevel_lab.sampling import ks_distance
-from sublevel_lab.thinrect import (build_function, chebyshev_series,
+from sublevel_lab.thinrect import (ThinRectFunction, chebyshev_series,
                                    disk_normalized, limit_moduli,
                                    oracle_required_exponent,
                                    rectangle_moduli,
@@ -207,7 +207,7 @@ class TestCriterion4BallBounds:
 
 class TestCriterion5ThinRectangles:
     def test_ks_distance_to_limit(self):
-        f = build_function(np.array([0.0, 1.0]), 0.1)
+        f = ThinRectFunction(np.array([0.0, 1.0]), 0.1)
         rect = rectangle_moduli(f, 1e-4, 1_000_000, seed=555, threads=2)
         lim = limit_moduli(f, 1_000_000, seed=556, threads=2)
         ks = ks_distance(rect.sorted_moduli, lim.sorted_moduli)
@@ -220,7 +220,7 @@ class TestCriterion5ThinRectangles:
         details = []
         for m in (4, 8, 16, 32):
             q = disk_normalized(chebyshev_series(m))
-            f = build_function(q, 0.1)
+            f = ThinRectFunction(q, 0.1)
             summary = limit_moduli(f, 1_000_000, seed=600 + m, threads=2)
             est = required_exponent_from_summary(summary, 2.0)
             oracle = oracle_required_exponent(f, 2.0)
@@ -243,7 +243,7 @@ class TestCriterion5ThinRectangles:
         theorem_sigmas = []
         for i, m in enumerate((4, 8, 16, 32)):
             q = disk_normalized(chebyshev_series(m))
-            f = build_function(q, 0.1)
+            f = ThinRectFunction(q, 0.1)
             summary = rectangle_moduli(f, 1e-3, 1_000_000, seed=700 + i,
                                        threads=2)
             est = required_exponent_from_summary(summary, 2.0)

@@ -107,6 +107,29 @@ class TestValidation:
         assert "--threads" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("degrees, message", [
+        ([4, 2, 1], "degrees: degrees must strictly increase, got [4, 2, 1]"),
+        ([2, 2, 4], "degrees: degrees must strictly increase, got [2, 2, 4]")])
+    def test_degrees_out_of_order_rejected(self, tmp_path, capsys, degrees,
+                                           message):
+        # the growth clause reads sigma_eff along the list in degree order
+        cfg = {"subcommand": "counterexample", "seed": 1,
+               "inputs": {**BASE_INPUTS["counterexample"], "degrees": degrees}}
+        out = tmp_path / "out"
+        assert main(["counterexample", "--config",
+                     str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_output_dir_is_unknown(self, tmp_path, capsys, monkeypatch):
+        # --out is the one way to name the output directory
+        monkeypatch.chdir(tmp_path)
+        cfg = {**THEOREM_CONFIG, "output_dir": str(tmp_path / "out")}
+        assert main(["theorem", "--config",
+                     str(write_config(tmp_path, cfg))]) == 2
+        assert "unknown config key(s): output_dir" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
     def test_lemma_a_resolution_rejected(self, tmp_path, capsys):
         # the dense core is exact, so a resolution would change no number
         cfg = {"subcommand": "lemma-a", "seed": 7,
@@ -165,6 +188,9 @@ class TestValidation:
         ("lemma-c", "alpha_grid", 181),
         ("lemma-c", "trials", 20_000),
         ("counterexample", "normalization", "disk"),
+        ("counterexample", "degrees", [4, 2, 1]),
+        ("counterexample", "degrees", [2, 2, 4]),
+        ("theorem", "lambdas", [2.0, 1.0]),
     ], ids=["empty-lambdas", "nan-radius", "nan-strong_form_c", "one-degree",
             "inf-lambda", "string-lambda", "string-normalize", "unknown-key",
             "nan-center", "bool-seed", "negative-seed", "misspelled-inputs",
@@ -176,7 +202,8 @@ class TestValidation:
             "interval-without-function", "set-without-function",
             "removed-ks_bound", "ks_degree-without-ks_delta",
             "dropped-r_grid", "dropped-alpha_grid", "dropped-trials",
-            "removed-normalization"])
+            "removed-normalization", "decreasing-degrees", "repeated-degree",
+            "lambda-one"])
     def test_vacuous_or_nan_input_names_field(self, tmp_path, capsys, sub,
                                               field, value):
         cfg = {"subcommand": sub, "seed": 1,
@@ -203,8 +230,12 @@ class TestValidation:
         ({"counterexample": {"eta": 1.0}}, "eta"),
         ({"lemma-b": {"function": "zero 0.5 0\n", "a": 0.5,
                       "interval": [-0.9, 0.9]}}, "interval"),
+        ({"counterexample": {"degrees": [4, 2, 1]}}, "degrees"),
+        ({"counterexample": {"degrees": [2, 2, 4]}}, "degrees"),
+        ({"theorem": {"lambdas": [1.0]}}, "lambdas"),
     ], ids=["lambda-beyond-sample", "removed-normalize", "removed-ks_degree",
-            "ball-outside", "eta-too-large", "interval-outside"])
+            "ball-outside", "eta-too-large", "interval-outside",
+            "decreasing-degrees", "repeated-degree", "lambda-one"])
     def test_all_rejects_before_first_write(self, tmp_path, capsys, inputs,
                                             field):
         # the last three fail only inside a run, after earlier runs wrote

@@ -7,8 +7,8 @@ from sublevel_lab import kls
 from sublevel_lab.intervals import IntervalSet
 from sublevel_lab.kls import (LocalizationInstance, PiecewiseLogLinear,
                               dense_core_1d, localization_check_1d,
-                              min_interval_ratio, min_interval_ratio_many,
-                              parse_instance, random_instance)
+                              min_interval_ratio_many, parse_instance,
+                              random_instance)
 
 UNIFORM = PiecewiseLogLinear(np.array([0.0, 1.0]), np.array([0.0, 0.0]))
 
@@ -99,33 +99,33 @@ def per_point_min_ratio(xs, e: IntervalSet, s):
 class TestMinIntervalRatio:
     def test_full_set(self):
         e = IntervalSet.from_pairs([(0.0, 1.0)])
-        assert min_interval_ratio(0.5, e, (0.0, 1.0)) == 1.0
+        assert min_interval_ratio_many([0.5], e, (0.0, 1.0))[0] == 1.0
 
     def test_left_piece_closed_form(self):
         t = 0.9
         e = IntervalSet.from_pairs([(0.0, t)])
         for x in (0.0, 0.3, 0.6, 0.9):
             expected = (t - x) / (1.0 - x)
-            assert min_interval_ratio(x, e, (0.0, 1.0)) == pytest.approx(
-                expected, abs=1e-12)
+            got = min_interval_ratio_many([x], e, (0.0, 1.0))[0]
+            assert got == pytest.approx(expected, abs=1e-12)
 
     def test_empty_set(self):
         empty = IntervalSet.from_pairs([])
-        assert min_interval_ratio(0.5, empty, (0.0, 1.0)) == 0.0
+        assert min_interval_ratio_many([0.5], empty, (0.0, 1.0))[0] == 0.0
 
     def test_outside_s_rejected(self):
         e = IntervalSet.from_pairs([(0.0, 1.0)])
         with pytest.raises(ValueError):
-            min_interval_ratio(1.5, e, (0.0, 1.0))
+            min_interval_ratio_many([1.5], e, (0.0, 1.0))
 
     def test_interior_of_full_set_is_one(self):
         e = IntervalSet.from_pairs([(0.2, 0.8)])
-        assert min_interval_ratio(0.5, e, (0.2, 0.8)) == 1.0
+        assert min_interval_ratio_many([0.5], e, (0.2, 0.8))[0] == 1.0
 
     def test_component_edge_is_zero(self):
         # intervals reaching left of x meet E in measure zero
         e = IntervalSet.from_pairs([(0.5, 0.8)])
-        assert min_interval_ratio(0.5, e, (0.0, 1.0)) == 0.0
+        assert min_interval_ratio_many([0.5], e, (0.0, 1.0))[0] == 0.0
 
     def test_oracle_agreement(self):
         rng = np.random.default_rng(17)
@@ -137,7 +137,7 @@ class TestMinIntervalRatio:
             e = IntervalSet.from_pairs(
                 [(cuts[2 * k], cuts[2 * k + 1]) for k in range(n)])
             x = float(rng.uniform(s0, s1))
-            fast = min_interval_ratio(x, e, (s0, s1))
+            fast = min_interval_ratio_many([x], e, (s0, s1))[0]
             brute = brute_min_ratio(x, e, (s0, s1))
             assert abs(fast - brute) <= 1e-8
 
@@ -162,13 +162,15 @@ class TestMinIntervalRatio:
         assert np.array_equal(got, per_point_min_ratio(xs, e, (0.0, 1.0)))
 
     def test_batch_matches_scalar(self):
+        # each point's ratio is its own row: a batch gives what one-point
+        # calls give
         rng = np.random.default_rng(3)
         e = IntervalSet.from_pairs([(0.1, 0.3), (0.5, 0.55), (0.7, 0.95)])
         xs = rng.uniform(0.0, 1.0, 64)
         batch = min_interval_ratio_many(xs, e, (0.0, 1.0))
         for x, v in zip(xs, batch):
-            assert v == pytest.approx(min_interval_ratio(x, e, (0.0, 1.0)),
-                                      abs=1e-14)
+            assert v == pytest.approx(
+                min_interval_ratio_many([x], e, (0.0, 1.0))[0], abs=1e-14)
 
 
 class TestDenseCore:

@@ -15,7 +15,7 @@ from sublevel_lab.remez import (DiskFunction, blaschke_log_abs,
                                 log_abs_f, parse_disk_function,
                                 random_disk_function, remez_check,
                                 remez_exponent, split_criterion, split_zeros,
-                                symmetric_exponent, sup_log_abs_on_set,
+                                sup_log_abs_on_set,
                                 _certified_max, _log_form, _log_form_enclosure,
                                 _max_log_form, _poly_enclosure)
 
@@ -220,12 +220,9 @@ class TestExponent:
         assert remez_exponent(make_f(), 0.9) == 0.0
 
     def test_atom_product_form(self):
-        # product form 3/(1-a) * (1.9 + 1/190); the symmetric single-value
-        # form would halve the first term
+        # product form 3/(1-a) * (1.9 + 1/190)
         expected = 30 * (1.9 + 0.1 / 19)
         assert remez_exponent(ATOM_F, 0.9) == pytest.approx(expected, rel=1e-12)
-        assert symmetric_exponent(ATOM_F, 0.9) == pytest.approx(30 * 1.9,
-                                                                rel=1e-12)
 
     def test_vanishing_endpoint_rejected(self):
         f = make_f(zeros=[0.9])
@@ -338,8 +335,8 @@ class TestClassicalRemez:
         log_rhs = classical_remez_check(coeffs, interval, e).log_rhs
         certified_max = remez._certified_max
 
-        def one_ulp_over(enclose, pairs):
-            best = certified_max(enclose, pairs)
+        def one_ulp_over(enclose, pairs, terms):
+            best = certified_max(enclose, pairs, terms)
             if list(pairs) != [interval]:
                 return best
             return remez.Extremum(float(np.nextafter(log_rhs, np.inf)),
@@ -417,8 +414,34 @@ class TestEnclosures:
             assert np.all(value <= upper)
             lo, hi = x0[1], x1[1]
             grid = np.log(np.abs(npp.polyval(np.linspace(lo, hi, 20_001), coeffs)))
-            best = _certified_max(_poly_enclosure(coeffs), [(lo, hi)])
+            best = _certified_max(_poly_enclosure(coeffs), [(lo, hi)], deg + 1)
             assert best.upper >= np.max(grid)
+
+    def test_calls_bounded_by_segments_times_terms(self, monkeypatch):
+        # 300 zeros give 600 log terms: each enclosure call bounds at most
+        # 4096 * 128 / 600 segments, and the maximum is the one that calls
+        # of 4096 segments give, bit for bit
+        rng = np.random.default_rng(4244)
+        zeros = (0.9 + 0.1 * rng.random(300)) * np.exp(2j * np.pi * rng.random(300))
+        g = _log_form(1.0, zeros, zeros)
+        sizes = []
+
+        def recorded(g):
+            enclose = _log_form_enclosure(g)
+
+            def counted(x0, x1):
+                sizes.append(x0.size)
+                return enclose(x0, x1)
+            return counted
+
+        monkeypatch.setattr(remez, "_log_form_enclosure", recorded)
+        pairs = [(-0.7 + 0.02 * k, -0.69 + 0.02 * k) for k in range(70)]
+        small = _max_log_form(g, pairs)
+        assert max(sizes) == remez.BNB_CHUNK * remez.BNB_CHUNK_TERMS // 600
+        sizes.clear()
+        monkeypatch.setattr(remez, "BNB_CHUNK_TERMS", 600)
+        assert _max_log_form(g, pairs) == small
+        assert max(sizes) == remez.BNB_CHUNK
 
 
 class TestTextFormat:

@@ -9,7 +9,7 @@ from numpy.polynomial import Chebyshev, Polynomial
 from sublevel_lab import thinrect
 from sublevel_lab.poly import certify_sup, eval_many, from_terms
 from sublevel_lab.sampling import ks_distance
-from sublevel_lab.thinrect import (ThinRectFunction, build_function,
+from sublevel_lab.thinrect import (ThinRectFunction, _LimitLaw, build_function,
                                    chebyshev_on_quarter, chebyshev_series,
                                    disk_normalized, disk_sup_upper_bound,
                                    eval_on_rectangle, growth_experiment,
@@ -17,8 +17,7 @@ from sublevel_lab.thinrect import (ThinRectFunction, build_function,
                                    monomial_on_quarter,
                                    oracle_required_exponent, oracle_quantile,
                                    rectangle_moduli,
-                                   required_exponent_from_summary,
-                                   sublevel_measure)
+                                   required_exponent_from_summary)
 
 def two_variable_poly(f):
     """F = eta Q(z1) + z2/2 + 1/4 as a two-variable polynomial: the
@@ -93,46 +92,77 @@ class TestDiskSupBound:
 
 class TestBuildFunction:
     def test_constant_q(self):
-        f = build_function(CONSTANT, 0.1)
+        f = ThinRectFunction(CONSTANT, 0.1)
         assert f.f0_abs == pytest.approx(0.35)
 
     def test_zero_q(self):
-        f = build_function(ZERO, 0.1)
+        f = ThinRectFunction(ZERO, 0.1)
         assert f.f0_abs == pytest.approx(0.25)
 
     def test_normalized_chebyshev_accepted(self):
         q = disk_normalized(chebyshev_on_quarter(10))
-        f = build_function(q, 0.1)
+        f = ThinRectFunction(q, 0.1)
         assert f.f0_abs >= 0.15 - 1e-12
 
     def test_unnormalized_chebyshev_rejected(self):
         with pytest.raises(ValueError, match="eta too large"):
-            build_function(chebyshev_on_quarter(10), 0.1)
+            ThinRectFunction(chebyshev_on_quarter(10), 0.1)
 
     def test_hand_built_complex_q_draws_no_sample(self, monkeypatch):
-        # a ThinRectFunction made without build_function still takes its Q
-        # through the one real-Q check, before growth_experiment samples it
+        # F is built only through the class, which takes Q through the one
+        # real-Q check before any sample can be drawn
         drawn = []
         monkeypatch.setattr(thinrect, "chunk_rng",
                             lambda *cell: drawn.append(cell))
         for q in (Polynomial([0.1, 0.5j]), np.array([0.1, 0.5j])):
             with pytest.raises(ValueError, match=COMPLEX_Q):
-                growth_experiment([ThinRectFunction(q, 0.1, 0.25)], 1e-3,
+                growth_experiment([ThinRectFunction(q, 0.1),
+                                   ThinRectFunction(LINEAR, 0.1)], 1e-3,
                                   [2.0], 2000, seed=1)
         assert drawn == []
+
+    def test_inadmissible_eta_draws_no_sample(self, monkeypatch):
+        # eta is certified when F is built, so no sampler sees an F outside
+        # the theorem's class, and |F(0)| is not an argument
+        drawn = []
+        monkeypatch.setattr(thinrect, "chunk_rng",
+                            lambda *cell: drawn.append(cell))
+        for eta, match in ((10.0, "eta too large"), (0.0, "eta must be positive"),
+                           (-0.1, "eta must be positive"),
+                           (math.nan, "eta must be positive")):
+            with pytest.raises(ValueError, match=match):
+                rectangle_moduli(ThinRectFunction(LINEAR, eta), 1e-3, 2000, 1)
+        with pytest.raises(ValueError, match="eta too large"):
+            ThinRectFunction(ZERO, math.inf)
+        with pytest.raises(TypeError):
+            ThinRectFunction(LINEAR, 0.1, 0.25)
+        assert drawn == []
+
+    @pytest.mark.parametrize("m", range(33))
+    def test_f0_abs_bit_equal_to_power_constant(self, m):
+        # |F(0)| = |1/4 + eta q0|, q0 the constant power coefficient of Q,
+        # bit for bit
+        for q in (disk_normalized(chebyshev_series(m)), monomial_on_quarter(m)):
+            q0 = thinrect._series(q).convert(kind=Polynomial).coef[0]
+            want = float(abs(0.25 + 0.1 * q0))
+            assert ThinRectFunction(q, 0.1).f0_abs.hex() == want.hex()
+
+    def test_builder_name_is_the_class(self):
+        # the benchmark builds F under the old builder's name
+        assert build_function is ThinRectFunction
 
     def test_certificate_bound_for_admissible_families(self):
         members = [ZERO, CONSTANT, LINEAR, monomial_on_quarter(5),
                    disk_normalized(chebyshev_on_quarter(8))]
         for q in members:
-            f = build_function(q, 0.1)
+            f = ThinRectFunction(q, 0.1)
             assert certify_sup(two_variable_poly(f)) <= 0.875 + 1e-12
 
     def test_f0_lower_bound_guarantee(self):
         rng = np.random.default_rng(14)
         for _ in range(20):
             q = disk_normalized(rng.standard_normal(int(rng.integers(1, 9))))
-            f = build_function(q, 0.1)
+            f = ThinRectFunction(q, 0.1)
             # admissibility keeps eta |Q(0)| below 1/8, so |F(0)| > 1/8
             assert f.f0_abs > 0.125
 
@@ -140,35 +170,35 @@ class TestBuildFunction:
 class TestDistributions:
     @pytest.mark.parametrize("delta", (0.0, 0.6))
     def test_delta_domain(self, delta):
-        f = build_function(ZERO, 0.1)
+        f = ThinRectFunction(ZERO, 0.1)
         with pytest.raises(ValueError, match="delta"):
             rectangle_moduli(f, delta, 1000, seed=3)
 
     def test_zero_q_uniform_range(self):
-        f = build_function(ZERO, 0.1)
+        f = ThinRectFunction(ZERO, 0.1)
         summary = rectangle_moduli(f, 0.5, 50_000, seed=3)
         vals = summary.sorted_moduli
         assert vals[0] >= 0.0
         assert vals[-1] <= 0.25 + 1e-12
 
     def test_small_delta_concentration(self):
-        f = build_function(ZERO, 0.1)
+        f = ThinRectFunction(ZERO, 0.1)
         summary = rectangle_moduli(f, 1e-4, 20_000, seed=4)
         assert summary.sorted_moduli[-1] <= 0.5 * 1e-4 + 1e-12
 
     def test_certificate_dominates_all_moduli(self):
         q = disk_normalized(chebyshev_on_quarter(6))
-        f = build_function(q, 0.1)
+        f = ThinRectFunction(q, 0.1)
         summary = rectangle_moduli(f, 0.3, 20_000, seed=5)
         assert summary.sorted_moduli[-1] <= 0.875
 
     def test_limit_point_mass_for_constant(self):
-        f = build_function(CONSTANT, 0.1)
+        f = ThinRectFunction(CONSTANT, 0.1)
         summary = limit_moduli(f, 10_000, seed=6)
         np.testing.assert_allclose(summary.sorted_moduli, 0.1, rtol=1e-12)
 
     def test_limit_uniform_for_linear(self):
-        f = build_function(LINEAR, 0.1)
+        f = ThinRectFunction(LINEAR, 0.1)
         summary = limit_moduli(f, 100_000, seed=7)
         vals = summary.sorted_moduli
         assert vals[-1] <= 0.025 + 1e-12
@@ -177,7 +207,7 @@ class TestDistributions:
 
     def test_rectangle_eval_consistency(self):
         q = disk_normalized(chebyshev_on_quarter(4))
-        f = build_function(q, 0.1)
+        f = ThinRectFunction(q, 0.1)
         x1 = np.array([0.0, 0.1, 0.2])
         x2 = np.array([-0.5, -0.45, -0.4])
         pts = np.stack([x1, x2], axis=1).astype(complex)
@@ -203,7 +233,7 @@ class TestRealQ:
         LINEAR, monomial_on_quarter(7), disk_normalized(chebyshev_on_quarter(6)),
         disk_normalized(np.random.default_rng(31).standard_normal(9))])
     def test_matches_complex_arithmetic(self, q):
-        f = build_function(q, 0.1)
+        f = ThinRectFunction(q, 0.1)
         ref = self.complex_reference(f)
         rng = np.random.default_rng(32)
         x1, x2 = 0.25 * rng.random(1000), -0.5 + 1e-2 * rng.random(1000)
@@ -218,14 +248,14 @@ class TestRealQ:
 
 class TestRequiredExponent:
     def test_uniform_closed_form(self):
-        f = build_function(ZERO, 0.1)
+        f = ThinRectFunction(ZERO, 0.1)
         est = required_exponent(f, 1e-3, 2.0, 400_000, seed=8)
         expected = math.log(2 * (1 - 1 / math.e)) / math.log(16.0)
         assert abs(est.sigma_eff - expected) <= 4 * est.std_err
         assert est.sigma_eff == pytest.approx(expected, abs=5e-3)
 
     def test_lambda_floor(self):
-        f = build_function(ZERO, 0.1)
+        f = ThinRectFunction(ZERO, 0.1)
         with pytest.raises(ValueError, match="lambda"):
             required_exponent(f, 1e-3, 1.05, 10_000, seed=9)
 
@@ -235,7 +265,7 @@ class TestRequiredExponent:
         delta = 1e-5
         vals = []
         for i, q in enumerate(fam):
-            f = build_function(q, 0.1)
+            f = ThinRectFunction(q, 0.1)
             est = required_exponent(f, delta, 2.0, 200_000, seed=10 + i)
             vals.append(est.sigma_eff)
         assert vals[1] > vals[0]
@@ -246,7 +276,7 @@ class TestOracle:
     def test_sublevel_measure_linear(self):
         # measure{0.1 t <= s} on [0, 1/4] = min(10 s, 1/4)
         for s in (0.0, 0.005, 0.02, 0.03):
-            got = sublevel_measure(LINEAR, 0.1, s)
+            got = _LimitLaw(LINEAR, 0.1).sublevel(s)[0]
             assert got == pytest.approx(min(10 * s, 0.25), abs=1e-9)
 
     def test_sublevel_measure_oscillating(self):
@@ -254,7 +284,7 @@ class TestOracle:
         eta = 0.1
         s = 0.3 * eta / disk_sup_upper_bound(chebyshev_on_quarter(6)) * \
             disk_sup_upper_bound(q)  # some interior level
-        got = sublevel_measure(q, eta, s)
+        got = _LimitLaw(q, eta).sublevel(s)[0]
         # Monte Carlo cross-check
         rng = np.random.default_rng(0)
         t = rng.random(200_000) * 0.25
@@ -275,11 +305,12 @@ class TestOracle:
         for level in QUANTILE_LEVELS:
             want = 0.1 * (level / 4) ** m
             assert oracle_quantile(q, 0.1, level) == pytest.approx(want, rel=1e-12, abs=0)
-            assert sublevel_measure(q, 0.1, want) == pytest.approx(level / 4, rel=1e-12, abs=0)
-        assert sublevel_measure(q, 0.1, 0.2) == 0.25
+            assert _LimitLaw(q, 0.1).sublevel(want)[0] == pytest.approx(
+                level / 4, rel=1e-12, abs=0)
+        assert _LimitLaw(q, 0.1).sublevel(0.2)[0] == 0.25
         lam = 2.0
         want = m * math.log((1 - 1 / math.e) * lam) / math.log(8 * lam)
-        f = build_function(q, 0.1)
+        f = ThinRectFunction(q, 0.1)
         assert oracle_required_exponent(f, lam) == pytest.approx(want, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("m", range(1, 33))
@@ -305,15 +336,15 @@ class TestOracle:
         # max |T_m| = 1 on [0, 1/4], 7e-11 at m = 8
         assert got == pytest.approx(want, rel=1e-10, abs=0)
         sigma = math.log(want[0] / want[1]) / math.log(16.0)
-        f = build_function(q, 0.1)
+        f = ThinRectFunction(q, 0.1)
         assert oracle_required_exponent(f, 2.0) == pytest.approx(sigma, rel=1e-10, abs=0)
 
     def test_complex_q_rejected(self):
         # Q is real: every entry point rejects a nonzero imaginary part with
         # the one message, in an array and in a series alike
-        calls = (lambda q: build_function(q, 0.1), disk_sup_upper_bound,
+        calls = (lambda q: ThinRectFunction(q, 0.1), disk_sup_upper_bound,
                  disk_normalized, lambda q: oracle_quantile(q, 0.1, 0.5),
-                 lambda q: sublevel_measure(q, 0.1, 0.01))
+                 lambda q: _LimitLaw(q, 0.1).sublevel(0.01)[0])
         for q in (np.array([0.1, 0.5j]), Polynomial([0.1, 0.5j]),
                   Chebyshev([0.1, 1e-20j], domain=[0.0, 0.25])):
             for call in calls:
@@ -324,13 +355,14 @@ class TestOracle:
                      disk_normalized(chebyshev_series(5))):
             twin = (real.astype(complex) if isinstance(real, np.ndarray)
                     else Chebyshev(real.coef.astype(complex), real.domain))
-            f = build_function(twin, 0.1)
-            assert f == build_function(real, 0.1) and f.q.coef.dtype == float
+            f = ThinRectFunction(twin, 0.1)
+            assert f == ThinRectFunction(real, 0.1) and f.q.coef.dtype == float
             assert disk_sup_upper_bound(twin) == disk_sup_upper_bound(real)
             norm_twin, norm_real = disk_normalized(twin), disk_normalized(real)
             assert np.array_equal(getattr(norm_twin, "coef", norm_twin),
                                   getattr(norm_real, "coef", norm_real))
-            assert sublevel_measure(twin, 0.1, 0.01) == sublevel_measure(real, 0.1, 0.01)
+            assert (_LimitLaw(twin, 0.1).sublevel(0.01)
+                    == _LimitLaw(real, 0.1).sublevel(0.01))
             for level in QUANTILE_LEVELS:
                 assert oracle_quantile(twin, 0.1, level) == \
                     oracle_quantile(real, 0.1, level)
@@ -340,11 +372,11 @@ class TestOracle:
             want = abs(0.1 * complex(q[0]))
             for level in QUANTILE_LEVELS:
                 assert oracle_quantile(q, 0.1, level) == want
-        assert oracle_required_exponent(build_function(CONSTANT, 0.1), 2.0) == 0.0
+        assert oracle_required_exponent(ThinRectFunction(CONSTANT, 0.1), 2.0) == 0.0
 
     def test_oracle_matches_monte_carlo(self):
         q = disk_normalized(chebyshev_on_quarter(4))
-        f = build_function(q, 0.1)
+        f = ThinRectFunction(q, 0.1)
         summary = limit_moduli(f, 400_000, seed=12)
         est = required_exponent_from_summary(summary, 2.0)
         oracle = oracle_required_exponent(f, 2.0)
@@ -392,13 +424,13 @@ class TestKolmogorovDistance:
             assert ks_distance(b, a).hex() == ref.hex()
 
     def test_rect_vs_limit_linear_small_delta(self):
-        f = build_function(LINEAR, 0.1)
+        f = ThinRectFunction(LINEAR, 0.1)
         rect = rectangle_moduli(f, 1e-4, 200_000, seed=13)
         lim = limit_moduli(f, 200_000, seed=14)
         assert ks_distance(rect.sorted_moduli, lim.sorted_moduli) <= 0.01
 
     def test_monotone_in_delta(self):
-        f = build_function(LINEAR, 0.1)
+        f = ThinRectFunction(LINEAR, 0.1)
         lim = limit_moduli(f, 200_000, seed=15)
         noise = 2 * math.sqrt(2 / 200_000) * 2
         dists = []
@@ -467,7 +499,7 @@ class TestThinLimitDistance:
         # than 0.02 only if one empirical CDF is off by more than 0.01; by the
         # DKW inequality that has probability at most 4 exp(-2 * 5e4 * 1e-4)
         # = 1.8e-4 per seed for a correct program
-        f = build_function(LINEAR, 0.1)
+        f = ThinRectFunction(LINEAR, 0.1)
         rect = rectangle_moduli(f, 1e-4, 50_000, seed)
         lim = limit_moduli(f, 50_000, seed + 1)
         sampled = ks_distance(rect.sorted_moduli, lim.sorted_moduli)
@@ -476,23 +508,39 @@ class TestThinLimitDistance:
 
 class TestGrowthExperiment:
     def test_monomial_pair_passes(self):
-        fam = [build_function(q, 0.1)
+        fam = [ThinRectFunction(q, 0.1)
                for q in (np.array([0.0, 1.0]), np.array([0.0, 0.0, 1.0]))]
         rep = growth_experiment(fam, 1e-5, [2.0], 150_000, seed=17)
         assert rep.strictly_increasing
         assert rep.theorem_sigma_ratio < 2.0
         assert rep.passed
 
-    def test_single_member_vacuous(self):
-        rep = growth_experiment([build_function(CONSTANT, 0.1)], 1e-3, [2.0],
-                                20_000, seed=18)
-        assert rep.strictly_increasing  # no adjacent pair to violate
-        assert rep.passed
+    def test_single_member_rejected(self, monkeypatch):
+        # one member has no neighbour to compare, and would pass vacuously
+        drawn = []
+        monkeypatch.setattr(thinrect, "chunk_rng",
+                            lambda *cell: drawn.append(cell))
+        for fam in ([], [ThinRectFunction(CONSTANT, 0.1)]):
+            with pytest.raises(ValueError, match="at least two members"):
+                growth_experiment(fam, 1e-3, [2.0], 20_000, seed=18)
+        assert drawn == []
+
+    @pytest.mark.parametrize("degrees", [(4, 2, 1), (2, 2, 4), (1, 0)])
+    def test_degrees_must_strictly_increase(self, monkeypatch, degrees):
+        # the clause reads sigma_eff along the list, so the list is read in
+        # degree order: reversed, it fails a clause that holds, and with a
+        # repeated degree it can never pass
+        drawn = []
+        monkeypatch.setattr(thinrect, "chunk_rng",
+                            lambda *cell: drawn.append(cell))
+        fam = [ThinRectFunction(monomial_on_quarter(m), 0.1) for m in degrees]
+        with pytest.raises(ValueError, match="degrees must strictly increase"):
+            growth_experiment(fam, 1e-5, [2.0], 20_000, seed=1)
+        assert drawn == []
 
     def test_oracle_column_present(self):
-        rep = growth_experiment([build_function(LINEAR, 0.1)], 1e-5, [2.0],
-                                50_000, seed=20)
-        row = rep.rows[0]
-        assert row.sigma_eff_oracle == pytest.approx(row.sigma_eff,
-                                                     abs=4 * row.sigma_eff_std_err
-                                                     + 0.01)
+        fam = [ThinRectFunction(q, 0.1) for q in (LINEAR, monomial_on_quarter(2))]
+        rep = growth_experiment(fam, 1e-5, [2.0], 50_000, seed=20)
+        for row in rep.rows:
+            assert row.sigma_eff_oracle == pytest.approx(
+                row.sigma_eff, abs=4 * row.sigma_eff_std_err + 0.01)

@@ -178,18 +178,18 @@ class TestQuantileBounds:
             assert row.tail_fraction == 0.0
 
     def test_lambda_one_trivial(self):
-        rep = check_quantile_bounds(HALF_SHIFT,
-                                    BallSpec(np.zeros(1), 0.7, 0.25),
-                                    [1.0], 20_000, seed=32)
-        assert rep.rows[0].small_bound == 1.0
-        assert rep.all_pass
+        # the small-set bound 1/lambda = 1 holds whatever F does
+        with pytest.raises(ValueError, match=r"lambdas\[1\] must be > 1, got 1.0"):
+            check_quantile_bounds(HALF_SHIFT, BallSpec(np.zeros(1), 0.7, 0.25),
+                                  [2.0, 1.0], 20_000, seed=32)
 
     def test_large_lambda_tail(self):
-        rep = check_quantile_bounds(HALF_SHIFT,
-                                    BallSpec(np.zeros(1), 0.7, 0.25),
-                                    [50.0], 50_000, seed=33)
-        assert rep.all_pass
-        assert rep.rows[0].tail_fraction == 0.0
+        # exp(-50) is under one sample's mass at 5e4 samples, so the tail
+        # bound would pass on an empty tail
+        with pytest.raises(ValueError, match=r"lambdas\[0\] must have samples "
+                                             r"\* exp\(-lambda\) >= 1"):
+            check_quantile_bounds(HALF_SHIFT, BallSpec(np.zeros(1), 0.7, 0.25),
+                                  [50.0], 50_000, seed=33)
 
     def test_invalid_lambda(self):
         with pytest.raises(ValueError):
@@ -200,10 +200,12 @@ class TestQuantileBounds:
 
 class TestSuperlevelPowerBound:
     def test_lambda_one_monotone(self):
+        # at lambda = 1 the bound only says that a superlevel fraction falls
+        # as its threshold rises
         spec = BallSpec(np.zeros(1), 0.7, 0.25)
-        rep = check_superlevel_power_bound(HALF_SHIFT, spec, 0.3, [1.0],
-                                           50_000, seed=41)
-        assert rep.all_pass
+        with pytest.raises(ValueError, match=r"lambdas\[0\] must be > 1"):
+            check_superlevel_power_bound(HALF_SHIFT, spec, 0.3, [1.0],
+                                         50_000, seed=41)
 
     def test_threshold_above_maximum(self):
         spec = BallSpec(np.zeros(1), 0.7, 0.25)
@@ -220,6 +222,38 @@ class TestSuperlevelPowerBound:
         # same seed, same stream: identical samples, identical tail fraction
         assert sf.rows[0].lhs == qb.rows[0].tail_fraction
         assert sf.all_pass
+
+
+class TestLambdaRule:
+    """One rule for every ball check: lambda > 1 and samples * exp(-lambda)
+    >= 1, checked before any sample is drawn."""
+
+    @pytest.mark.parametrize("lambdas, count, ok", [
+        ([1.5, 2.0, 4.0, 8.0], 1_000_000, True),
+        ([8.0], 2981, True), ([8.0], 2980, False),
+        ([1.0], 10**6, False), (np.nextafter(1.0, 2.0), 1000, True),
+        ([-1e300], 1000, False), ([math.nan], 1000, False)])
+    def test_rule(self, lambdas, count, ok):
+        lambdas = list(np.atleast_1d(lambdas))
+        if ok:
+            assert volume.check_lambdas(lambdas, count) == [float(l) for l in lambdas]
+        else:
+            with pytest.raises(ValueError, match=r"lambdas\[0\]"):
+                volume.check_lambdas(lambdas, count)
+
+    @pytest.mark.parametrize("check", [
+        lambda lambdas: check_quantile_bounds(
+            HALF_SHIFT, INTERVAL_HALF, lambdas, 50_000, seed=1),
+        lambda lambdas: check_superlevel_power_bound(
+            HALF_SHIFT, INTERVAL_HALF, 0.3, lambdas, 50_000, seed=1)])
+    @pytest.mark.parametrize("lam", [1.0, 50.0])
+    def test_checks_draw_no_sample(self, monkeypatch, check, lam):
+        drawn = []
+        monkeypatch.setattr(volume, "map_chunks",
+                            lambda *args: drawn.append(args))
+        with pytest.raises(ValueError, match=r"lambdas\[1\]"):
+            check([2.0, lam])
+        assert drawn == []
 
 
 class TestScaleCoherence:
