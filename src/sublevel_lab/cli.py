@@ -89,7 +89,6 @@ FIELDS = {
         "center": Field("floats", None, max_len=1024),
         "lambdas": Field("floats", [1.5, 2.0, 4.0, 8.0], min_len=1),
         "samples": Field("int", 100_000, ge=1000, le=10**7),
-        "strong_form_c": Field("float", None, gt=0.0),
     },
     "lemma-a": {
         "instance": Field("str", None, parse=parse_instance, max_len=1024),
@@ -121,6 +120,10 @@ FIELDS = {
 # `all` takes one optional inputs object per subcommand.
 FIELDS["all"] = {name: Field("object", {}) for name in FIELDS}
 SUBCOMMANDS = tuple(FIELDS)
+
+# Each worker thread holds one chunk's temporaries (at dimension 256 about
+# 0.4 GiB), so the thread count is capped with the other inputs.
+MAX_THREADS = 4
 
 # The counterexample KS row holds the exact Kolmogorov distance between the
 # rectangle law and its thin limit for Q(z) = z, the member that criterion 5
@@ -291,9 +294,8 @@ def _run_theorem(v: dict, seed: int, threads: int):
     spec, lambdas, samples = v["spec"], v["lambdas"], v["samples"]
 
     qb = check_quantile_bounds(poly, spec, lambdas, samples, seed, threads)
-    c = qb.quantile if v["strong_form_c"] is None else v["strong_form_c"]
-    sf = check_superlevel_power_bound(poly, spec, c, lambdas, samples, seed,
-                                      threads)
+    sf = check_superlevel_power_bound(poly, spec, qb.quantile, lambdas, samples,
+                                      seed, threads)
 
     rows = [{"check": "quantile_bounds", "lambda": r.lam, "sigma": r.sigma,
              "M": r.quantile, "small_threshold_log": r.small_threshold_log,
@@ -304,9 +306,9 @@ def _run_theorem(v: dict, seed: int, threads: int):
              "tail_std_err": r.tail_std_err, "pass": r.passed}
             for r in qb.rows]
     return rows + [{"check": "superlevel_power", "lambda": r.lam,
-                    "sigma": sf.sigma, "c": c, "threshold_log": r.threshold_log,
-                    "lhs": r.lhs, "rhs": r.rhs, "margin": r.margin,
-                    "pass": r.passed} for r in sf.rows]
+                    "sigma": sf.sigma, "c": qb.quantile,
+                    "threshold_log": r.threshold_log, "lhs": r.lhs, "rhs": r.rhs,
+                    "margin": r.margin, "pass": r.passed} for r in sf.rows]
 
 
 def _run_lemma_a(v: dict, seed: int, threads: int):
@@ -515,7 +517,8 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        _require(args.threads >= 1, "--threads must be >= 1")
+        _require(1 <= args.threads <= MAX_THREADS,
+                 f"--threads must lie in [1, {MAX_THREADS}], got {args.threads}")
         if args.subcommand == "suite":
             return 0 if suite(args.seed, args.out, args.threads) else 1
         if args.subcommand == "all" and args.config is None:

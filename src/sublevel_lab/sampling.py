@@ -1,4 +1,4 @@
-"""Deterministic counter-based random streams and chunked samplers.
+"""Deterministic counter-based random streams, chunk maps and the KS distance.
 
 Every randomized routine in the package draws from a Philox generator keyed
 by (master seed, stream id, chunk index).  Work is split into fixed-size
@@ -61,32 +61,6 @@ def map_chunks(count: int, worker, threads: int = 1) -> np.ndarray:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(worker, range(len(sizes)), sizes))
     return np.concatenate(parts, axis=0)
-
-
-def ball_draws(rng: np.random.Generator, size: int, dim: int,
-               radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """The normals `x` (size, dim) and per-point factors `f` (size,) whose
-    product `x * f[:, None]` is `size` uniform points of the origin-centred
-    ball of `radius` in R^dim.
-
-    Draws the normals first, then the uniforms: each caller's byte stream
-    depends on that order.  A caller that reads only some coordinates scales
-    only those columns, with the same product per entry.
-    """
-    x = rng.standard_normal((size, dim))
-    u = rng.random(size)
-    norms = np.linalg.norm(x, axis=1)
-    norms[norms == 0.0] = 1.0
-    return x, radius * u ** (1.0 / dim) / norms
-
-
-def ball_points(rng: np.random.Generator, size: int, dim: int,
-                radius: float) -> np.ndarray:
-    """`size` uniform points of the origin-centred ball of `radius` in R^dim,
-    from `ball_draws`.  Callers add the centre."""
-    x, f = ball_draws(rng, size, dim, radius)
-    x *= f[:, None]
-    return x
 
 
 def _ascending(x: np.ndarray) -> np.ndarray:

@@ -366,7 +366,8 @@ def growth_experiment(functions: list[ThinRectFunction], delta: float, lambdas,
     """Required-exponent growth across a polynomial family.
 
     functions: the family's test functions, in strictly increasing degree
-    (`check_degrees`).  Passing requires sigma_eff strictly increasing
+    (`check_degrees`).  lambdas: one or more, each >= MIN_LAMBDA; both are
+    checked before any draw.  Passing requires sigma_eff strictly increasing
     along the family at every lambda while the ball-theorem exponent varies
     by less than 2x across it.  The ball-theorem exponent is taken at
     epsilon = THEOREM_EPSILON.
@@ -374,6 +375,10 @@ def growth_experiment(functions: list[ThinRectFunction], delta: float, lambdas,
     degrees = [f.q.trim().degree() for f in functions]
     check_degrees(degrees)
     lambdas = [float(l) for l in lambdas]
+    if not lambdas:
+        raise ValueError("lambdas must hold at least one value")
+    if not all(l >= MIN_LAMBDA for l in lambdas):
+        raise ValueError(f"lambda must be >= {MIN_LAMBDA}")
     rows: list[GrowthRow] = []
     sigma_theorems = []
     per_lam: dict[float, list[float]] = {l: [] for l in lambdas}

@@ -20,24 +20,20 @@ comparison across thread counts a comparison of two computations.  The
 remembered array is read-only; at the CLI's `samples` cap of 1e7 it holds
 80 MB until the next call with other arguments replaces it.
 
-`sample_moduli` and `level_fraction` share one chunk worker.  It draws the
-ball's normals and radial factors as `sample_ball` does, but builds only the
-coordinates F reads (a lifted one-variable template reads x1 of n) with the
-same product and sum per entry, so every |F| is bit-identical to |F| at the
-`sample_ball` points.
+Every uniform ball point comes from one chunk worker, `_ball_coords` (a
+Gaussian direction scaled by U^(1/n)): all n coordinates for `sample_ball`,
+those F reads for `sample_moduli` and `level_fraction`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .poly import MultiPoly, certify_sup, eval_many
-from .sampling import (STREAM_BALL, STREAM_LEVEL, ball_draws, ball_points,
-                       chunk_rng, map_chunks)
+from .sampling import STREAM_BALL, STREAM_LEVEL, chunk_rng, map_chunks
 
 THEOREM_CONSTANT = 8.0
 QUANTILE_LEVEL = 1.0 - 1.0 / math.e
@@ -81,38 +77,41 @@ class DistributionSummary:
             return np.log(self.sorted_moduli)
 
 
-def _ball_chunk(spec: BallSpec, seed: int, stream: int, chunk: int,
-                size: int) -> np.ndarray:
-    """The `size` uniform points of the ball drawn by one (seed, stream, chunk)."""
-    rng = chunk_rng(seed, stream, chunk)
-    return spec.center + ball_points(rng, size, spec.dim, spec.radius)
+def _ball_coords(spec: BallSpec, seed: int, stream: int, used):
+    """``worker(chunk, size)``: the `used` coordinates (an index array, or
+    ``slice(None)`` for all n) of the chunk's uniform ball points.  It draws
+    the normals, then the radial uniforms: the byte stream depends on that order."""
+    n, center = spec.dim, spec.center[used]
+
+    def worker(chunk, size):
+        rng = chunk_rng(seed, stream, chunk)
+        x = rng.standard_normal((size, n))
+        u = rng.random(size)
+        norms = np.linalg.norm(x, axis=1)
+        norms[norms == 0.0] = 1.0
+        pts = x[:, used]  # x itself for a slice: scaled and shifted in place
+        pts *= (spec.radius * u ** (1.0 / n) / norms)[:, None]
+        return np.add(center, pts, out=pts)
+
+    return worker
 
 
 def sample_ball(spec: BallSpec, count: int, seed: int, threads: int = 1) -> np.ndarray:
     """Uniform points of the ball, deterministic per (seed, chunk)."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    return map_chunks(count, partial(_ball_chunk, spec, seed, STREAM_BALL), threads)
+    return map_chunks(count, _ball_coords(spec, seed, STREAM_BALL, slice(None)),
+                      threads)
 
 
 def _moduli_worker(poly: MultiPoly, spec: BallSpec, seed: int, stream: int):
-    """``worker(chunk, size)``: |F| at the chunk's ball points, as
-    ``np.abs(eval_many(poly, _ball_chunk(...)))`` gives it bit for bit.
-
-    Only the coordinates F reads are built: each is ``centre + x * f`` from
-    `ball_draws`, the product and sum that `_ball_chunk` forms, and F is
-    evaluated on them with its unread variables dropped (same terms, same
-    order).  A constant F keeps x1, so the points stay a matrix.
-    """
+    """``worker(chunk, size)``: |F| at the chunk's ball points, built only in
+    the coordinates F reads; F drops its unread variables (same terms, same
+    order), and a constant F keeps x1, so the points stay a matrix."""
     used = [0] if poly.is_constant() else np.flatnonzero(poly.exponents.any(axis=0))
     f_used = MultiPoly(len(used), poly.exponents[:, used], poly.coeffs)
-    center = spec.center[used]
-
-    def worker(chunk, size):
-        x, f = ball_draws(chunk_rng(seed, stream, chunk), size, spec.dim, spec.radius)
-        return np.abs(eval_many(f_used, center + x[:, used] * f[:, None]))
-
-    return worker
+    coords = _ball_coords(spec, seed, stream, used)
+    return lambda chunk, size: np.abs(eval_many(f_used, coords(chunk, size)))
 
 
 # The last sample_moduli call: (key, summary), or None before the first.

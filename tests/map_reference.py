@@ -12,7 +12,8 @@ random member pairs whose midpoint leaves the preimage.
 import numpy as np
 
 from sublevel_lab.mobius import MapParams, mobius_factor, mobius_factor_d1
-from sublevel_lab.sampling import ball_points
+
+from .ball_reference import ball_points
 
 
 def mobius_factor_d2(R, params: MapParams):

@@ -95,9 +95,11 @@ class TestValidation:
         assert rc == 2
         assert "radius is required" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("threads", ["0", "-1"])
+    @pytest.mark.parametrize("threads", ["0", "-1", "5"])
     @pytest.mark.parametrize("sub", [*SUBCOMMANDS, "suite"])
     def test_threads_below_one_rejected(self, tmp_path, capsys, sub, threads):
+        # and above the cap of 4: only a value just above it is tried, so a
+        # broken check cannot start many threads
         out = tmp_path / "out"
         argv = [sub, "--out", str(out), "--threads", threads]
         if sub not in ("all", "suite"):
@@ -156,7 +158,7 @@ class TestValidation:
     @pytest.mark.parametrize("sub, field, value", [
         ("theorem", "lambdas", []),
         ("theorem", "radius", float("nan")),
-        ("theorem", "strong_form_c", float("nan")),
+        ("theorem", "strong_form_c", 0.5),
         ("counterexample", "degrees", [4]),
         ("theorem", "lambdas", [float("inf")]),
         ("theorem", "lambdas", ["a"]),
@@ -191,7 +193,7 @@ class TestValidation:
         ("counterexample", "degrees", [4, 2, 1]),
         ("counterexample", "degrees", [2, 2, 4]),
         ("theorem", "lambdas", [2.0, 1.0]),
-    ], ids=["empty-lambdas", "nan-radius", "nan-strong_form_c", "one-degree",
+    ], ids=["empty-lambdas", "nan-radius", "removed-strong_form_c", "one-degree",
             "inf-lambda", "string-lambda", "string-normalize", "unknown-key",
             "nan-center", "bool-seed", "negative-seed", "misspelled-inputs",
             "int-output_dir", "int-instance", "int-interval",

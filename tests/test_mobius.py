@@ -21,8 +21,6 @@ def forbid_draws(monkeypatch):
         raise AssertionError("random draw")
 
     monkeypatch.setattr(sampling, "chunk_rng", no_draws)
-    monkeypatch.setattr(sampling, "ball_points", no_draws)
-    monkeypatch.setattr(sampling, "ball_draws", no_draws)
     monkeypatch.setattr(np.random, "default_rng", no_draws)
 
 

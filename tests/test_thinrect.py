@@ -538,6 +538,21 @@ class TestGrowthExperiment:
             growth_experiment(fam, 1e-5, [2.0], 20_000, seed=1)
         assert drawn == []
 
+    @pytest.mark.parametrize("lambdas, match", [
+        ([], "lambdas must hold at least one value"),
+        ([1.05], "lambda must be >= 1.1"), ([2.0, math.nan], "lambda must be >= 1.1")],
+        ids=["empty", "below-min", "nan"])
+    def test_lambdas_checked_before_any_draw(self, monkeypatch, lambdas, match):
+        # no lambda would give no rows and a vacuous pass; one below
+        # MIN_LAMBDA must not cost a member's sample before it is rejected
+        drawn = []
+        monkeypatch.setattr(thinrect, "chunk_rng",
+                            lambda *cell: drawn.append(cell))
+        fam = [ThinRectFunction(monomial_on_quarter(m), 0.1) for m in (1, 2)]
+        with pytest.raises(ValueError, match=match):
+            growth_experiment(fam, 1e-3, lambdas, 20_000, seed=1)
+        assert drawn == []
+
     def test_oracle_column_present(self):
         fam = [ThinRectFunction(q, 0.1) for q in (LINEAR, monomial_on_quarter(2))]
         rep = growth_experiment(fam, 1e-5, [2.0], 50_000, seed=20)

@@ -7,11 +7,13 @@ import pytest
 
 from sublevel_lab import volume
 from sublevel_lab.poly import MultiPoly, eval_many, from_terms, lift, normalize
-from sublevel_lab.sampling import (CHUNK_SIZE, STREAM_LEVEL, ball_points,
-                                   chunk_rng, chunk_sizes)
+from sublevel_lab.sampling import (CHUNK_SIZE, STREAM_BALL, STREAM_LEVEL,
+                                   chunk_sizes)
 from sublevel_lab.volume import (BallSpec, check_quantile_bounds,
                                  check_superlevel_power_bound, level_fraction,
                                  sample_ball, sample_moduli, sigma_exponent)
+
+from .ball_reference import chunked_ball_points
 
 HALF_SHIFT = normalize(from_terms(1, {(0,): 0.5, (1,): 0.5}))
 IDENTITY_1D = normalize(from_terms(1, {(1,): 1.0}))
@@ -61,6 +63,15 @@ class TestSampleBall:
         a = sample_ball(spec, 200_000, seed=5, threads=1)
         b = sample_ball(spec, 200_000, seed=5, threads=4)
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_equals_full_point_reference(self, threads):
+        # normals, then uniforms, from each chunk's generator: a full chunk
+        # and a partial one, off centre, bit for bit
+        spec = BallSpec(np.array([0.2, -0.1, 0.3]), 0.4, 0.2)
+        count = CHUNK_SIZE + 4_000
+        got = sample_ball(spec, count, seed=6, threads=threads)
+        assert np.array_equal(got, chunked_ball_points(spec, count, 6, STREAM_BALL))
 
 
 def reference_quantile(poly, count, seed):
@@ -383,10 +394,7 @@ IDENTITY_COUNT = CHUNK_SIZE + 4_000  # a full chunk and a partial one
 
 def full_point_moduli(p, spec, count, seed, stream):
     """|F| at every ball point built in all n coordinates, chunk by chunk."""
-    pts = np.concatenate([
-        spec.center + ball_points(chunk_rng(seed, stream, i), size, spec.dim, spec.radius)
-        for i, size in enumerate(chunk_sizes(count))])
-    return np.abs(eval_many(p, pts))
+    return np.abs(eval_many(p, chunked_ball_points(spec, count, seed, stream)))
 
 
 class TestUsedCoordinates:
