@@ -89,7 +89,10 @@ def _candidate_points(e: IntervalSet, s: tuple[float, float]) -> np.ndarray:
             continue
         pts.append(max(l, s0))
         pts.append(min(u, s1))
-    return np.unique(np.array(pts, dtype=float))
+    # sorted and deduplicated as np.unique does it for floats, without the
+    # numpy.ma import that np.unique pulls in
+    pts = np.sort(np.array(pts, dtype=float))
+    return pts[np.concatenate(([True], pts[1:] != pts[:-1]))]
 
 
 def min_interval_ratio_many(xs: np.ndarray, e: IntervalSet,

@@ -107,11 +107,15 @@ def sample_ball(spec: BallSpec, count: int, seed: int, threads: int = 1) -> np.n
 def _moduli_worker(poly: MultiPoly, spec: BallSpec, seed: int, stream: int):
     """``worker(chunk, size)``: |F| at the chunk's ball points, built only in
     the coordinates F reads; F drops its unread variables (same terms, same
-    order), and a constant F keeps x1, so the points stay a matrix."""
+    order), and a constant F keeps x1, so the points stay a matrix.  When F
+    reads every coordinate, the points are the draws scaled in place."""
     used = [0] if poly.is_constant() else np.flatnonzero(poly.exponents.any(axis=0))
-    f_used = MultiPoly(len(used), poly.exponents[:, used], poly.coeffs)
+    if len(used) == poly.dim:
+        used = slice(None)
+    else:
+        poly = MultiPoly(len(used), poly.exponents[:, used], poly.coeffs)
     coords = _ball_coords(spec, seed, stream, used)
-    return lambda chunk, size: np.abs(eval_many(f_used, coords(chunk, size)))
+    return lambda chunk, size: np.abs(eval_many(poly, coords(chunk, size)))
 
 
 # The last sample_moduli call: (key, summary), or None before the first.

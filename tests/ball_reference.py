@@ -1,4 +1,5 @@
-"""Full uniform ball points built straight from the draws, for the tests.
+"""Full uniform ball points built straight from the draws, and |F| at them
+evaluated in complex arithmetic, for the tests.
 
 A Gaussian direction scaled by U^(1/n) (Muller, 1959): the normals are drawn
 first, then the radial uniforms, so a reference fed `sampling.chunk_rng`
@@ -26,3 +27,18 @@ def chunked_ball_points(spec, count: int, seed: int, stream: int) -> np.ndarray:
         spec.center + ball_points(chunk_rng(seed, stream, i), size, spec.dim,
                                   spec.radius)
         for i, size in enumerate(chunk_sizes(count))])
+
+
+def complex_power_eval(p, points) -> np.ndarray:
+    """p at points of shape (N, dim) in complex arithmetic: the points cast to
+    complex128, each power taken by numpy's ``z ** a``, one product per term."""
+    pts = np.asarray(points).astype(np.complex128)
+    out = np.zeros(pts.shape[0], dtype=np.complex128)
+    for alpha, c in zip(p.exponents, p.coeffs):
+        mono = np.ones(pts.shape[0], dtype=np.complex128)
+        for j in range(p.dim):
+            a = int(alpha[j])
+            if a:
+                mono *= pts[:, j] ** a
+        out += c * mono
+    return out

@@ -97,6 +97,17 @@ def per_point_min_ratio(xs, e: IntervalSet, s):
 
 
 class TestMinIntervalRatio:
+    def test_candidate_points_sorted_and_distinct(self):
+        # endpoints on a coarse grid repeat: zero-length components, clipped
+        # ends and endpoints equal to those of S
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            ends = rng.integers(-2, 12, (int(rng.integers(0, 6)), 2)) / 10
+            e = IntervalSet.from_pairs([(min(a, b), max(a, b)) for a, b in ends])
+            pts = [0.0, 1.0] + [v for l, u in e.pairs() if u >= 0.0 and l <= 1.0
+                                for v in (max(l, 0.0), min(u, 1.0))]
+            assert np.array_equal(kls._candidate_points(e, (0.0, 1.0)), np.unique(pts))
+
     def test_full_set(self):
         e = IntervalSet.from_pairs([(0.0, 1.0)])
         assert min_interval_ratio_many([0.5], e, (0.0, 1.0))[0] == 1.0

@@ -1,7 +1,11 @@
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
-from sublevel_lab import mobius, sampling
+import sublevel_lab
+from sublevel_lab import mobius, thinrect, volume
 from sublevel_lab.mobius import (CURVATURE_BOUND, MapParams, apply_map,
                                  check_curvature, check_log_concavity,
                                  check_preimage_convexity,
@@ -16,12 +20,25 @@ EIGHTH = MapParams(0.125)
 
 
 def forbid_draws(monkeypatch):
-    """Make every random draw the package could reach raise."""
+    """Make every random draw the package could reach raise: `chunk_rng` in
+    each package module that holds the name (modules bind it at import)."""
     def no_draws(*args, **kwargs):
         raise AssertionError("random draw")
 
-    monkeypatch.setattr(sampling, "chunk_rng", no_draws)
+    for info in pkgutil.iter_modules(sublevel_lab.__path__):
+        module = importlib.import_module(f"sublevel_lab.{info.name}")
+        if hasattr(module, "chunk_rng"):
+            monkeypatch.setattr(module, "chunk_rng", no_draws)
     monkeypatch.setattr(np.random, "default_rng", no_draws)
+
+
+def test_forbid_draws_reaches_every_sampler(monkeypatch):
+    forbid_draws(monkeypatch)
+    with pytest.raises(AssertionError, match="random draw"):
+        volume.sample_ball(volume.BallSpec(np.zeros(2), 0.5, 0.25), 10, 1)
+    with pytest.raises(AssertionError, match="random draw"):
+        thinrect.limit_moduli(thinrect.ThinRectFunction(np.array([0.0, 1.0]), 0.1),
+                              10, 1)
 
 
 class TestParams:

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from sublevel_lab.poly import (MultiPoly, certify_sup, eval_many, from_terms,
                                lift, normalize, parse_poly)
 
+from .ball_reference import complex_power_eval
+
 
 def eval_poly(p: MultiPoly, z) -> complex:
     """Reference for eval_many: p at a single point of C^n, one product per term."""
@@ -83,6 +85,46 @@ class TestEval:
         many = eval_many(p, pts)
         single = np.array([eval_poly(p, z) for z in pts])
         np.testing.assert_allclose(many, single, rtol=1e-13, atol=1e-15)
+
+
+class TestRealPoints:
+    """Real points are evaluated in real arithmetic; |p| keeps every bit of
+    the complex-arithmetic evaluation with numpy's ``z ** a``."""
+
+    @pytest.mark.parametrize("constant", [False, True], ids=["no_const", "const"])
+    @pytest.mark.parametrize("complex_coeffs", [False, True], ids=["real_c", "complex_c"])
+    def test_moduli_bit_equal_to_complex_power(self, constant, complex_coeffs):
+        rng = np.random.default_rng(29 + 2 * constant + complex_coeffs)
+        for _ in range(40):
+            dim = int(rng.integers(1, 9))
+            terms = {}
+            for _ in range(int(rng.integers(1, 8))):
+                alpha = rng.integers(0, 100, dim) * (rng.random(dim) < 0.6)
+                imag = rng.standard_normal() if complex_coeffs else 0.0
+                terms[tuple(int(a) for a in alpha)] = complex(rng.standard_normal(), imag)
+            if constant:
+                terms[(0,) * dim] = 0.25
+            p = from_terms(dim, terms)
+            x = rng.uniform(-1.0, 1.0, (2000, dim))
+            x[:5] = 0.0
+            x[5:10] = -0.0
+            assert np.array_equal(np.abs(eval_many(p, x)),
+                                  np.abs(complex_power_eval(p, x)))
+
+    def test_exponent_above_99_stays_real(self):
+        # numpy's complex power calls cpow from exponent 100 on
+        p = from_terms(2, {(101, 0): 0.5, (0, 150): -0.25, (0, 0): 0.25})
+        x = -np.random.default_rng(3).random((20_000, 2))
+        vals = eval_many(p, x)
+        assert np.all(vals.imag == 0.0)
+        np.testing.assert_allclose(
+            vals.real, 0.5 * x[:, 0] ** 101 - 0.25 * x[:, 1] ** 150 + 0.25, rtol=1e-13,
+            atol=1e-14)
+
+    def test_zero_polynomial(self):
+        for x in (np.zeros((3, 2)), np.zeros((3, 2), dtype=complex)):
+            out = eval_many(from_terms(2, {}), x)
+            assert out.dtype == np.complex128 and np.array_equal(out, np.zeros(3))
 
 
 class TestCertify:

@@ -13,7 +13,7 @@ from sublevel_lab.volume import (BallSpec, check_quantile_bounds,
                                  check_superlevel_power_bound, level_fraction,
                                  sample_ball, sample_moduli, sigma_exponent)
 
-from .ball_reference import chunked_ball_points
+from .ball_reference import chunked_ball_points, complex_power_eval
 
 HALF_SHIFT = normalize(from_terms(1, {(0,): 0.5, (1,): 0.5}))
 IDENTITY_1D = normalize(from_terms(1, {(1,): 1.0}))
@@ -419,6 +419,14 @@ class TestUsedCoordinates:
             frac, _ = level_fraction(p, spec, t, side, IDENTITY_COUNT, seed=92,
                                      threads=threads)
             assert frac == np.count_nonzero(hits) / IDENTITY_COUNT
+
+
+@pytest.mark.parametrize("name,p,spec", IDENTITY_CASES,
+                         ids=[c[0] for c in IDENTITY_CASES])
+def test_real_point_moduli_match_complex_power(name, p, spec):
+    # eval_many works in real arithmetic on real points: same |F| bits
+    pts = sample_ball(spec, IDENTITY_COUNT, seed=94)
+    assert np.array_equal(np.abs(eval_many(p, pts)), np.abs(complex_power_eval(p, pts)))
 
 
 @pytest.mark.parametrize("threads", [1, 2])
