@@ -6,9 +6,9 @@ certification sum terms in one fixed order and are bit-reproducible.
 
 Points in C^n are plain complex numpy arrays; real vectors are accepted
 wherever a point is expected.  `eval_many` keeps real points real and
-takes each power z_j^a once per call, by the products numpy's complex power
-takes, so |p| at a real point is bit-equal to complex evaluation for every
-exponent below 100.
+takes each power z_j^a by the products numpy's complex power takes, so |p|
+at a real point is bit-equal to complex evaluation for every exponent below
+100.
 """
 
 from __future__ import annotations
@@ -95,46 +95,33 @@ def lift(p: MultiPoly, dim: int) -> MultiPoly:
 def eval_many(p: MultiPoly, points: np.ndarray) -> np.ndarray:
     """Evaluate p at points of shape (N, dim); returns (N,) complex values.
 
-    Real points stay real: each term adds Re(c) m and Im(c) m to two real
-    sums, which become the real and imaginary parts of the result.  A power
-    z_j^a is the product chain of numpy's complex integer power below
-    exponent 100 (binary exponentiation, low bits first: z*z, z*(z*z), ...),
-    and a monomial is the product of its powers in coordinate order.  With
+    Real points stay real: each term adds Re(c) m and Im(c) m to the real
+    and the imaginary part of the result.  A power z_j^a is the product
+    chain of numpy's complex integer power below exponent 100 (binary
+    exponentiation, low bits first: z*z, z*(z*z), ...), and a monomial is the product of its powers in coordinate order.  With
     every imaginary part zero each complex product reduces to the same real
     product, so at real points |p| is bit-equal to complex evaluation with
     ``z ** a``.  From exponent 100 on, numpy's power calls ``cpow`` and
     leaves imaginary parts of order 1e-14 on negative real z; here z^a of a
     real z is exactly real.
-
-    Each power is computed once per call while the cache has room: it holds
-    at most as many arrays as the points have columns, so it never outgrows
-    the points.
     """
     pts = np.asarray(points)
     if pts.ndim != 2 or pts.shape[1] != p.dim:
         raise ValueError(f"points must have shape (N, {p.dim})")
     real = not np.iscomplexobj(pts)
     pts = pts.astype(np.float64 if real else np.complex128, copy=False)
-    n = pts.shape[0]
-    sums = [np.zeros(n), np.zeros(n)] if real else [np.zeros(n, dtype=np.complex128)]
-    powers: dict[tuple[int, int], np.ndarray] = {}
+    out = np.zeros(pts.shape[0], dtype=np.complex128)
+    sums = (out.real, out.imag) if real else (out,)
 
     def power(j: int, a: int) -> np.ndarray:
-        w = powers.get((j, a))
-        if w is not None:
-            return w
         w, sq, k = None, pts[:, j], 1
         while True:
             if a & k:
                 w = sq if w is None else w * sq
             k <<= 1
             if k > a:
-                break
-            cached = powers.get((j, k))
-            sq = sq * sq if cached is None else cached
-        if a > 1 and len(powers) < pts.shape[1]:
-            powers[(j, a)] = w
-        return w
+                return w
+            sq = sq * sq
 
     for alpha, c in zip(p.exponents, p.coeffs):
         mono = None
@@ -143,10 +130,6 @@ def eval_many(p: MultiPoly, points: np.ndarray) -> np.ndarray:
             mono = w if mono is None else mono * w
         for acc, part in zip(sums, (c.real, c.imag) if real else (c,)):
             acc += part if mono is None else part * mono
-    if not real:
-        return sums[0]
-    out = np.empty(n, dtype=np.complex128)
-    out.real, out.imag = sums
     return out
 
 

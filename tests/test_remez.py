@@ -475,22 +475,6 @@ class TestImportPath:
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
 
-    def test_lemma_a_run_leaves_numpy_ma_out(self, tmp_path):
-        # np.unique imports numpy.ma, 9-14 ms of every CLI process start
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        config = tmp_path / "config.json"
-        config.write_text('{"subcommand": "lemma-a", "seed": 7, '
-                          '"inputs": {"random_instances": 3}}')
-        code = ("import sys; from sublevel_lab.cli import main; "
-                f"rc = main(['lemma-a', '--config', {str(config)!r}, "
-                f"'--out', {str(tmp_path / 'out')!r}]); "
-                "print(rc, 'numpy.ma' in sys.modules)")
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.split()[-2:] == ["0", "False"]
-
     def test_lazy_names(self):
         with pytest.raises(AttributeError):
             getattr(remez, "no_such_name")
