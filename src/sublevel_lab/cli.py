@@ -14,9 +14,11 @@ their summary) and report.csv (the same rows, one column per key) to the
 output directory, and exits 0 exactly when every reported row passes.  A
 written manifest.json is a valid --config for the subcommand it names and
 replays its run bit for bit.
-All randomness flows from the single seed in the config; environment
-variables are never consulted, and the worker count cannot change any
-reported number.
+All randomness flows from the single seed in the config; no environment
+variable is read for any reported number, and the worker count cannot change
+any reported number.  A process that starts as the CLI (`sublevel-lab` or
+`python -m sublevel_lab.cli`) defaults OPENBLAS_NUM_THREADS to 1, so that
+--threads is its only source of worker threads; an explicit value wins.
 """
 
 from __future__ import annotations
@@ -24,10 +26,18 @@ from __future__ import annotations
 import argparse
 import json
 import operator
+import os
 import platform
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
+
+# OpenBLAS starts its worker pool when numpy loads, and on the CLI's inputs
+# that pool only spins.  A process that loaded numpy before this module (a
+# script, a test run, the benchmark) is left alone: the setting could no
+# longer change its BLAS and would only reach its child processes.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

@@ -54,7 +54,7 @@ class BallSpec:
             raise ValueError("epsilon must lie in (0, 1/4]")
         if not (self.radius >= 0):
             raise ValueError("radius must be nonnegative")
-        if np.linalg.norm(c) + self.radius > 1.0 - self.epsilon + 1e-12:
+        if not np.linalg.norm(c) + self.radius <= 1.0 - self.epsilon + 1e-12:
             raise ValueError("ball must lie inside B(0, 1 - epsilon)")
 
     @property
@@ -197,7 +197,7 @@ def quantile_with_se(summary: DistributionSummary,
 def level_fraction(poly: MultiPoly, spec: BallSpec, threshold: float, side: str,
                    count: int, seed: int, threads: int = 1) -> tuple[float, float]:
     """Monte Carlo frac{|F| <= t} or frac{|F| >= t} with binomial std error."""
-    if threshold < 0:
+    if not threshold >= 0:
         raise ValueError("threshold must be nonnegative")
     if side not in ("le", "ge"):
         raise ValueError("side must be 'le' or 'ge'")
@@ -314,8 +314,10 @@ def check_superlevel_power_bound(poly: MultiPoly, spec: BallSpec, c: float,
                                  threads: int = 1) -> PowerBoundReport:
     """frac{|F| >= (8 lam)^sigma c} <= frac{|F| >= c}^lam, shared sample."""
     _require_usable(poly)
-    if c <= 0:
+    if not c > 0:
         raise ValueError("c must be positive")
+    if not math.isfinite(c):
+        raise ValueError("c must be finite")
     lambdas = check_lambdas(lambdas, count)
     sigma = sigma_exponent(abs(poly.constant_term()), spec.epsilon)
     summary = sample_moduli(poly, spec, count, seed, threads)

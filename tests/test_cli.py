@@ -2,7 +2,10 @@ import contextlib
 import csv
 import io
 import json
+import os
 import platform
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -17,6 +20,8 @@ from sublevel_lab.cli import FIELDS, SUBCOMMANDS, load_config, main, run
 from sublevel_lab.mobius import CheckReport
 from sublevel_lab.reports import format_cell
 from sublevel_lab.thinrect import ks_to_thin_limit
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 THEOREM_CONFIG = {
     "subcommand": "theorem",
@@ -594,3 +599,53 @@ def test_every_manifest_replays(tmp_path, sub):
         rc = main([name, "--config", str(path), "--out", str(out)])
         assert rc == (0 if all_pass else 1), path
         assert tree_bytes(out) == tree_bytes(path.parent), path
+
+
+def child_env(**overrides) -> dict:
+    """This process's environment for a fresh interpreter that imports the
+    package from the source tree, with OPENBLAS_NUM_THREADS only if given."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env.update(overrides)
+    return env
+
+
+def child_output(code: str, **env) -> str:
+    return subprocess.run([sys.executable, "-c", code], env=child_env(**env),
+                          capture_output=True, text=True,
+                          check=True).stdout.strip()
+
+
+class TestProcessStart:
+    def test_cli_import_leaves_scipy_out(self):
+        code = ("import sys, sublevel_lab.cli; print(sorted(m for m in "
+                "sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+        assert child_output(code) == "[]"
+
+    @pytest.mark.parametrize("imports, caller, seen", [
+        ("sublevel_lab.cli", {}, "1"),
+        ("sublevel_lab.cli", {"OPENBLAS_NUM_THREADS": "2"}, "2"),
+        ("numpy, sublevel_lab.cli", {}, "None")],
+        ids=["cli_defaults_to_1", "caller_value_kept", "numpy_first_left_alone"])
+    def test_blas_setting(self, imports, caller, seen):
+        code = f"import os, {imports}; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+        assert child_output(code, **caller) == seen
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="counts the threads in /proc/self/task")
+    def test_cli_process_has_one_thread(self):
+        code = ("import os, sublevel_lab.cli; "
+                "print(len(os.listdir('/proc/self/task')))")
+        assert child_output(code) == "1"
+
+    def test_blas_threads_leave_report_bytes(self, tmp_path):
+        trees = []
+        for blas in ("1", "2"):
+            out = tmp_path / f"blas{blas}"
+            subprocess.run([sys.executable, "-m", "sublevel_lab.cli", "all",
+                            "--seed", "42", "--out", str(out)],
+                           env=child_env(OPENBLAS_NUM_THREADS=blas),
+                           capture_output=True, check=True)
+            trees.append(tree_bytes(out))
+        assert trees[0] and trees[0] == trees[1]

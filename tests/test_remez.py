@@ -1,8 +1,4 @@
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -465,16 +461,6 @@ class TestTextFormat:
 
 
 class TestImportPath:
-    def test_cli_import_leaves_scipy_out(self):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        code = ("import sys, sublevel_lab.cli; print(sorted(m for m in "
-                "sys.modules if m == 'scipy' or m.startswith('scipy.')))")
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "[]"
-
     def test_lazy_names(self):
         with pytest.raises(AttributeError):
             getattr(remez, "no_such_name")

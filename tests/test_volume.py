@@ -33,6 +33,14 @@ class TestBallSpec:
             BallSpec(np.array([0.5, 0.0]), 0.3, 0.25)
         BallSpec(np.array([0.05, 0.0]), 0.7, 0.25)  # boundary case is fine
 
+    @pytest.mark.parametrize("center, radius, message", [
+        ([math.nan, 0.0], 0.5, "inside"),
+        ([0.0, 0.0], math.inf, "inside"),
+        ([0.0, 0.0], math.nan, "radius")])
+    def test_non_finite_ball_rejected(self, center, radius, message):
+        with pytest.raises(ValueError, match=message):
+            BallSpec(np.array(center), radius, 0.25)
+
 
 class TestSampleBall:
     def test_mean_abs_interval(self):
@@ -137,6 +145,11 @@ class TestLevelFraction:
                                  1.0 + 1e-9, "ge", 10_000, seed=7)
         assert frac == 0.0
 
+    def test_nan_threshold_rejected(self):
+        with pytest.raises(ValueError, match="threshold must be nonnegative"):
+            level_fraction(HALF_SHIFT, BallSpec(np.zeros(1), 0.7, 0.25),
+                           math.nan, "ge", 10_000, seed=7)
+
     def test_identity_median(self):
         frac, se = level_fraction(IDENTITY_1D, INTERVAL_HALF, 0.25, "le",
                                   100_000, seed=8)
@@ -233,6 +246,15 @@ class TestSuperlevelPowerBound:
         # same seed, same stream: identical samples, identical tail fraction
         assert sf.rows[0].lhs == qb.rows[0].tail_fraction
         assert sf.all_pass
+
+    @pytest.mark.parametrize("c, message", [(math.nan, "positive"),
+                                            (-1.0, "positive"),
+                                            (math.inf, "finite")])
+    def test_bad_c_rejected(self, c, message):
+        spec = BallSpec(np.zeros(1), 0.7, 0.25)
+        with pytest.raises(ValueError, match=f"c must be {message}"):
+            check_superlevel_power_bound(HALF_SHIFT, spec, c, [2.0],
+                                         20_000, seed=42)
 
 
 class TestLambdaRule:
