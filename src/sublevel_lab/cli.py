@@ -43,10 +43,11 @@ import numpy as np
 
 from . import __version__
 from .intervals import IntervalSet
-from .kls import localization_check_1d, parse_instance, random_instance
+from .kls import (LocalizationInstance, PiecewiseLogLinear,
+                  localization_check_1d, random_instance)
 from .mobius import run_all_checks
-from .poly import normalize, parse_poly
-from .remez import (classical_remez_check, factor_bounds, parse_disk_function,
+from .poly import MultiPoly, from_terms, normalize
+from .remez import (DiskFunction, classical_remez_check, factor_bounds,
                     random_disk_function, random_subset, remez_check,
                     remez_exponent)
 from .reports import dumps_json, write_csv, write_json
@@ -55,7 +56,7 @@ from .thinrect import (MIN_LAMBDA, ThinRectFunction, chebyshev_series,
                        check_degrees, disk_normalized, growth_experiment,
                        ks_to_thin_limit, monomial_on_quarter)
 from .volume import (BallSpec, check_lambdas, check_quantile_bounds,
-                     check_superlevel_power_bound)
+                     check_superlevel_power_bound, sigma_exponent)
 
 _REQUIRED = object()
 
@@ -84,6 +85,85 @@ class Field:
     parse: object = None
 
 
+# ----------------------------------------------------------------------
+# Text literals.  A record is one non-blank line split on whitespace, with
+# the text after '#' dropped.  The grammars:
+#   poly      one term "re im a_1 ... a_n" per line, all of one n; repeated
+#             multi-indices sum;
+#   function  "zero re im" and "atom theta weight", at most one "const theta";
+#   instance  "phi t log_value" (at least two) and "E lo hi", and one each of
+#             "S s0 s1" and "lambda x".
+
+def _records(text: str, read) -> None:
+    """Call `read(fields)` on each record of `text`; its ValueError names the line."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        fields = line.split("#", 1)[0].split()
+        if fields:
+            try:
+                read(fields)
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
+
+
+def _number(text: str) -> float:
+    x = float(text)
+    if not np.isfinite(x):
+        raise ValueError(f"numbers must be finite, got {text!r}")
+    return x
+
+
+def _keyed_records(text: str, arity: dict, once=()) -> dict:
+    """Each kind's records as lists of arity[kind] numbers; `once` kinds at most once."""
+    found = {kind: [] for kind in arity}
+
+    def read(fields):
+        kind, *nums = fields
+        if len(nums) != arity.get(kind):
+            raise ValueError(f"unrecognized record {kind!r} of {len(nums)} numbers")
+        if kind in once and found[kind]:
+            raise ValueError(f"repeated {kind} record")
+        found[kind].append([_number(x) for x in nums])
+
+    _records(text, read)
+    return found
+
+
+def _read_poly(text: str) -> MultiPoly:
+    terms = []
+
+    def read(fields):
+        if len(fields) < 3:
+            raise ValueError("expected 're im a_1 ... a_n'")
+        alpha = tuple(int(a) for a in fields[2:])
+        if not all(0 <= a < 1 << 63 for a in alpha):  # stored as int64
+            raise ValueError("exponents must lie in [0, 2^63)")
+        if terms and len(alpha) != len(terms[0][0]):
+            raise ValueError("inconsistent dimension")
+        terms.append((alpha, complex(_number(fields[0]), _number(fields[1]))))
+
+    _records(text, read)
+    if not terms:
+        raise ValueError("empty polynomial literal")
+    return from_terms(len(terms[0][0]), terms)
+
+
+def _read_function(text: str) -> DiskFunction:
+    r = _keyed_records(text, {"zero": 2, "atom": 2, "const": 1}, once=("const",))
+    return DiskFunction([complex(x, y) for x, y in r["zero"]],
+                        [np.exp(1j * t) for t, _ in r["atom"]],
+                        [w for _, w in r["atom"]],
+                        np.exp(1j * r["const"][0][0]) if r["const"] else 1.0 + 0.0j)
+
+
+def _read_instance(text: str) -> LocalizationInstance:
+    r = _keyed_records(text, {"phi": 2, "S": 2, "E": 2, "lambda": 1},
+                       once=("S", "lambda"))
+    if not r["S"] or not r["lambda"] or len(r["phi"]) < 2:
+        raise ValueError("instance needs phi lines, an S line and a lambda line")
+    return LocalizationInstance(PiecewiseLogLinear(*zip(*r["phi"])), tuple(r["S"][0]),
+                                IntervalSet.from_pairs(r["E"]), r["lambda"][0][0])
+
+
 # The one reference for every subcommand's inputs.  Caps bound run time and
 # memory.  Degrees stop at 32 for run time only: the Chebyshev family is
 # evaluated in its own basis, so its values on [0, 1/4] stay exact there.
@@ -93,7 +173,7 @@ class Field:
 # memory grows with the square of the E lines.
 FIELDS = {
     "theorem": {
-        "poly": Field("str", parse=parse_poly, max_len=1024),
+        "poly": Field("str", parse=_read_poly, max_len=1024),
         "epsilon": Field("float", gt=0.0, le=0.25),
         "radius": Field("float", ge=0.0),
         "center": Field("floats", None, max_len=1024),
@@ -101,11 +181,11 @@ FIELDS = {
         "samples": Field("int", 100_000, ge=1000, le=10**7),
     },
     "lemma-a": {
-        "instance": Field("str", None, parse=parse_instance, max_len=1024),
+        "instance": Field("str", None, parse=_read_instance, max_len=1024),
         "random_instances": Field("int", 0, ge=0, le=10_000),
     },
     "lemma-b": {
-        "function": Field("str", None, parse=parse_disk_function, max_len=512),
+        "function": Field("str", None, parse=_read_function, max_len=512),
         "a": Field("float", None, gt=0.0, lt=1.0),
         "interval": Field("pair", None),
         "set": Field("pairs", None, min_len=1, max_len=1000),
@@ -169,10 +249,7 @@ def _read_value(name: str, f: Field, value):
             lines = len(value.splitlines())
             _require(lines <= f.max_len,
                      f"{name} must hold at most {f.max_len} lines, got {lines}")
-            try:
-                return f.parse(value)
-            except ValueError as exc:
-                raise ConfigError(f"{name}: {exc}") from None
+            return _check(name, f.parse, value)
     elif f.kind == "object":
         _require(isinstance(value, dict),
                  f"{name} must be a JSON object, got {value!r}")
@@ -215,7 +292,7 @@ def _read_inputs(sub: str, inputs) -> dict:
 
 
 def _check(field: str, check, *args):
-    """Run a package check on read inputs; its ValueError names `field`."""
+    """Run a package check or reader; its ValueError names `field`."""
     try:
         return check(*args)
     except ValueError as exc:
@@ -223,9 +300,14 @@ def _check(field: str, check, *args):
 
 
 def _check_theorem(v: dict) -> None:
-    """The theorem checks that span fields."""
+    """The theorem checks that span fields.  v keeps F, the polynomial scaled
+    to sup certificate 1, next to the ball spec.  F is not constant (a
+    constant's |F(0)| may round below 1), and |F(0)| gives sigma."""
     dim, max_dim = v["poly"].dim, FIELDS["theorem"]["center"].max_len
     _require(dim <= max_dim, f"poly must have dimension <= {max_dim}, got {dim}")
+    v["F"] = F = _check("poly", normalize, v["poly"])
+    _require(not F.is_constant(), "poly: polynomial is constant")
+    _check("poly", sigma_exponent, abs(F.constant_term()), v["epsilon"])
     _require(v["center"] is None or len(v["center"]) == dim,
              "center must match the polynomial dimension")
     center = v["center"] if v["center"] is not None else [0.0] * dim
@@ -300,8 +382,7 @@ def load_config(path: str):
 # name first and its `pass` flag.
 
 def _run_theorem(v: dict, seed: int, threads: int):
-    poly = normalize(v["poly"])
-    spec, lambdas, samples = v["spec"], v["lambdas"], v["samples"]
+    poly, spec, lambdas, samples = v["F"], v["spec"], v["lambdas"], v["samples"]
 
     qb = check_quantile_bounds(poly, spec, lambdas, samples, seed, threads)
     sf = check_superlevel_power_bound(poly, spec, qb.quantile, lambdas, samples,

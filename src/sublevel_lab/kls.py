@@ -226,44 +226,6 @@ def localization_check_1d(inst: LocalizationInstance,
         passed=bool(lhs_outer <= rhs))
 
 
-# ----------------------------------------------------------------------
-# Instance literal: "phi t v" lines, "S s0 s1", "E l u" lines, "lambda x".
-
-def parse_instance(text: str) -> LocalizationInstance:
-    bps: list[float] = []
-    vals: list[float] = []
-    s_interval = None
-    e_pairs: list[tuple[float, float]] = []
-    lam = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        kind, *fields = line.split()
-        if len(fields) != {"phi": 2, "S": 2, "E": 2, "lambda": 1}.get(kind):
-            raise ValueError(f"line {lineno}: unrecognized instance record")
-        try:
-            nums = [float(x) for x in fields]
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-        if not np.all(np.isfinite(nums)):
-            raise ValueError(f"line {lineno}: numbers must be finite")
-        if kind == "phi":
-            bps.append(nums[0])
-            vals.append(nums[1])
-        elif kind == "S":
-            s_interval = (nums[0], nums[1])
-        elif kind == "E":
-            e_pairs.append((nums[0], nums[1]))
-        else:
-            lam = nums[0]
-    if s_interval is None or lam is None or len(bps) < 2:
-        raise ValueError("instance needs phi lines, an S line and a lambda line")
-    density = PiecewiseLogLinear(np.array(bps), np.array(vals))
-    return LocalizationInstance(density, s_interval,
-                                IntervalSet.from_pairs(e_pairs), lam)
-
-
 def random_instance(rng: np.random.Generator) -> LocalizationInstance:
     """Randomized 1-D instance: concave piecewise-linear log density of 1 to
     8 pieces whose support contains S, E a union of 1 to 10 subintervals of

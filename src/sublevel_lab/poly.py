@@ -145,34 +145,3 @@ def normalize(p: MultiPoly) -> MultiPoly:
         raise ValueError("cannot normalize the zero polynomial")
     return MultiPoly(p.dim, p.exponents.copy(), p.coeffs / s)
 
-
-# Text format: one term per line, "coeff_re coeff_im a_1 ... a_n".
-
-def parse_poly(text: str) -> MultiPoly:
-    """Parse the polynomial literal format (used by the CLI config loader)."""
-    terms = []
-    dim = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if len(fields) < 3:
-            raise ValueError(f"line {lineno}: expected 're im a_1 ... a_n'")
-        try:
-            re_c, im_c = float(fields[0]), float(fields[1])
-            alpha = tuple(int(f) for f in fields[2:])
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-        if not (np.isfinite(re_c) and np.isfinite(im_c)):
-            raise ValueError(f"line {lineno}: coefficients must be finite")
-        if not all(0 <= a < 1 << 63 for a in alpha):  # stored as int64
-            raise ValueError(f"line {lineno}: exponents must lie in [0, 2^63)")
-        if dim is None:
-            dim = len(alpha)
-        elif len(alpha) != dim:
-            raise ValueError(f"line {lineno}: inconsistent dimension")
-        terms.append((alpha, complex(re_c, im_c)))
-    if dim is None:
-        raise ValueError("empty polynomial literal")
-    return from_terms(dim, terms)

@@ -533,38 +533,6 @@ def classical_remez_check(coeffs, interval: tuple[float, float], e: IntervalSet,
         extras={"segments": max_i.segments + sup_e.segments})
 
 
-# Text format: lines "zero re im" / "atom theta weight" / "const theta".
-
-def parse_disk_function(text: str) -> DiskFunction:
-    zeros: list[complex] = []
-    locs: list[complex] = []
-    weights: list[float] = []
-    const = 1.0 + 0.0j
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        kind, *fields = line.split()
-        if len(fields) != {"zero": 2, "atom": 2, "const": 1}.get(kind):
-            raise ValueError(f"line {lineno}: unrecognized disk-function record")
-        try:
-            nums = [float(x) for x in fields]
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-        if not np.all(np.isfinite(nums)):
-            raise ValueError(f"line {lineno}: numbers must be finite")
-        if kind == "zero":
-            zeros.append(complex(nums[0], nums[1]))
-        elif kind == "atom":
-            locs.append(np.exp(1j * nums[0]))
-            weights.append(nums[1])
-        else:
-            const = np.exp(1j * nums[0])
-    return DiskFunction(np.array(zeros, dtype=np.complex128),
-                        np.array(locs, dtype=np.complex128),
-                        np.array(weights, dtype=float), const)
-
-
 def random_disk_function(rng: np.random.Generator) -> DiskFunction:
     """Random disk function: 0 to 30 zeros of modulus < 0.995 and 0 to 5
     outer atoms of weight in [1e-3, 0.501)."""

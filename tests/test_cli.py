@@ -288,20 +288,67 @@ def test_literal_past_its_cap_exits_2(tmp_path, capsys, sub, field, literal,
 
 
 def test_literals_at_their_caps_are_read():
-    # the same literals one line or one dimension shorter
+    # the same literals one line or one dimension shorter, each with a
+    # linear term: the theorem rejects a constant F
     theorem = {**BASE_INPUTS["theorem"], "center": None, "samples": 1000,
                "lambdas": [2.0]}
-    poly = cli._read_inputs("theorem", {**theorem,
-                                         "poly": "0.5 0 0\n" * 1024})["poly"]
-    assert poly.dim == 1 and poly.coeffs.tolist() == [512.0]
-    wide = cli._read_inputs("theorem", {**theorem,
-                                         "poly": "0.5 0" + " 0" * 1024})
-    assert wide["poly"].dim == wide["spec"].dim == 1024
+    poly = cli._read_inputs("theorem", {
+        **theorem, "poly": "0.5 0 0\n" * 1023 + "0.5 0 1\n"})["poly"]
+    # the literal as read, before normalizing: 1024 halves
+    assert poly.dim == 1 and poly.coeffs.tolist() == [511.5, 0.5]
+    assert poly.coeffs.sum() == 512.0
+    wide = cli._read_inputs("theorem", {
+        **theorem, "poly": "0.5 0" + " 0" * 1024 + "\n0.5 0 1" + " 0" * 1023})
+    assert wide["poly"].dim == wide["F"].dim == wide["spec"].dim == 1024
     zeros = "zero 0.5 0\n" * 512
     f = cli._read_inputs("lemma-b", {"function": zeros, "a": 0.9})["function"]
     assert f.zeros.size == 512
     instance = "phi 0 0\nphi 1 0\nS 0 1\nlambda 2\n" + "E 0 0.5\n" * 1020
     assert cli._read_inputs("lemma-a", {"instance": instance})["instance"].lam == 2
+
+
+# A second S, lambda or const record; the literal is otherwise valid.
+REPEATED = [
+    ("lemma-a", "instance",
+     "phi 0 0\nphi 1 0\nS 0 1\nS 0 0.5\nE 0 0.25\nlambda 2\n", 4, "S"),
+    ("lemma-a", "instance",
+     "phi 0 0\nphi 1 0\nS 0 1\nE 0 0.25\nlambda 2\nlambda 3\n", 6, "lambda"),
+    ("lemma-b", "function", "const 0\nzero 0.5 0\n\nconst 1\n", 4, "const"),
+]
+
+
+@pytest.mark.parametrize("sub, field, literal, line, kind", REPEATED,
+                         ids=["instance-S", "instance-lambda", "function-const"])
+def test_repeated_singleton_record_exits_2(tmp_path, capsys, sub, field,
+                                           literal, line, kind):
+    inputs = {field: literal, **({"a": 0.9} if field == "function" else {})}
+    cfg = {"subcommand": sub, "seed": 1, "inputs": inputs}
+    out = tmp_path / "out"
+    assert main([sub, "--config", str(write_config(tmp_path, cfg)),
+                 "--out", str(out)]) == 2
+    assert (f"config error: {field}: line {line}: repeated {kind} record"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+# Polynomials the theorem cannot check: zero, F(0) = 0, and two constants,
+# one whose normalized |F(0)| is exactly 1 and one where it rounds to
+# 1 - 2^-53.
+UNUSABLE_POLYS = ["0 0 1 0", "1 0 1 0", "0.5 0 0 0", "49 0 0 0"]
+
+
+@pytest.mark.parametrize("poly", UNUSABLE_POLYS,
+                         ids=["zero", "vanishing-at-0", "constant", "constant-49"])
+@pytest.mark.parametrize("sub", ["theorem", "all"])
+def test_unusable_theorem_poly_names_poly(tmp_path, capsys, sub, poly):
+    inputs = {**THEOREM_CONFIG["inputs"], "poly": poly}
+    cfg = {"subcommand": sub, "seed": 1,
+           "inputs": {"theorem": inputs} if sub == "all" else inputs}
+    out = tmp_path / "out"
+    assert main([sub, "--config", str(write_config(tmp_path, cfg)),
+                 "--out", str(out)]) == 2
+    assert "config error: poly: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_all_reads_each_input_once(tmp_path, monkeypatch):

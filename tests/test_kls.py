@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from sublevel_lab import kls
+from sublevel_lab.cli import _read_instance
 from sublevel_lab.intervals import IntervalSet
 from sublevel_lab.kls import (LocalizationInstance, PiecewiseLogLinear,
                               dense_core_1d, localization_check_1d,
-                              min_interval_ratio_many, parse_instance,
-                              random_instance)
+                              min_interval_ratio_many, random_instance)
 
 UNIFORM = PiecewiseLogLinear(np.array([0.0, 1.0]), np.array([0.0, 0.0]))
 
@@ -29,7 +29,7 @@ def scaled(den: PiecewiseLogLinear, factor: float) -> PiecewiseLogLinear:
 
 
 def format_instance(inst: LocalizationInstance) -> str:
-    """The instance literal that parse_instance reads."""
+    """The instance literal that cli._read_instance reads."""
     lines = [f"phi {float(t)!r} {float(v)!r}" for t, v in
              zip(inst.density.breakpoints, inst.density.log_values)]
     lines.append(f"S {float(inst.s_interval[0])!r} {float(inst.s_interval[1])!r}")
@@ -256,6 +256,15 @@ class TestDenseCore:
                 assert np.all(ratio[members(xs, core.inner)] >= theta - 1e-9)
                 assert np.all(ratio[~members(xs, core.outer)] <= theta + 1e-9)
 
+    def test_certification_catches_a_core_off_by_1e6(self, monkeypatch):
+        # the core's endpoints read 1e-6 below theta: past CERT_TOL
+        ratio = kls.min_interval_ratio_many
+        monkeypatch.setattr(kls, "min_interval_ratio_many",
+                            lambda *args: ratio(*args) - 1e-6)
+        e = IntervalSet.from_pairs([(0.0, 0.9)])
+        with pytest.raises(ValueError, match="fails its certification"):
+            dense_core_1d(e, (0.0, 1.0), 2.0)
+
     def test_lambda_domain(self):
         e = IntervalSet.from_pairs([(0.0, 1.0)])
         with pytest.raises(ValueError):
@@ -272,6 +281,18 @@ class TestDensity:
         with pytest.raises(ValueError, match="concave"):
             PiecewiseLogLinear(np.array([0.0, 0.5, 1.0]),
                                np.array([0.0, -1.0, 0.5]))
+
+    def test_convex_kink_of_1e6_rejected(self):
+        with pytest.raises(ValueError, match="concave"):
+            PiecewiseLogLinear(np.array([0.0, 1.0, 2.0]),
+                               np.array([0.0, 0.0, 1e-6]))
+
+    def test_linear_log_density_accepted_despite_rounding(self):
+        # log-density 0.7 t: its two slopes round 3.3e-16 apart, upward
+        t = np.array([0.0, 0.1, 0.3])
+        slopes = np.diff(0.7 * t) / np.diff(t)
+        assert slopes[1] > slopes[0]
+        PiecewiseLogLinear(t, 0.7 * t)
 
     def test_integral_uniform(self):
         assert UNIFORM.integral(0.2, 0.7) == pytest.approx(0.5, rel=1e-14)
@@ -374,7 +395,7 @@ class TestTextFormat:
             PiecewiseLogLinear(np.array([0.0, 0.5, 1.0]),
                                np.array([0.1, 0.3, -0.2])),
             (0.1, 0.9), IntervalSet.from_pairs([(0.2, 0.4)]), 2.5)
-        back = parse_instance(format_instance(inst))
+        back = _read_instance(format_instance(inst))
         np.testing.assert_allclose(back.density.breakpoints,
                                    inst.density.breakpoints)
         np.testing.assert_allclose(back.density.log_values,
@@ -385,9 +406,20 @@ class TestTextFormat:
 
     def test_incomplete_instance_rejected(self):
         with pytest.raises(ValueError):
-            parse_instance("phi 0 0\nphi 1 0\nS 0 1\n")
+            _read_instance("phi 0 0\nphi 1 0\nS 0 1\n")
 
     def test_bad_number_names_its_line(self):
         with pytest.raises(ValueError, match="^line 2: could not convert "
                                              "string to float: 'x'"):
-            parse_instance("phi 0 0\nphi 1 x\nS 0 1\nE 0 0.5\nlambda 2\n")
+            _read_instance("phi 0 0\nphi 1 x\nS 0 1\nE 0 0.5\nlambda 2\n")
+
+    def test_record_of_wrong_arity_rejected(self):
+        with pytest.raises(ValueError, match="^line 4: unrecognized record "
+                                             "'lambda' of 2 numbers"):
+            _read_instance("phi 0 0\nphi 1 0\nS 0 1\nlambda 2 3\n")
+
+    def test_repeated_records_are_read_in_order(self):
+        inst = _read_instance("phi 0 0\nE 0.6 0.7\nphi 0.5 0.1\nS 0 1\n"
+                              "phi 1 0\nE 0.1 0.2\nlambda 2\n")
+        assert inst.density.breakpoints.tolist() == [0.0, 0.5, 1.0]
+        assert inst.e_set.pairs() == [(0.1, 0.2), (0.6, 0.7)]

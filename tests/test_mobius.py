@@ -69,6 +69,13 @@ class TestMobiusFactor:
         with pytest.raises(ValueError, match="pole"):
             mobius_factor(1.0 / EIGHTH.zero_sphere_radius_sq, EIGHTH)
 
+    def test_pole_guard_covers_rounding(self):
+        # one ulp below the pole, 1 - A zeta is 2.2e-16, not 0
+        zeta = np.nextafter(1.0 / EIGHTH.zero_sphere_radius_sq, 0.0)
+        assert 0.0 < 1.0 - EIGHTH.zero_sphere_radius_sq * zeta <= mobius.POLE_TOL
+        with pytest.raises(ValueError, match="pole"):
+            mobius_factor(zeta, EIGHTH)
+
     def test_involution_on_real_interval(self):
         rs = np.linspace(0.0, EIGHTH.injectivity_radius_sq, 1000)
         back = mobius_factor(mobius_factor(rs, EIGHTH), EIGHTH)
@@ -362,6 +369,11 @@ class TestPreimageConvexity:
     def test_near_boundary_ball(self):
         rep = check_preimage_convexity(EIGHTH, 0.5, 0.28, 2000, seed=4)
         assert rep.passed
+
+    def test_ball_within_margin_of_image_rim_rejected(self):
+        # a rim 1e-10 inside the image rim is within CONTAINMENT_MARGIN
+        with pytest.raises(ValueError, match="strictly inside"):
+            check_preimage_convexity(EIGHTH, 0.0, EIGHTH.image_radius - 1e-10)
 
     def test_degenerate_radius(self):
         # a point is convex

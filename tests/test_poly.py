@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sublevel_lab.cli import _read_poly
 from sublevel_lab.poly import (MultiPoly, certify_sup, eval_many, from_terms,
-                               lift, normalize, parse_poly)
+                               lift, normalize)
 
 from .ball_reference import complex_power_eval
 
@@ -21,7 +22,7 @@ def eval_poly(p: MultiPoly, z) -> complex:
 
 
 def format_poly(p: MultiPoly) -> str:
-    """The polynomial literal that parse_poly reads."""
+    """The polynomial literal that cli._read_poly reads."""
     lines = []
     for alpha, c in zip(p.exponents, p.coeffs):
         idx = " ".join(str(int(a)) for a in alpha)
@@ -187,19 +188,19 @@ class TestNormalize:
 class TestTextFormat:
     def test_round_trip(self):
         p = from_terms(2, {(1, 0): 0.5 + 0.25j, (0, 2): -1.5})
-        q = parse_poly(format_poly(p))
+        q = _read_poly(format_poly(p))
         assert q.dim == p.dim
         np.testing.assert_array_equal(q.exponents, p.exponents)
         np.testing.assert_array_equal(q.coeffs, p.coeffs)
 
     def test_parse_example(self):
-        p = parse_poly("0.5 0 0 0\n0.5 0 1 0\n")
+        p = _read_poly("0.5 0 0 0\n0.5 0 1 0\n")
         assert p.dim == 2
         assert eval_poly(p, [1.0, 0.0]) == pytest.approx(1.0)
 
     def test_bad_line(self):
         with pytest.raises(ValueError, match="line 1"):
-            parse_poly("0.5 0\n")
+            _read_poly("0.5 0\n")
 
     @pytest.mark.parametrize("line, message", [
         ("0.5 0 1.5", r"invalid literal for int\(\)"),
@@ -208,14 +209,14 @@ class TestTextFormat:
         ("0.5 0 9223372036854775808", "exponents must lie in")])
     def test_bad_number_names_its_line(self, line, message):
         with pytest.raises(ValueError, match=f"^line 3: {message}"):
-            parse_poly(f"0.5 0 0\n# comment\n{line}\n")
+            _read_poly(f"0.5 0 0\n# comment\n{line}\n")
 
     @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
                     min_size=1, max_size=6))
     def test_round_trip_structure(self, alphas):
         terms = {a: 1.0 + 0.5j for a in alphas}
         p = from_terms(2, terms)
-        q = parse_poly(format_poly(p))
+        q = _read_poly(format_poly(p))
         np.testing.assert_array_equal(q.exponents, p.exponents)
 
 

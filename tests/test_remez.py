@@ -5,11 +5,11 @@ import pytest
 from numpy.polynomial import polynomial as npp
 
 from sublevel_lab import remez
+from sublevel_lab.cli import _read_function
 from sublevel_lab.intervals import IntervalSet
 from sublevel_lab.remez import (DiskFunction, blaschke_log_abs,
                                 classical_remez_check, factor_bounds,
-                                log_abs_f, parse_disk_function,
-                                random_disk_function, remez_check,
+                                log_abs_f, random_disk_function, remez_check,
                                 remez_exponent, split_criterion, split_zeros,
                                 sup_log_abs_on_set,
                                 _certified_max, _log_form, _log_form_enclosure,
@@ -39,7 +39,7 @@ def eval_disk_function(f: DiskFunction, z: complex) -> complex:
 
 
 def format_disk_function(f: DiskFunction) -> str:
-    """The disk-function literal that parse_disk_function reads."""
+    """The disk-function literal that cli._read_function reads."""
     lines = [f"const {float(np.angle(f.const))!r}"]
     for z in f.zeros:
         lines.append(f"zero {float(z.real)!r} {float(z.imag)!r}")
@@ -94,6 +94,16 @@ class TestEval:
             DiskFunction(EMPTY, np.array([0.5 + 0j]), np.array([1.0]))
         with pytest.raises(ValueError):
             DiskFunction(EMPTY, EMPTY, np.array([]), const=2.0)
+
+    def test_slacks_cover_rounding_only(self):
+        # an atom or a constant 1e-6 off the unit circle, and a zero 1e-10
+        # past 1 - ZERO_RADIUS_TOL, are each rejected
+        with pytest.raises(ValueError, match="unit circle"):
+            DiskFunction(EMPTY, np.array([1.0 + 1e-6 + 0j]), np.array([0.1]))
+        with pytest.raises(ValueError, match="unimodular"):
+            DiskFunction(EMPTY, EMPTY, np.array([]), const=1.0 + 1e-6)
+        with pytest.raises(ValueError, match="zeros must satisfy"):
+            make_f(zeros=[1.0 - remez.ZERO_RADIUS_TOL + 1e-10])
 
 
 class TestSplit:
@@ -444,7 +454,7 @@ class TestTextFormat:
     def test_round_trip(self):
         f = make_f(zeros=[0.1 + 0.2j, -0.5], atoms=[(1.0, 0.3)],
                    const=np.exp(0.7j))
-        g = parse_disk_function(format_disk_function(f))
+        g = _read_function(format_disk_function(f))
         np.testing.assert_allclose(g.zeros, f.zeros, atol=1e-15)
         np.testing.assert_allclose(g.atom_locs, f.atom_locs, atol=1e-15)
         np.testing.assert_allclose(g.atom_weights, f.atom_weights, atol=1e-15)
@@ -452,12 +462,12 @@ class TestTextFormat:
 
     def test_bad_record(self):
         with pytest.raises(ValueError, match="line 1"):
-            parse_disk_function("pole 0.5 0.5\n")
+            _read_function("pole 0.5 0.5\n")
 
     def test_bad_number_names_its_line(self):
         with pytest.raises(ValueError, match="^line 3: could not convert "
                                              "string to float: 'abc'"):
-            parse_disk_function("zero 0.5 0\n\nzero 0.1 abc\n")
+            _read_function("zero 0.5 0\n\nzero 0.1 abc\n")
 
 
 class TestImportPath:

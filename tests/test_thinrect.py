@@ -487,7 +487,8 @@ class TestThinLimitDistance:
             ks_to_thin_limit(0.1, delta)
 
     @pytest.mark.parametrize("eta, match", [
-        (0.125, "eta too large"), (0.0, "eta must be positive")])
+        (0.125, "eta too large"), (0.125 - 5e-10, "eta too large"),
+        (0.0, "eta must be positive")])
     def test_eta_not_admissible(self, eta, match):
         with pytest.raises(ValueError, match=match):
             ks_to_thin_limit(eta, 1e-4)

@@ -33,6 +33,11 @@ class TestBallSpec:
             BallSpec(np.array([0.5, 0.0]), 0.3, 0.25)
         BallSpec(np.array([0.05, 0.0]), 0.7, 0.25)  # boundary case is fine
 
+    def test_containment_slack_is_rounding_only(self):
+        # a rim 1e-9 past 1 - epsilon lies outside: the slack covers rounding
+        with pytest.raises(ValueError, match="inside"):
+            BallSpec(np.zeros(1), 0.75 + 1e-9, 0.25)
+
     @pytest.mark.parametrize("center, radius, message", [
         ([math.nan, 0.0], 0.5, "inside"),
         ([0.0, 0.0], math.inf, "inside"),
@@ -113,6 +118,12 @@ class TestQuantile:
 
     def test_missing_certificate_rejected(self):
         p = from_terms(1, {(1,): 2.0})
+        with pytest.raises(ValueError, match="certificate"):
+            check_quantile_bounds(p, INTERVAL_HALF, [2.0], 1000, seed=1)
+
+    def test_certificate_slack_is_rounding_only(self):
+        # coefficient l1 norm 1 + 1e-9: past the slack that covers rounding
+        p = from_terms(1, {(0,): 0.5, (1,): 0.5 + 1e-9})
         with pytest.raises(ValueError, match="certificate"):
             check_quantile_bounds(p, INTERVAL_HALF, [2.0], 1000, seed=1)
 
