@@ -8,7 +8,7 @@ repository, runs the named test files there with pytest and prints
     killed    a test that passes on the unchanged copy fails (the first
               such test is named);
     survived  every such test still passes;
-    timeout   the run took longer than --timeout seconds;
+    timeout   the run took longer than TIMEOUT seconds;
     stale     the old text does not occur exactly once (the row needs
               updating; nothing is run).
 
@@ -35,6 +35,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+TIMEOUT = 900.0  # seconds for one test run; tier-1 takes about 30
 
 # (file under src/sublevel_lab, old text, new text, what the mutant weakens)
 MUTANTS = [
@@ -127,7 +128,7 @@ IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",
                                 "suite-out")
 
 
-def pytest_run(tree: Path, tests, extra, timeout: float):
+def pytest_run(tree: Path, tests, extra):
     """(exit code or None on timeout, ids of the failed tests)."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src"),
            "PYTHONDONTWRITEBYTECODE": "1"}
@@ -135,7 +136,7 @@ def pytest_run(tree: Path, tests, extra, timeout: float):
            "no:cacheprovider", *extra, *tests]
     try:
         done = subprocess.run(cmd, cwd=tree, env=env, capture_output=True,
-                              text=True, timeout=timeout)
+                              text=True, timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
         return None, []
     failed = re.findall(r"^(?:FAILED|ERROR) (.+?)(?: - .*)?$", done.stdout, re.M)
@@ -148,15 +149,13 @@ def main(argv=None) -> int:
                         help="test files or directories (default: tests)")
     parser.add_argument("-k", default="",
                         help="run only the rows whose file or reason holds this")
-    parser.add_argument("--timeout", type=float, default=900.0,
-                        help="seconds allowed for one mutant's test run")
     args = parser.parse_args(argv)
     rows = [r for r in MUTANTS if args.k in r[0] or args.k in r[3]]
 
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp) / "tree"
         shutil.copytree(ROOT, tree, ignore=IGNORE)
-        code, known = pytest_run(tree, args.tests, [], args.timeout)
+        code, known = pytest_run(tree, args.tests, [])
         if code not in (0, 1):
             print(f"the unchanged tree does not test cleanly (exit {code})")
             return 1
@@ -174,8 +173,7 @@ def main(argv=None) -> int:
             path.write_text(text.replace(old, new))
             start = time.perf_counter()
             try:
-                code, failed = pytest_run(tree, args.tests, ["-x", *deselect],
-                                          args.timeout)
+                code, failed = pytest_run(tree, args.tests, ["-x", *deselect])
             finally:
                 path.write_text(text)
             took = time.perf_counter() - start
