@@ -25,7 +25,7 @@ class IntervalSet:
         object.__setattr__(self, "upper", hi)
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ValueError("lower/upper must be 1-d arrays of equal length")
-        if np.any(hi < lo):
+        if not np.all(lo <= hi):
             raise ValueError("each component must satisfy lower <= upper")
         if lo.size > 1 and np.any(lo[1:] <= hi[:-1]):
             raise ValueError("components must be sorted and disjoint")
@@ -35,7 +35,7 @@ class IntervalSet:
         """Build from (lower, upper) pairs, merging overlaps and touches."""
         pairs = [(float(l), float(u)) for l, u in pairs]
         for l, u in pairs:
-            if u < l:
+            if not l <= u:
                 raise ValueError(f"invalid interval [{l}, {u}]")
         if not pairs:
             return cls(np.empty(0), np.empty(0))

@@ -47,6 +47,8 @@ class PiecewiseLogLinear:
             raise ValueError("need matching breakpoints/log_values, length >= 2")
         if np.any(np.diff(t) <= 0):
             raise ValueError("breakpoints must be strictly increasing")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
+            raise ValueError("breakpoints and log_values must be finite")
         slopes = np.diff(v) / np.diff(t)
         if np.any(np.diff(slopes) > CONCAVITY_TOL):
             raise ValueError("log-density must be concave (non-increasing slopes)")
@@ -150,7 +152,7 @@ def dense_core_1d(e: IntervalSet, s: tuple[float, float],
     [max(l, max_{c<l} g), min(u, min_{c>u} g)].  Its endpoints are
     certified against `min_interval_ratio_many`.
     """
-    if lam <= 1.0:
+    if not lam > 1.0:
         raise ValueError("lambda must exceed 1")
     s0, s1 = float(s[0]), float(s[1])
     if e.n_components and (e.lower[0] < s0 - 1e-12 or e.upper[-1] > s1 + 1e-12):
@@ -185,7 +187,7 @@ class LocalizationInstance:
         lo, hi = self.density.support
         if not (lo - 1e-12 <= s0 < s1 <= hi + 1e-12):
             raise ValueError("S must be a nondegenerate interval inside the support")
-        if self.lam <= 1.0:
+        if not self.lam > 1.0:
             raise ValueError("lambda must exceed 1")
         if self.e_set.n_components and not self.e_set.is_subset_of(
                 IntervalSet.from_pairs([self.s_interval]), tol=1e-12):

@@ -1,16 +1,16 @@
 """Remez-type estimates for bounded analytic functions on the unit disk.
 
 A disk function is a unimodular constant times a finite Blaschke product
-times an atomic outer factor, so |f| <= 1 holds by construction and every
-quantity below (values at points, minima over [-a, a], the Remez exponent)
-is computable in closed form or certified by branch and bound.
+times an atomic outer factor, so |f| <= 1 holds by construction.  On the
+real axis each log-modulus the checks need is one vertex form, whose terms
+give both its values at points and its per-segment enclosures.
 
 Extrema over segments of the real axis come from one level-synchronous
-branch and bound over exact per-segment enclosures (R. E. Moore, Interval
-Analysis, 1966; the centered form as in A. Neumaier, Interval Methods for
-Systems of Equations, 1990).  It returns a certified upper bound and a value
-attained at a point, and every check takes the side that can only make it
-fail.
+branch and bound, with one settling rule, over those exact enclosures (R. E.
+Moore, Interval Analysis, 1966; the centered form as in A. Neumaier,
+Interval Methods for Systems of Equations, 1990).  It returns a certified
+upper bound and a value attained at a point, and every check takes the side
+that can only make it fail.
 
 All inequality checks compare log-moduli with a plain <=, no tolerance: the
 Remez bound (C|I|/|E|)^sigma overflows the linear scale long before the
@@ -67,46 +67,17 @@ class DiskFunction:
         object.__setattr__(self, "zeros", zeros)
         object.__setattr__(self, "atom_locs", locs)
         object.__setattr__(self, "atom_weights", ws)
-        if np.any(np.abs(zeros) > 1.0 - ZERO_RADIUS_TOL):
+        # each guard is written so that a NaN trips it
+        if not np.all(np.abs(zeros) <= 1.0 - ZERO_RADIUS_TOL):
             raise ValueError("zeros must satisfy |zero| <= 1 - 1e-9")
         if locs.size != ws.size:
             raise ValueError("atom_locs and atom_weights must match")
-        if np.any(np.abs(np.abs(locs) - 1.0) > CIRCLE_TOL):
+        if not np.all(np.abs(np.abs(locs) - 1.0) <= CIRCLE_TOL):
             raise ValueError("atoms must sit on the unit circle")
-        if np.any(ws <= 0.0):
+        if not np.all(ws > 0.0):
             raise ValueError("atom weights must be positive")
-        if abs(abs(complex(self.const)) - 1.0) > CIRCLE_TOL:
+        if not abs(abs(complex(self.const)) - 1.0) <= CIRCLE_TOL:
             raise ValueError("const must be unimodular")
-
-
-def blaschke_log_abs(zeros: np.ndarray, x) -> np.ndarray:
-    """log |product (x - z)/(1 - x conj(z))| for real or complex x (vectorized)."""
-    x = np.asarray(x, dtype=np.complex128)
-    if zeros.size == 0:
-        return np.zeros(x.shape, dtype=float)
-    xs = x[..., None]
-    num = np.abs(xs - zeros)
-    den = np.abs(1.0 - xs * np.conj(zeros))
-    with np.errstate(divide="ignore"):
-        return np.sum(np.log(num) - np.log(den), axis=-1)
-
-
-def outer_log_abs(locs: np.ndarray, weights: np.ndarray, z) -> np.ndarray:
-    """log |outer factor| = -sum w * Re((loc + z)/(loc - z)); real z allowed."""
-    z = np.asarray(z, dtype=np.complex128)
-    if locs.size == 0:
-        return np.zeros(z.shape, dtype=float)
-    zs = z[..., None]
-    kernel = np.real((locs + zs) / (locs - zs))
-    return -np.sum(weights * kernel, axis=-1)
-
-
-def log_abs_f(f: DiskFunction, x) -> np.ndarray:
-    """log |f| at real or complex points strictly inside the disk."""
-    x = np.asarray(x, dtype=np.complex128)
-    if np.any(np.abs(x) >= 1.0):
-        raise ValueError("points must lie in the open unit disk")
-    return blaschke_log_abs(f.zeros, x) + outer_log_abs(f.atom_locs, f.atom_weights, x)
 
 
 def split_criterion(zeros: np.ndarray, a: float) -> np.ndarray:
@@ -147,7 +118,6 @@ BNB_SPLIT = 8               # children of each open segment per level
 BNB_CHUNK = 4096            # segments bounded per enclosure call (memory),
 BNB_CHUNK_TERMS = 128       # up to this many terms; fewer past it
 BNB_MAX_SEGMENTS = 1 << 20  # open segments at which the search gives up
-BNB_GAP = 2e-13             # relative gap at which a segment is settled
 ENCLOSURE_PAD = 1e-13       # relative pad added to every upper bound
 
 
@@ -169,9 +139,9 @@ def _certified_max(enclose, pairs, terms: int) -> Extremum:
     at a point of the segment and the pad; a call holds `terms` temporaries
     per segment for at most BNB_CHUNK * BNB_CHUNK_TERMS of them, each
     segment on its own row.  Every open segment is split BNB_SPLIT ways per
-    level; a segment is settled once its bound is within BNB_GAP *
-    max(1, |best|) + 4 * pad of the best value attained, which also prunes
-    every segment whose bound lies below that value."""
+    level; a segment is settled once its bound is within 4 * pad of the best
+    value attained, which also prunes every segment whose bound lies below
+    that value."""
     edges = [np.linspace(lo, hi, BNB_PIECES + 1) for lo, hi in pairs]
     x0 = np.concatenate([e[:-1] for e in edges])
     x1 = np.concatenate([e[1:] for e in edges])
@@ -189,7 +159,7 @@ def _certified_max(enclose, pairs, terms: int) -> Extremum:
         segments += x0.size
         best = max(best, float(np.max(value)))
         # written so that a NaN bound keeps its segment open
-        open_ = ~(upper - best <= BNB_GAP * max(1.0, abs(best)) + 4.0 * pad)
+        open_ = ~(upper - best <= 4.0 * pad)
         settled = max(settled, float(np.max(upper[~open_], initial=-np.inf)))
         x0, x1 = x0[open_], x1[open_]
         inner = x0[:, None] + (x1 - x0)[:, None] * t
@@ -221,6 +191,20 @@ class _LogForm:
     @property
     def empty(self) -> bool:
         return self.half.size + self.v.size == 0
+
+    def terms(self, x):
+        """The log terms and the atom terms of g at real points x, each
+        along a new last axis."""
+        x = np.asarray(x, dtype=float)[..., None]
+        u, w = x - self.p, x - self.c
+        with np.errstate(divide="ignore"):
+            return (self.half * np.log(self.alpha * u * u + self.mu),
+                    self.v * (1.0 - x * x) / (w * w + self.s2))
+
+    def at(self, x) -> np.ndarray:
+        """g at real points x."""
+        logs, atoms = self.terms(x)
+        return np.sum(logs, axis=-1) + np.sum(atoms, axis=-1)
 
 
 _EMPTY = np.empty(0, dtype=np.complex128)
@@ -263,30 +247,29 @@ def _log_form_enclosure(g: _LogForm):
 
     def enclose(x0, x1):
         r = 0.5 * (x1 - x0)
-        x = np.stack([x0, 0.5 * (x0 + x1), x1], axis=1)[:, :, None]
-        ends = x[:, ::2]
+        x = np.stack([x0, 0.5 * (x0 + x1), x1], axis=1)
+        ends = x[:, ::2, None]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            logs, kern = g.terms(x)
             # half log q with q = alpha (x - p)^2 + mu: convex q peaks at an
             # end and bottoms out at the vertex p clamped to the segment
-            u = x - g.p
+            u = ends - g.p
             q = g.alpha * u * u + g.mu
-            logs = g.half * np.log(q)
-            near = np.maximum(np.maximum(u[:, 0], -u[:, 2]), 0.0)
+            near = np.maximum(np.maximum(u[:, 0], -u[:, 1]), 0.0)
             q_lo = g.alpha * near * near + g.mu
-            q_hi = np.maximum(q[:, 0], q[:, 2])
+            q_hi = np.maximum(q[:, 0], q[:, 1])
             natural = np.sum(g.half * np.log(np.where(rising, q_hi, q_lo)), axis=1)
-            d_lo, d_hi = _ratio_range(log_slope * u[:, 0], log_slope * u[:, 2],
+            d_lo, d_hi = _ratio_range(log_slope * u[:, 0], log_slope * u[:, 1],
                                       q_lo, q_hi)
             # v K with K = (1 - x^2) / D, D = (x - c)^2 + s2; the numerator of
             # K' is monotone on (-1, 1), since its vertex 1/c lies outside
-            w = x - g.c
+            w = ends - g.c
             den = w * w + g.s2
-            num = 1.0 - x * x
-            kern = g.v * num / den
-            near = np.maximum(np.maximum(w[:, 0], -w[:, 2]), 0.0)
+            num = 1.0 - ends * ends
+            near = np.maximum(np.maximum(w[:, 0], -w[:, 1]), 0.0)
             den_lo = near * near + g.s2
-            den_hi = np.maximum(den[:, 0], den[:, 2])
-            num_lo = np.minimum(num[:, 0], num[:, 2])
+            den_hi = np.maximum(den[:, 0], den[:, 1])
+            num_lo = np.minimum(num[:, 0], num[:, 1])
             num_hi = 1.0 - np.maximum(np.maximum(x0, -x1), 0.0)[:, None] ** 2
             natural += np.sum(np.where(g.v > 0.0, g.v * num_hi / den_lo,
                                        g.v * num_lo / den_hi), axis=1)
@@ -354,22 +337,19 @@ def factor_bounds(f: DiskFunction, a: float) -> FactorBoundsReport:
     of the reciprocal factor a certified upper bound, so each check can err
     only toward failing.
     """
-    if not (0.0 < a < 1.0):
-        raise ValueError("a must lie in (0, 1)")
-    span = [(-a, a)]
     fac = split_zeros(f.zeros, a)
-    neg_u = _max_log_form(
-        _log_form(-1.0, locs=f.atom_locs, weights=f.atom_weights), span)
-    neg_b1 = _max_log_form(_log_form(-1.0, fac.b1_zeros, fac.b1_zeros), span)
+    span, ends = [(-a, a)], np.array([a, -a])
+    neg_log_u = _log_form(-1.0, locs=f.atom_locs, weights=f.atom_weights)
+    neg_log_b1 = _log_form(-1.0, fac.b1_zeros, fac.b1_zeros)
+    neg_u = _max_log_form(neg_log_u, span)
+    neg_b1 = _max_log_form(neg_log_b1, span)
     # log of the reciprocal factor 1/prod|1 - x conj(z)|: spread = max + max of -
     r_max = _max_log_form(_log_form(1.0, den_zeros=fac.b2_zeros), span)
     r_neg_max = _max_log_form(_log_form(-1.0, den_zeros=fac.b2_zeros), span)
 
-    # each factor's endpoint sum log|g(a)| + log|g(-a)|, from one call
-    ends = np.array([a, -a])
-    log_u = float(np.sum(outer_log_abs(f.atom_locs, f.atom_weights, ends)))
-    log_b1, log_b2 = (float(np.sum(blaschke_log_abs(z, ends)))
-                      for z in (fac.b1_zeros, fac.b2_zeros))
+    # each factor's endpoint sum log|g(a)| + log|g(-a)|
+    log_u, log_b1 = (-float(np.sum(g.at(ends))) for g in (neg_log_u, neg_log_b1))
+    log_b2 = float(np.sum(_log_form(1.0, fac.b2_zeros, fac.b2_zeros).at(ends)))
     shrink = 1.0 - a * a
 
     def minimum(neg_max: Extremum, bound_log: float) -> FactorEstimate:
@@ -391,33 +371,24 @@ def factor_bounds(f: DiskFunction, a: float) -> FactorBoundsReport:
                 + r_neg_max.segments})
 
 
-def max_log_abs_on_interval(f: DiskFunction, lo: float, hi: float) -> Extremum:
-    """Certified max of log|f| on [lo, hi]."""
-    return _max_log_form(_log_form(1.0, f.zeros, f.zeros, f.atom_locs, f.atom_weights),
-                         [(lo, hi)])
+def _log_abs(f: DiskFunction) -> _LogForm:
+    """log|f| on the real axis."""
+    return _log_form(1.0, f.zeros, f.zeros, f.atom_locs, f.atom_weights)
 
 
-def sup_log_abs_on_set(f: DiskFunction, e: IntervalSet) -> Extremum:
-    """sup log|f| over an interval union.
-
-    The Remez inequality puts this on the large side, so a caller takes the
-    attained value: an under-estimate can only make the check harder.
-    """
-    if e.n_components == 0 or e.total_length == 0.0:
-        raise ValueError("set E must have positive length")
-    return _max_log_form(_log_form(1.0, f.zeros, f.zeros, f.atom_locs, f.atom_weights),
-                         e.pairs())
+def _exponent(log_f: _LogForm, a: float) -> float:
+    if not (0.0 < a < 1.0):
+        raise ValueError("a must lie in (0, 1)")
+    log_ends = float(np.sum(log_f.at(np.array([a, -a]))))
+    if not np.isfinite(log_ends):
+        raise ValueError("f vanishes at an endpoint +-a")
+    return 3.0 / (1.0 - a) * -log_ends
 
 
 def remez_exponent(f: DiskFunction, a: float) -> float:
     """3/(1-a) * log 1/(|f(a)||f(-a)|), the exponent the factorization proof
     delivers."""
-    if not (0.0 < a < 1.0):
-        raise ValueError("a must lie in (0, 1)")
-    log_ends = float(np.sum(log_abs_f(f, np.array([a, -a]))))
-    if not np.isfinite(log_ends):
-        raise ValueError("f vanishes at an endpoint +-a")
-    return 3.0 / (1.0 - a) * -log_ends
+    return _exponent(_log_abs(f), a)
 
 
 def _remez_sides(interval: tuple[float, float], e: IntervalSet):
@@ -456,9 +427,10 @@ def remez_check(f: DiskFunction, a: float, interval: tuple[float, float],
     lo, hi, ratio = _remez_sides(interval, e)
     if lo < -a - 1e-15 or hi > a + 1e-15:
         raise ValueError("interval I must lie in [-a, a]")
-    sigma = remez_exponent(f, a)
-    max_i = max_log_abs_on_interval(f, lo, hi)
-    sup_e = sup_log_abs_on_set(f, e)
+    log_f = _log_abs(f)
+    sigma = _exponent(log_f, a)
+    max_i = _max_log_form(log_f, [(lo, hi)])
+    sup_e = _max_log_form(log_f, e.pairs())
     log_bound = float(sigma * np.log(REMEZ_CONSTANT * ratio) + sup_e.attained)
     return RemezReport(
         max_i=float(np.exp(max_i.upper)), sup_e=float(np.exp(sup_e.attained)),

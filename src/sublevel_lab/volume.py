@@ -156,7 +156,7 @@ def sorted_sample(count: int, worker, threads: int = 1) -> DistributionSummary:
 def _require_usable(poly: MultiPoly):
     if poly.is_constant():
         raise ValueError("polynomial is constant; quantile checks are degenerate")
-    if certify_sup(poly) > 1.0 + 1e-12:
+    if not certify_sup(poly) <= 1.0 + 1e-12:
         raise ValueError("polynomial needs a sup certificate <= 1: its "
                          "coefficient l1 norm exceeds 1")
 

@@ -331,6 +331,19 @@ def test_repeated_singleton_record_exits_2(tmp_path, capsys, sub, field,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("read, text", [
+    (cli._read_poly, "0.5 0 1 0\nnan 0 0 0\n"),
+    (cli._read_instance, "phi 0 0\nphi 1 inf\nS 0 1\nE 0 0.5\nlambda 2\n"),
+    (cli._read_function, "zero 0.5 0\nzero nan 0\n"),
+], ids=["poly", "instance", "function"])
+def test_non_finite_number_is_named_with_its_line(read, text):
+    # the library constructors reject some of these too, but only the
+    # reader names the line and the number
+    with pytest.raises(ValueError, match=r"^line 2: numbers must be finite, "
+                                         r"got '(nan|inf)'$"):
+        read(text)
+
+
 # Polynomials the theorem cannot check: zero, F(0) = 0, and two constants,
 # one whose normalized |F(0)| is exactly 1 and one where it rounds to
 # 1 - 2^-53.

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npp
@@ -7,13 +8,11 @@ from numpy.polynomial import polynomial as npp
 from sublevel_lab import remez
 from sublevel_lab.cli import _read_function
 from sublevel_lab.intervals import IntervalSet
-from sublevel_lab.remez import (DiskFunction, blaschke_log_abs,
-                                classical_remez_check, factor_bounds,
-                                log_abs_f, random_disk_function, remez_check,
+from sublevel_lab.remez import (DiskFunction, classical_remez_check,
+                                factor_bounds, random_disk_function, remez_check,
                                 remez_exponent, split_criterion, split_zeros,
-                                sup_log_abs_on_set,
-                                _certified_max, _log_form, _log_form_enclosure,
-                                _max_log_form, _poly_enclosure)
+                                _certified_max, _log_abs, _log_form,
+                                _log_form_enclosure, _max_log_form, _poly_enclosure)
 
 EMPTY = np.array([], dtype=complex)
 
@@ -22,6 +21,32 @@ def make_f(zeros=(), atoms=(), const=1.0):
     locs = np.array([np.exp(1j * t) for t, _ in atoms], dtype=complex)
     ws = np.array([w for _, w in atoms], dtype=float)
     return DiskFunction(np.array(zeros, dtype=complex), locs, ws, const)
+
+
+def blaschke_log_abs(zeros: np.ndarray, x) -> np.ndarray:
+    """Reference: log |prod (x - z)/(1 - x conj(z))| at real or complex x."""
+    x = np.asarray(x, dtype=np.complex128)
+    if zeros.size == 0:
+        return np.zeros(x.shape, dtype=float)
+    xs = x[..., None]
+    with np.errstate(divide="ignore"):
+        return np.sum(np.log(np.abs(xs - zeros))
+                      - np.log(np.abs(1.0 - xs * np.conj(zeros))), axis=-1)
+
+
+def outer_log_abs(locs: np.ndarray, weights: np.ndarray, z) -> np.ndarray:
+    """Reference: log |outer factor| = -sum w Re((loc + z)/(loc - z))."""
+    z = np.asarray(z, dtype=np.complex128)
+    if locs.size == 0:
+        return np.zeros(z.shape, dtype=float)
+    zs = z[..., None]
+    return -np.sum(weights * np.real((locs + zs) / (locs - zs)), axis=-1)
+
+
+def log_abs_f(f: DiskFunction, x) -> np.ndarray:
+    """Reference for the package's vertex form of log|f|: the Blaschke
+    product and the Poisson integral, at real or complex points."""
+    return blaschke_log_abs(f.zeros, x) + outer_log_abs(f.atom_locs, f.atom_weights, x)
 
 
 def eval_disk_function(f: DiskFunction, z: complex) -> complex:
@@ -53,24 +78,20 @@ SINGLE_ZERO = make_f(zeros=[0.0])            # f(z) = z up to the constant
 
 
 class TestEval:
+    """The vertex form of log|f| at real points (`_LogForm.at`), against
+    the Blaschke/Poisson reference above."""
+
     def test_empty_product_is_one(self):
-        f = make_f()
-        assert log_abs_f(f, np.array([0.3 + 0.1j]))[0] == 0.0
+        assert _log_abs(make_f()).at(np.array([0.3]))[0] == 0.0
 
     def test_single_zero_at_origin(self):
-        got = log_abs_f(SINGLE_ZERO, np.array([0.7]))[0]
+        got = _log_abs(SINGLE_ZERO).at(np.array([0.7]))[0]
         assert got == pytest.approx(math.log(0.7), rel=1e-14)
 
     def test_atom_kernel_value(self):
         # (1 - x^2)/(1 - x)^2 = 19 at x = 0.9
-        got = log_abs_f(ATOM_F, np.array([0.9]))[0]
+        got = _log_abs(ATOM_F).at(np.array([0.9]))[0]
         assert got == pytest.approx(-1.9, rel=1e-12)
-
-    def test_outside_disk_rejected(self):
-        with pytest.raises(ValueError):
-            log_abs_f(ATOM_F, np.array([1.0]))
-        with pytest.raises(ValueError):
-            log_abs_f(ATOM_F, np.array([1.2]))
 
     def test_modulus_bounded_by_one(self):
         rng = np.random.default_rng(31)
@@ -78,6 +99,7 @@ class TestEval:
             f = random_disk_function(rng)
             z = (rng.random() * 0.98) * np.exp(1j * rng.random() * 2 * np.pi)
             assert log_abs_f(f, np.array([z]))[0] <= 1e-12
+            assert _log_abs(f).at(np.array([z.real]))[0] <= 1e-12
 
     def test_log_abs_matches_eval(self):
         rng = np.random.default_rng(8)
@@ -86,6 +108,11 @@ class TestEval:
         logs = log_abs_f(f, zs)
         direct = np.array([abs(eval_disk_function(f, z)) for z in zs])
         np.testing.assert_allclose(np.exp(logs), direct, rtol=1e-10)
+        for _ in range(50):
+            f = random_disk_function(rng)
+            xs = rng.uniform(-0.99, 0.99, 200)
+            np.testing.assert_allclose(_log_abs(f).at(xs), log_abs_f(f, xs),
+                                       rtol=1e-10, atol=1e-12)
 
     def test_zero_invariants_enforced(self):
         with pytest.raises(ValueError):
@@ -272,6 +299,26 @@ class TestRemezCheck:
         with pytest.raises(ValueError):
             remez_check(SINGLE_ZERO, 0.5, (0.0, 0.9), e)
 
+    def test_certified_max_one_ulp_above_bound_fails(self, monkeypatch):
+        # the verdict reads max_I's certified bound, not its attained value
+        interval, e = (0.1, 0.8), IntervalSet.from_pairs([(0.2, 0.4)])
+        log_bound = remez_check(SINGLE_ZERO, 0.9, interval, e).log_bound
+        certified_max = remez._certified_max
+
+        def one_ulp_over(enclose, pairs, terms):
+            best = certified_max(enclose, pairs, terms)
+            if list(pairs) != [interval]:
+                return best
+            assert best.attained < log_bound
+            return remez.Extremum(float(np.nextafter(log_bound, np.inf)),
+                                  best.attained, best.segments)
+
+        monkeypatch.setattr(remez, "_certified_max", one_ulp_over)
+        rep = remez_check(SINGLE_ZERO, 0.9, interval, e)
+        assert rep.log_bound == log_bound
+        assert rep.log_max_i == np.nextafter(log_bound, np.inf)
+        assert not rep.passed
+
     def test_factor_monotonicity_in_e(self):
         # ratio factor shrinks and sup grows when E is enlarged
         f = SINGLE_ZERO
@@ -282,8 +329,8 @@ class TestRemezCheck:
         ratio_small = sigma * math.log(8 * 0.9 / e_small.total_length)
         ratio_large = sigma * math.log(8 * 0.9 / e_large.total_length)
         assert ratio_large < ratio_small
-        sup_small = sup_log_abs_on_set(f, e_small).attained
-        sup_large = sup_log_abs_on_set(f, e_large).attained
+        sup_small = _max_log_form(_log_abs(f), e_small.pairs()).attained
+        sup_large = _max_log_form(_log_abs(f), e_large.pairs()).attained
         assert sup_large >= sup_small
 
 
@@ -306,6 +353,25 @@ REMEZ_CHECKS = {
 def test_interval_and_set_rejected(check, interval, pairs, message):
     with pytest.raises(ValueError, match=message):
         REMEZ_CHECKS[check](interval, IntervalSet.from_pairs(pairs))
+
+
+@pytest.mark.parametrize("check, bound", [("remez_check", "log_bound"),
+                                          ("classical_remez_check", "log_rhs")])
+def test_bound_built_on_attained_sup_over_e(check, bound, monkeypatch):
+    # sup_E enters the bound as a value attained in E: a certified sup far
+    # above it leaves the bound as it is
+    interval, e = (0.1, 0.8), IntervalSet.from_pairs([(0.2, 0.4), (0.5, 0.6)])
+    want = getattr(REMEZ_CHECKS[check](interval, e), bound)
+    certified_max = remez._certified_max
+
+    def loose_over_e(enclose, pairs, terms):
+        best = certified_max(enclose, pairs, terms)
+        if list(pairs) == [interval]:
+            return best
+        return remez.Extremum(best.attained + 100.0, best.attained, best.segments)
+
+    monkeypatch.setattr(remez, "_certified_max", loose_over_e)
+    assert getattr(REMEZ_CHECKS[check](interval, e), bound) == want
 
 
 class TestClassicalRemez:
@@ -422,6 +488,30 @@ class TestEnclosures:
             grid = np.log(np.abs(npp.polyval(np.linspace(lo, hi, 20_001), coeffs)))
             best = _certified_max(_poly_enclosure(coeffs), [(lo, hi)], deg + 1)
             assert best.upper >= np.max(grid)
+
+    def test_point_segments_bound_the_exact_value(self):
+        # on a segment of zero width every bound is one value computed in
+        # floating point, so only the pad covers its rounding: each bound
+        # is checked against log|P| and log|f| in 50-digit arithmetic
+        rng = np.random.default_rng(4245)
+        x = rng.uniform(-0.9, 0.9, 200)
+        coeffs = np.array([2.0, 0.3, -0.2, 0.1])   # |P| > 1.3 on [-1, 1]
+        f = make_f(zeros=[0.3 + 0.4j, -0.5 + 0.1j, 0.7j],
+                   atoms=[(1.0, 0.2), (2.5, 0.3)])
+        with mp.workdps(50):
+            def exact_log_f(t):
+                t = mp.mpf(t)
+                logs = sum(mp.log(abs(t - mp.mpc(z))) - mp.log(abs(1 - t * mp.conj(z)))
+                           for z in f.zeros)
+                return logs - sum(w * mp.re((mp.mpc(c) + t) / (mp.mpc(c) - t))
+                                  for c, w in zip(f.atom_locs, f.atom_weights))
+
+            for upper, exact in (
+                    (_poly_enclosure(coeffs)(x, x)[0],
+                     [mp.log(abs(mp.polyval(coeffs[::-1].tolist(), mp.mpf(t)))) for t in x]),
+                    (_log_form_enclosure(_log_abs(f))(x, x)[0],
+                     [exact_log_f(t) for t in x])):
+                assert all(u >= e for u, e in zip(upper, exact))
 
     def test_calls_bounded_by_segments_times_terms(self, monkeypatch):
         # 300 zeros give 600 log terms: each enclosure call bounds at most
