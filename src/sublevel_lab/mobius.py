@@ -92,15 +92,12 @@ def _rim_values(params: MapParams) -> tuple[float, float, float]:
 
 
 def apply_map(z, params: MapParams) -> np.ndarray:
-    """Apply the change of variables to one point (or batch) of B_c(0,1)."""
+    """Apply the change of variables to one point z of B_c(0,1); the guard
+    is written so that a NaN point trips it."""
     z = np.asarray(z, dtype=np.complex128)
-    squeeze = z.ndim == 1
-    pts = z.reshape(1, -1) if squeeze else z
-    if np.any(np.linalg.norm(pts, axis=1) >= 1.0):
-        raise ValueError("points must lie in the open complex unit ball")
-    s = np.sum(pts * pts, axis=1)
-    out = mobius_factor(s, params)[:, None] * pts
-    return out[0] if squeeze else out
+    if z.ndim != 1 or not np.linalg.norm(z) < 1.0:
+        raise ValueError("z must be one point of the open complex unit ball")
+    return mobius_factor(np.sum(z * z), params) * z
 
 
 def jacobian(r, n: int, params: MapParams):

@@ -4,11 +4,10 @@ Polynomials are stored as a dense term list (multi-index exponents plus
 complex coefficients) in lexicographic exponent order, so evaluation and
 certification sum terms in one fixed order and are bit-reproducible.
 
-Points in C^n are plain complex numpy arrays; real vectors are accepted
-wherever a point is expected.  `eval_many` keeps real points real and
-takes each power z_j^a by the products numpy's complex power takes, so |p|
-at a real point is bit-equal to complex evaluation for every exponent below
-100.
+The package evaluates p only at real points (ball samples in R^n):
+`eval_many` takes real points, works in real arithmetic and takes each
+power z_j^a by the products numpy's complex power takes, so |p| at a real
+point is bit-equal to complex evaluation for every exponent below 100.
 """
 
 from __future__ import annotations
@@ -93,25 +92,25 @@ def lift(p: MultiPoly, dim: int) -> MultiPoly:
 
 
 def eval_many(p: MultiPoly, points: np.ndarray) -> np.ndarray:
-    """Evaluate p at points of shape (N, dim); returns (N,) complex values.
+    """Evaluate p at real points of shape (N, dim); returns (N,) complex values.
 
-    Real points stay real: each term adds Re(c) m and Im(c) m to the real
-    and the imaginary part of the result.  A power z_j^a is the product
-    chain of numpy's complex integer power below exponent 100 (binary
-    exponentiation, low bits first: z*z, z*(z*z), ...), and a monomial is the product of its powers in coordinate order.  With
-    every imaginary part zero each complex product reduces to the same real
-    product, so at real points |p| is bit-equal to complex evaluation with
-    ``z ** a``.  From exponent 100 on, numpy's power calls ``cpow`` and
-    leaves imaginary parts of order 1e-14 on negative real z; here z^a of a
-    real z is exactly real.
+    Each term adds Re(c) m and Im(c) m to the real and the imaginary part
+    of the result.  A power z_j^a is the product chain of numpy's complex
+    integer power below exponent 100 (binary exponentiation, low bits
+    first: z*z, z*(z*z), ...), and a monomial is the product of its powers
+    in coordinate order.  With every imaginary part zero each complex
+    product reduces to the same real product, so |p| is bit-equal to
+    complex evaluation with ``z ** a``.  From exponent 100 on, numpy's
+    power calls ``cpow`` and leaves imaginary parts of order 1e-14 on
+    negative real z; here z^a of a real z is exactly real.
     """
     pts = np.asarray(points)
     if pts.ndim != 2 or pts.shape[1] != p.dim:
         raise ValueError(f"points must have shape (N, {p.dim})")
-    real = not np.iscomplexobj(pts)
-    pts = pts.astype(np.float64 if real else np.complex128, copy=False)
+    if np.iscomplexobj(pts):
+        raise ValueError("points must be real")
+    pts = pts.astype(np.float64, copy=False)
     out = np.zeros(pts.shape[0], dtype=np.complex128)
-    sums = (out.real, out.imag) if real else (out,)
 
     def power(j: int, a: int) -> np.ndarray:
         w, sq, k = None, pts[:, j], 1
@@ -128,7 +127,7 @@ def eval_many(p: MultiPoly, points: np.ndarray) -> np.ndarray:
         for j in np.flatnonzero(alpha):
             w = power(int(j), int(alpha[j]))
             mono = w if mono is None else mono * w
-        for acc, part in zip(sums, (c.real, c.imag) if real else (c,)):
+        for acc, part in zip((out.real, out.imag), (c.real, c.imag)):
             acc += part if mono is None else part * mono
     return out
 

@@ -50,11 +50,12 @@ def map_chunks(count: int, worker, threads: int = 1) -> np.ndarray:
     concatenate the results in chunk order.
 
     The concatenation order is fixed by the chunk index, never by thread
-    completion order, so the output is independent of `threads`.
+    completion order, so the output is independent of `threads`.  Every
+    sampler draws through here, so `count` >= 1 is checked once, here.
     """
+    if not count >= 1:
+        raise ValueError("count must be >= 1")
     sizes = chunk_sizes(count)
-    if not sizes:
-        return np.empty(0)
     if threads <= 1 or len(sizes) == 1:
         parts = [worker(i, s) for i, s in enumerate(sizes)]
     else:
@@ -63,31 +64,24 @@ def map_chunks(count: int, worker, threads: int = 1) -> np.ndarray:
     return np.concatenate(parts, axis=0)
 
 
-def _ascending(x: np.ndarray) -> np.ndarray:
-    """`x` itself when its entries ascend, else a sorted copy.  A NaN fails
-    every comparison, so a sample holding one is sorted as before."""
-    return x if np.all(x[:-1] <= x[1:]) else np.sort(x)
-
-
 def ks_distance(sample_a: np.ndarray, sample_b: np.ndarray) -> float:
-    """Two-sample Kolmogorov-Smirnov statistic sup |F_a - F_b|.
+    """Two-sample Kolmogorov-Smirnov statistic sup |F_a - F_b| of two
+    nonempty ascending samples, such as `sorted_moduli`.
 
     Both empirical CDFs step only at sample points, so the supremum is read
     at the end of each tie group of the two samples merged in one stable
     pass: there the cumulative counts i_a and i_b give |i_a/n_a - i_b/n_b|.
-    NaNs sort last and form one tie group, as `np.searchsorted` orders
-    them.  A sample that is already ascending, such as `sorted_moduli`, is
-    not sorted again.
+    A NaN fails the ascending check (x[0] <= x[-1] catches a lone one).
     """
-    a, b = (_ascending(np.asarray(s, dtype=float)) for s in (sample_a, sample_b))
-    if a.size == 0 or b.size == 0:
-        raise ValueError("samples must be nonempty")
+    a, b = (np.asarray(s, dtype=float) for s in (sample_a, sample_b))
+    for x in (a, b):
+        if not (x.size and x[0] <= x[-1] and np.all(x[:-1] <= x[1:])):
+            raise ValueError("samples must be ascending")
     merged = np.concatenate([a, b])
     # two ascending runs: the stable sort (timsort) merges them in one pass
     order = np.argsort(merged, kind="stable")
     merged = merged[order]
     i_a = np.cumsum(order < a.size)
     i_b = np.arange(1, merged.size + 1) - i_a
-    nan = np.isnan(merged)
-    ends = np.append((merged[1:] != merged[:-1]) & ~(nan[1:] & nan[:-1]), True)
+    ends = np.append(merged[1:] != merged[:-1], True)
     return float(np.max(np.abs(i_a[ends] / a.size - i_b[ends] / b.size)))

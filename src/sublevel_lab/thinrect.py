@@ -22,7 +22,7 @@ basis is data: an array of coefficients is a power-basis `Polynomial`, and
 the oscillating family is a `Chebyshev` series on [0, 1/4].  Every value on
 [0, 1/4] comes from the series itself; only the disk certificate, which
 lives on the unit disk, reads power coefficients.  `_series` is the one
-place a Q enters: it rejects a nonzero imaginary part.
+place a Q enters: it rejects a complex dtype.
 """
 
 from __future__ import annotations
@@ -52,16 +52,13 @@ THEOREM_EPSILON = 0.25
 def _series(q_coeffs):
     """Q as a real numpy series: a `Polynomial` or `Chebyshev` series in its
     own basis, and an array as the power-basis `Polynomial` of its entries.
-    A complex dtype counts as real when every imaginary part is zero."""
+    A complex dtype is rejected, even with every imaginary part zero."""
     q = q_coeffs
     if not isinstance(q, (Polynomial, Chebyshev)):
         coef = np.asarray(q).reshape(-1)
         q = Polynomial(coef if coef.size else np.zeros(1))
     if np.iscomplexobj(q.coef):
-        if np.any(q.coef.imag):
-            raise ValueError("F takes a real Q: a coefficient of Q has a "
-                             "nonzero imaginary part")
-        q = type(q)(q.coef.real, q.domain, q.window)
+        raise ValueError("F takes a real Q: Q has a complex dtype")
     return q
 
 

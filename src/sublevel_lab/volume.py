@@ -98,8 +98,6 @@ def _ball_coords(spec: BallSpec, seed: int, stream: int, used):
 
 def sample_ball(spec: BallSpec, count: int, seed: int, threads: int = 1) -> np.ndarray:
     """Uniform points of the ball, deterministic per (seed, chunk)."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
     return map_chunks(count, _ball_coords(spec, seed, STREAM_BALL, slice(None)),
                       threads)
 
@@ -225,13 +223,14 @@ def sigma_exponent(f0: float, epsilon: float) -> float:
     return 48.0 * epsilon ** -3 * math.log(1.0 / f0)
 
 
-def _fraction_le_log(sorted_logs: np.ndarray, log_t: float) -> float:
-    return float(np.searchsorted(sorted_logs, log_t, side="right")) / sorted_logs.size
-
-
-def _fraction_ge_log(sorted_logs: np.ndarray, log_t: float) -> float:
-    n = sorted_logs.size
-    return float(n - np.searchsorted(sorted_logs, log_t, side="left")) / n
+def _fraction(sorted_logs: np.ndarray, log_t: float,
+              side: str) -> tuple[float, float]:
+    """frac{log|F| <= log_t} (side "le") or frac{log|F| >= log_t} (side
+    "ge") of a sorted sample, with its binomial std error."""
+    n, le = sorted_logs.size, side == "le"
+    k = np.searchsorted(sorted_logs, log_t, side="right" if le else "left")
+    p = float(k if le else n - k) / n
+    return p, math.sqrt(p * (1.0 - p) / n)
 
 
 @dataclass(frozen=True)
@@ -277,10 +276,8 @@ def check_quantile_bounds(poly: MultiPoly, spec: BallSpec, lambdas,
         shift = sigma * math.log(THEOREM_CONSTANT * lam)
         small_t = log_m - shift
         tail_t = log_m + shift
-        small_frac = _fraction_le_log(logs, small_t)
-        tail_frac = _fraction_ge_log(logs, tail_t)
-        small_se = math.sqrt(small_frac * (1.0 - small_frac) / count)
-        tail_se = math.sqrt(tail_frac * (1.0 - tail_frac) / count)
+        small_frac, small_se = _fraction(logs, small_t, "le")
+        tail_frac, tail_se = _fraction(logs, tail_t, "ge")
         small_bound = 1.0 / lam
         tail_bound = math.exp(-lam)
         ok = (small_frac <= small_bound + 3.0 * small_se
@@ -323,14 +320,12 @@ def check_superlevel_power_bound(poly: MultiPoly, spec: BallSpec, c: float,
     summary = sample_moduli(poly, spec, count, seed, threads)
     logs = summary.log_moduli()
     log_c = math.log(c)
-    base = _fraction_ge_log(logs, log_c)
-    base_se = math.sqrt(base * (1.0 - base) / count)
+    base, base_se = _fraction(logs, log_c, "ge")
     rows = []
     for lam in lambdas:
         threshold_log = log_c + sigma * math.log(THEOREM_CONSTANT * lam)
-        lhs = _fraction_ge_log(logs, threshold_log)
+        lhs, lhs_se = _fraction(logs, threshold_log, "ge")
         rhs = base ** lam
-        lhs_se = math.sqrt(lhs * (1.0 - lhs) / count)
         rhs_se = lam * base ** (lam - 1.0) * base_se if base > 0 else 0.0
         margin = 3.0 * math.hypot(lhs_se, rhs_se)
         rows.append(PowerBoundRow(lam, threshold_log, lhs, rhs, margin,

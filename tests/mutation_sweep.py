@@ -116,7 +116,8 @@ MUTANTS = [
     ("remez.py", "if not np.all(np.abs(np.abs(locs) - 1.0) <= CIRCLE_TOL):",
      "if np.any(np.abs(np.abs(locs) - 1.0) > CIRCLE_TOL):",
      "DiskFunction: a NaN atom location is read"),
-    ("remez.py", "if not np.all(ws > 0.0):", "if np.any(ws <= 0.0):",
+    ("remez.py", "if not np.all((ws > 0.0) & (ws < np.inf)):",
+     "if np.any((ws <= 0.0) | (ws == np.inf)):",
      "DiskFunction: a NaN atom weight is read"),
     ("remez.py", "if not abs(abs(complex(self.const)) - 1.0) <= CIRCLE_TOL:",
      "if abs(abs(complex(self.const)) - 1.0) > CIRCLE_TOL:",
@@ -124,6 +125,30 @@ MUTANTS = [
     ("volume.py", "if not certify_sup(poly) <= 1.0 + 1e-12:",
      "if certify_sup(poly) > 1.0 + 1e-12:",
      "_require_usable: a NaN sup certificate is read"),
+    ("mobius.py", "    if z.ndim != 1 or not np.linalg.norm(z) < 1.0:",
+     "    if z.ndim != 1 or np.linalg.norm(z) >= 1.0:",
+     "apply_map: a NaN point is read"),
+    # one input form per entry point, and finite inputs: each mutant drops
+    # the guard
+    ("poly.py", "    if np.iscomplexobj(pts):", "    if False:",
+     "eval_many: complex points are read"),
+    ("sampling.py",
+     "        if not (x.size and x[0] <= x[-1] and np.all(x[:-1] <= x[1:])):",
+     "        if False:",
+     "ks_distance: an unsorted, NaN or empty sample is read"),
+    ("sampling.py", "    if not count >= 1:", "    if False:",
+     "map_chunks: a count below 1 is read"),
+    ("remez.py", "    if not np.all(np.isfinite(coeffs)):", "    if False:",
+     "classical_remez_check: a NaN or infinite coefficient is read"),
+    ("remez.py", "if not np.all((ws > 0.0) & (ws < np.inf)):",
+     "if not np.all(ws > 0.0):",
+     "DiskFunction: an infinite atom weight is read"),
+    # the branch and bound ends whatever the pad
+    ("remez.py", " & (np.nextafter(x0, x1) < x1)", "",
+     "_certified_max: a segment with no float inside is split again"),
+    ("remez.py", "settled = float(np.max(upper[~open_], initial=settled))",
+     "settled = max(settled, float(np.max(upper[~open_], initial=-np.inf)))",
+     "_certified_max: a NaN bound on a settled segment is dropped"),
     # verdicts read from the side that is not certified
     ("kls.py", "passed=bool(lhs_outer <= rhs))", "passed=bool(lhs_inner <= rhs))",
      "lemma-a verdict read from the unpadded inner core"),

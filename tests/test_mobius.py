@@ -103,6 +103,14 @@ class TestApplyMap:
         with pytest.raises(ValueError):
             apply_map(np.array([1.0 + 0j, 0.5]), EIGHTH)
 
+    @pytest.mark.parametrize("z", [
+        np.array([np.nan, 0.1]), np.array([0.1, complex(0.0, np.nan)]),
+        np.zeros((2, 3))], ids=["nan", "nan-imag", "batch"])
+    def test_rejects_nan_point_and_batch(self, z):
+        # unchecked, a NaN point maps to NaN coordinates
+        with pytest.raises(ValueError, match="one point of the open"):
+            apply_map(z, EIGHTH)
+
 
 class TestJacobian:
     def test_at_origin_collapses_to_power(self):

@@ -45,3 +45,21 @@ CASES = {
 def test_nan_is_rejected(case):
     with pytest.raises(ValueError):
         CASES[case]()
+
+
+# unchecked, each drives the branch and bound past its segment cap to a
+# RuntimeError that does not name the input
+FINITE_CASES = {
+    "classical-nan-coefficient": lambda: remez.classical_remez_check(
+        [1.0, NAN], (0.0, 0.5), E),
+    "classical-infinite-coefficient": lambda: remez.classical_remez_check(
+        [float("inf"), 1.0], (0.0, 0.5), E),
+    "disk-infinite-atom-weight": lambda: remez.DiskFunction(
+        EMPTY, np.array([1.0 + 0j]), np.array([float("inf")])),
+}
+
+
+@pytest.mark.parametrize("case", FINITE_CASES)
+def test_non_finite_is_rejected_by_name(case):
+    with pytest.raises(ValueError, match="finite"):
+        FINITE_CASES[case]()

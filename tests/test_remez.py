@@ -513,6 +513,27 @@ class TestEnclosures:
                      [exact_log_f(t) for t in x])):
                 assert all(u >= e for u, e in zip(upper, exact))
 
+    def test_unsplittable_segment_settles_at_its_bound(self):
+        # [1 - 2^-53, 1] holds no float strictly inside, so a split gives it
+        # back unchanged, and with a zero pad and a bound above every value
+        # the gap rule never settles it; the stub ends a search that would
+        # run on
+        calls = []
+
+        def enclose(x0, x1):
+            calls.append(x0.size)
+            if len(calls) > 1000:
+                raise RuntimeError("the branch and bound does not end")
+            return np.full(x0.size, bound), np.zeros(x0.size), np.zeros(x0.size)
+
+        for bound in (1.0, math.nan):
+            calls.clear()
+            best = _certified_max(enclose, [(1.0 - 2.0 ** -53, 1.0)], 1)
+            # a NaN bound settles as NaN, so every verdict on it fails
+            assert math.isnan(best.upper) if math.isnan(bound) else best.upper == 1.0
+            assert (best.attained, best.segments) == (0.0, remez.BNB_PIECES)
+            assert calls == [remez.BNB_PIECES]
+
     def test_calls_bounded_by_segments_times_terms(self, monkeypatch):
         # 300 zeros give 600 log terms: each enclosure call bounds at most
         # 4096 * 128 / 600 segments, and the maximum is the one that calls

@@ -5,7 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from sublevel_lab import volume
+from sublevel_lab import thinrect, volume
 from sublevel_lab.poly import MultiPoly, eval_many, from_terms, lift, normalize
 from sublevel_lab.sampling import (CHUNK_SIZE, STREAM_BALL, STREAM_LEVEL,
                                    chunk_sizes)
@@ -485,3 +485,28 @@ def test_eval_many_sees_every_ball_point(monkeypatch, threads):
         run()
         assert sorted(size for size, _ in calls) == sorted(chunk_sizes(count))
         assert sum(size * terms for size, terms in calls) == count * p.n_terms
+
+
+COUNT_CALLS = {
+    "sample_ball": lambda n: sample_ball(INTERVAL_HALF, n, seed=1),
+    "sample_moduli": lambda n: sample_moduli(IDENTITY_1D, INTERVAL_HALF, n, seed=1),
+    # unchecked, these two divide by zero and index an empty sample
+    "level_fraction": lambda n: level_fraction(IDENTITY_1D, INTERVAL_HALF, 0.1,
+                                               "le", n, seed=1),
+    "growth_experiment": lambda n: thinrect.growth_experiment(
+        [thinrect.ThinRectFunction(thinrect.monomial_on_quarter(m), 0.1)
+         for m in (1, 2)], 1e-3, [2.0], n, seed=1),
+    "rectangle_moduli": lambda n: thinrect.rectangle_moduli(
+        thinrect.ThinRectFunction(np.array([0.0, 1.0]), 0.1), 1e-3, n, seed=1),
+    "limit_moduli": lambda n: thinrect.limit_moduli(
+        thinrect.ThinRectFunction(np.array([0.0, 1.0]), 0.1), n, seed=1),
+}
+
+
+@pytest.mark.parametrize("count", [0, -1])
+@pytest.mark.parametrize("call", COUNT_CALLS)
+def test_every_sampler_rejects_count_below_one(monkeypatch, call, count):
+    # one rule, in sampling.map_chunks, whatever sampler draws
+    monkeypatch.setattr(volume, "_last_moduli", None)
+    with pytest.raises(ValueError, match="count must be >= 1"):
+        COUNT_CALLS[call](count)
